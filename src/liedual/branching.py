@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .charalg import (
     FormalCharacter,
@@ -20,6 +20,7 @@ from .charalg import (
 )
 from .lattice import (
     GroupSpec,
+    InvariantError,
     Vector,
     Weight,
     dot,
@@ -178,7 +179,8 @@ def _build_catalog() -> dict[str, EmbeddingMap]:
         )
     )
     catalog = {e.name: e for e in entries}
-    assert len(catalog) == len(entries), "catalog names must be unique"
+    if len(catalog) != len(entries):
+        raise InvariantError("catalog names must be unique")
     return catalog
 
 
@@ -285,7 +287,10 @@ def restrict_generic(
 
     decomposition = FormalCharacter.from_dict(e.small, terms)
     target_dim = decomposition.total_dimension()
-    assert target_dim == source_dim, "dimension conservation violated"
+    if target_dim != source_dim:
+        raise NegativeMultiplicityError(
+            f"{e.name}: dimension {target_dim} restricted from {source_dim}"
+        )
     return BranchResult((e.big, hw), e.name, decomposition)
 
 
@@ -471,43 +476,165 @@ def sp4_omega4_weight(n: int) -> Weight:
 
 
 # --------------------------------------------------------------------------
-# Rule verification against the generic oracle.
-
-RULE_IDS = (
-    "sp4_to_sp2sp2",
-    "sp2_to_su2su2",
-    "so5_to_so3so2",
-    "spin10_halfspin",
-    "su6_omega3",
-    "su6_omega3_to_sp3",
-)
-
-_DEFAULT_RANGES = {
-    "sp4_to_sp2sp2": 4,
-    "sp2_to_su2su2": 8,
-    "so5_to_so3so2": 5,
-    "spin10_halfspin": 4,
-    "su6_omega3": 4,
-    "su6_omega3_to_sp3": 4,
-}
+# Rule registry and verification against the generic oracle.
 
 
 @dataclass(frozen=True)
-class RuleCase:
-    params: tuple
+class Check:
+    """One named check.
+
+    Sweeps report PASS, FAIL or BUDGET (source over the oracle's budget, so
+    not checked); ``liedual branch`` reports MATCH, MISMATCH or NOTE.
+    """
+
+    name: str
     status: str
     expected: str
     actual: str
 
 
 @dataclass(frozen=True)
-class RuleReport:
-    rule_id: str
-    cases: tuple[RuleCase, ...]
+class Report:
+    title: str
+    checks: tuple[Check, ...]
 
     @property
     def ok(self) -> bool:
-        return all(c.status == "PASS" for c in self.cases)
+        return all(c.status == "PASS" for c in self.checks)
+
+    @property
+    def verdict(self) -> str:
+        """PASS; else FAIL if any check failed; else BUDGET."""
+        if self.ok:
+            return "PASS"
+        return "FAIL" if any(c.status == "FAIL" for c in self.checks) else "BUDGET"
+
+    @property
+    def summary(self) -> str:
+        passed = sum(1 for c in self.checks if c.status == "PASS")
+        return f"{self.verdict} {passed}/{len(self.checks)}"
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A closed-form branching rule and how to replay it against the oracle.
+
+    ``source(*params)`` is the highest weight restricted along the embedding
+    and ``closed(*params)`` its predicted decomposition; ``grid(level)``
+    lists the parameter tuples checked up to ``level``.  Parameters are
+    non-negative integers, or half-integers if ``half_integral``.  A
+    ``charged`` rule's closed form spans every circle charge, and
+    ``liedual branch --charge m`` keeps the charge-m block.  ``extra``
+    returns (expected, actual) of a failed rule-specific invariant, or None.
+    """
+
+    rule_id: str
+    embedding: str
+    params: tuple[str, ...]
+    source: Callable[..., Weight]
+    closed: Callable[..., FormalCharacter]
+    grid: Callable[[int], list[tuple]]
+    default_level: int
+    charged: bool = False
+    half_integral: bool = False
+    extra: Callable[..., tuple[str, str] | None] | None = None
+
+
+def _levels(top: int) -> list[tuple]:
+    return [(n,) for n in range(top + 1)]
+
+
+def _pairs(top: int) -> list[tuple]:
+    return [(x, y) for x in range(top + 1) for y in range(x + 1)]
+
+
+def _half_pairs(top: int) -> list[tuple]:
+    """top >= a >= b >= 0, both integers or both in Z + 1/2."""
+    return [
+        (a + s, b + s) for s in (Q(0), Q(1, 2)) for a, b in _pairs(top) if a + s <= top
+    ]
+
+
+def _su6_omega3_all_charges(n: int) -> FormalCharacter:
+    terms: dict[Weight, int] = {}
+    for m in range(-n, n + 1):  # charge blocks are disjoint
+        terms.update(branch_su6_omega3_to_sp2su2u1(n, m).as_dict())
+    return FormalCharacter.from_dict(group("C2", "A1", circles=1), terms)
+
+
+def _sp3_sign_ladder(n: int) -> tuple[str, str] | None:
+    # Sign bookkeeping is internal to the rule; the oracle sees the
+    # character, so check the m-ladder of the sign labels has no gaps.
+    ladder = sorted(int(w.parts[0][1]) for w in branch_su6_omega3_to_sp3(n).signs)
+    return None if ladder == list(range(n + 1)) else ("m-ladder 0..n", str(ladder))
+
+
+# Entries look module functions up at call time, so wrappers installed on
+# this module's attributes (tracing, mocks) see every call.
+RULES: dict[str, Rule] = {
+    rule.rule_id: rule
+    for rule in (
+        Rule(
+            "sp4_to_sp2sp2",
+            embedding="sp2xsp2_in_sp4",
+            params=("n",),
+            source=lambda n: sp4_omega4_weight(n),
+            closed=lambda n: branch_sp4_to_sp2sp2(n),
+            grid=_levels,
+            default_level=4,
+        ),
+        Rule(
+            "sp2_to_su2su2",
+            embedding="su2su2_in_sp2",
+            params=("x", "y"),
+            source=lambda x, y: make_weight(group("C2"), ((x, y),)),
+            closed=lambda x, y: branch_sp2_to_su2su2(x, y),
+            grid=_pairs,
+            default_level=8,
+        ),
+        Rule(
+            "so5_to_so3so2",
+            embedding="so3so2_in_so5",
+            params=("a", "b"),
+            source=lambda a, b: make_weight(group("B2"), ((a, b),)),
+            closed=lambda a, b: branch_so5_to_so3so2(a, b),
+            grid=_half_pairs,
+            default_level=5,
+            half_integral=True,
+        ),
+        Rule(
+            "spin10_halfspin",
+            embedding="spin8u1_in_spin10",
+            params=("n",),
+            source=lambda n: spin10_halfspin_weight(n),
+            closed=lambda n: branch_spin10_halfspin_to_spin8u1(n),
+            grid=_levels,
+            default_level=4,
+        ),
+        Rule(
+            "su6_omega3",
+            embedding="sp2su2u1_in_su6",
+            params=("n",),
+            source=lambda n: su6_omega3_weight(n),
+            closed=_su6_omega3_all_charges,
+            grid=_levels,
+            default_level=4,
+            charged=True,
+        ),
+        Rule(
+            "su6_omega3_to_sp3",
+            embedding="sp3_in_su6",
+            params=("n",),
+            source=lambda n: su6_omega3_weight(n),
+            closed=lambda n: branch_su6_omega3_to_sp3(n).character,
+            grid=_levels,
+            default_level=4,
+            extra=_sp3_sign_ladder,
+        ),
+    )
+}
+
+RULE_IDS = tuple(RULES)
 
 
 def _char_repr(char: FormalCharacter) -> str:
@@ -520,79 +647,32 @@ def _char_repr(char: FormalCharacter) -> str:
     return " + ".join(fragments) if fragments else "0"
 
 
-def _case(params: tuple, closed: FormalCharacter, generic: FormalCharacter) -> RuleCase:
-    status = "PASS" if closed.terms == generic.terms else "FAIL"
-    return RuleCase(params, status, _char_repr(closed), _char_repr(generic))
-
-
-def _merge(gs: GroupSpec, chars: Iterable[FormalCharacter]) -> FormalCharacter:
-    data: dict[Weight, int] = {}
-    for char in chars:
-        for w, m in char.terms:
-            data[w] = data.get(w, 0) + m
-    return FormalCharacter.from_dict(gs, data)
-
-
 def verify_rule(
     rule_id: str, max_level: int | None = None, budget: int | None = None
-) -> RuleReport:
-    """Replay one closed-form rule against restrict_generic over a range."""
-    if rule_id not in RULE_IDS:
-        raise KeyError(f"unknown rule {rule_id!r}")
-    top = _DEFAULT_RANGES[rule_id] if max_level is None else max_level
-    cases: list[RuleCase] = []
-    if rule_id == "sp4_to_sp2sp2":
-        e = embedding("sp2xsp2_in_sp4")
-        for n in range(top + 1):
-            generic = restrict_generic(e, sp4_omega4_weight(n), budget).decomposition
-            cases.append(_case((n,), branch_sp4_to_sp2sp2(n), generic))
-    elif rule_id == "sp2_to_su2su2":
-        e = embedding("su2su2_in_sp2")
-        for x in range(top + 1):
-            for y in range(x + 1):
-                hw = make_weight(e.big, ((x, y),))
-                generic = restrict_generic(e, hw, budget).decomposition
-                cases.append(_case((x, y), branch_sp2_to_su2su2(x, y), generic))
-    elif rule_id == "so5_to_so3so2":
-        e = embedding("so3so2_in_so5")
-        for shift in (Q(0), Q(1, 2)):
-            a = shift
-            while a <= top:
-                b = shift
-                while b <= a:
-                    hw = make_weight(e.big, ((a, b),))
-                    generic = restrict_generic(e, hw, budget).decomposition
-                    cases.append(_case((a, b), branch_so5_to_so3so2(a, b), generic))
-                    b += 1
-                a += 1
-    elif rule_id == "spin10_halfspin":
-        e = embedding("spin8u1_in_spin10")
-        for n in range(top + 1):
-            generic = restrict_generic(e, spin10_halfspin_weight(n), budget).decomposition
-            cases.append(
-                _case((n,), branch_spin10_halfspin_to_spin8u1(n), generic)
-            )
-    elif rule_id == "su6_omega3":
-        e = embedding("sp2su2u1_in_su6")
-        for n in range(top + 1):
-            generic = restrict_generic(e, su6_omega3_weight(n), budget).decomposition
-            closed = _merge(
-                e.small,
-                (branch_su6_omega3_to_sp2su2u1(n, m) for m in range(-n, n + 1)),
-            )
-            cases.append(_case((n,), closed, generic))
-    else:  # su6_omega3_to_sp3
-        e = embedding("sp3_in_su6")
-        for n in range(top + 1):
-            generic = restrict_generic(e, su6_omega3_weight(n), budget).decomposition
-            signed = branch_su6_omega3_to_sp3(n)
-            # Sign bookkeeping is internal to the rule; the oracle check is
-            # the character plus the gap-free m-ladder of the sign labels.
-            ladder = sorted(int(w.parts[0][1]) for w in signed.signs)
-            ladder_ok = ladder == list(range(n + 1))
-            case = _case((n,), signed.character, generic)
-            if case.status == "PASS" and not ladder_ok:
-                case = RuleCase((n,), "FAIL", "m-ladder 0..n", str(ladder))
-            cases.append(case)
-    cases.sort(key=lambda c: c.params)
-    return RuleReport(rule_id, tuple(cases))
+) -> Report:
+    """Replay one closed-form rule against restrict_generic over its grid.
+
+    Checks are named "<rule_id> <params>" and ordered by parameters.  A case
+    whose source is over budget is a BUDGET check; the sweep goes on.
+    """
+    try:
+        rule = RULES[rule_id]
+    except KeyError:
+        raise KeyError(f"unknown rule {rule_id!r}") from None
+    e = embedding(rule.embedding)
+    top = rule.default_level if max_level is None else max_level
+    checks: list[Check] = []
+    for params in sorted(rule.grid(top)):
+        name = " ".join(str(x) for x in (rule_id, *params))
+        try:
+            generic = restrict_generic(e, rule.source(*params), budget).decomposition
+        except BudgetExceededError as exc:
+            checks.append(Check(name, "BUDGET", "source within budget", str(exc)))
+            continue
+        closed = rule.closed(*params)
+        status = "PASS" if closed.terms == generic.terms else "FAIL"
+        check = Check(name, status, _char_repr(closed), _char_repr(generic))
+        if status == "PASS" and rule.extra and (broken := rule.extra(*params)):
+            check = Check(name, "FAIL", *broken)
+        checks.append(check)
+    return Report(rule_id, tuple(checks))

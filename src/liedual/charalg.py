@@ -17,6 +17,7 @@ from typing import Mapping
 
 from .lattice import (
     GroupSpec,
+    InvariantError,
     RootSystem,
     Vector,
     Weight,
@@ -51,7 +52,8 @@ def dimension(rs: RootSystem, hw: Vector) -> int:
     value = Q(1)
     for alpha in rs.positive_roots:
         value *= pairing(shifted, alpha) / pairing(rs.weyl_vector, alpha)
-    assert value.denominator == 1 and value > 0
+    if value.denominator != 1 or value <= 0:
+        raise InvariantError(f"Weyl dimension {value} of {hw} is not a positive integer")
     return int(value)
 
 
@@ -103,7 +105,8 @@ def _dominant_multiplicities(rs: RootSystem, hw: Vector) -> Mapping[Vector, int]
         shifted = vadd(mu, rho)
         denominator = top_norm - dot(shifted, shifted)
         value = 2 * acc / denominator
-        assert value.denominator == 1 and value > 0
+        if value.denominator != 1 or value <= 0:
+            raise InvariantError(f"Freudenthal multiplicity {value} at {mu} under {hw}")
         mults[mu] = int(value)
     return MappingProxyType(mults)
 
@@ -194,7 +197,8 @@ def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[Vector, int
         key = normalize_vector(rs, vsub(d, rho))
         out[key] = out.get(key, 0) + sign * m
     cleaned = {k: v for k, v in out.items() if v != 0}
-    assert all(v > 0 for v in cleaned.values())
+    if any(v < 0 for v in cleaned.values()):
+        raise InvariantError(f"negative tensor multiplicity in {hw1} x {hw2}")
     return MappingProxyType(cleaned)
 
 

@@ -12,15 +12,18 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict
 from fractions import Fraction as Q
 from pathlib import Path
 
 from . import branching, minrep, theta
 from .branching import (
     BudgetExceededError,
+    Check,
     DEFAULT_BUDGET,
     NegativeMultiplicityError,
+    Report,
+    Rule,
     RULE_IDS,
 )
 from .charalg import FormalCharacter, NonDominantError, weight_dimension
@@ -41,26 +44,8 @@ EXIT_NEGATIVE = 3
 EXIT_BUDGET = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    truncation: int = 12
-    budget: int = DEFAULT_BUDGET
-    fmt: str = "pretty"
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        if self.truncation < 0:
-            raise InvalidWeightError("truncation must be non-negative")
-        if self.budget < 1:
-            raise InvalidWeightError("budget must be at least 1")
-        if self.jobs < 1:
-            raise InvalidWeightError("jobs must be at least 1")
-
-
 def resolve_budget(explicit: int | None) -> int:
     if explicit is not None:
-        if explicit < 1:
-            raise InvalidWeightError("budget must be at least 1")
         return explicit
     env = os.environ.get("LIEDUAL_BUDGET")
     if env is not None:
@@ -74,14 +59,20 @@ def resolve_budget(explicit: int | None) -> int:
     return DEFAULT_BUDGET
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    max_level = getattr(args, "max_level", None)
-    return RunConfig(
-        truncation=12 if max_level is None else max_level,
-        budget=resolve_budget(getattr(args, "budget", None)),
-        fmt=getattr(args, "format", "pretty"),
-        jobs=getattr(args, "jobs", 1),
-    )
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in low..high (no upper bound if None)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"{value} is not {bound}")
+        return value
+
+    return parse
 
 
 def _parse_fraction(text: str) -> Q:
@@ -152,23 +143,11 @@ def _emit(payload: dict, fmt: str) -> None:
         print("  ".join(str(x) for x in row))
     for check in payload.get("checks", []):
         print(f"{check['status']:4}  {check['name']}")
-        if check["status"] == "FAIL":
+        if check["status"] != "PASS":
             print(f"      expected {check['expected']}")
             print(f"      actual   {check['actual']}")
     if "summary" in payload:
         print(payload["summary"])
-
-
-def _checks_payload(checks) -> list[dict]:
-    return [
-        {
-            "name": c.name if hasattr(c, "name") else " ".join(map(str, c.params)),
-            "status": c.status,
-            "expected": str(c.expected),
-            "actual": str(c.actual),
-        }
-        for c in checks
-    ]
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
@@ -192,89 +171,76 @@ def cmd_dim(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_RULE_EMBEDDINGS = {
-    "sp4_to_sp2sp2": "sp2xsp2_in_sp4",
-    "sp2_to_su2su2": "su2su2_in_sp2",
-    "so5_to_so3so2": "so3so2_in_so5",
-    "spin10_halfspin": "spin8u1_in_spin10",
-    "su6_omega3": "sp2su2u1_in_su6",
-    "su6_omega3_to_sp3": "sp3_in_su6",
-}
+def _rule_params(rule: Rule, texts: list[str], charge: int | None) -> list:
+    """Parse and validate ``liedual branch`` rule parameters."""
+    if len(texts) != len(rule.params):
+        raise InvalidWeightError(
+            f"{rule.rule_id} takes parameters {' '.join(rule.params)}, got {len(texts)}"
+        )
+    if charge is not None and not rule.charged:
+        raise InvalidWeightError(f"{rule.rule_id} takes no --charge")
+    kind = "half-integer" if rule.half_integral else "integer"
+    values = []
+    for name, text in zip(rule.params, texts):
+        value = _parse_fraction(text)
+        if value < 0 or value.denominator > (2 if rule.half_integral else 1):
+            raise InvalidWeightError(f"{name}={text} is not a non-negative {kind}")
+        values.append(value if rule.half_integral else int(value))
+    return values
 
 
-def _rule_closed(rule: str, params: list[Q], charge: int | None):
-    ints = [int(p) for p in params]
-    if rule == "sp4_to_sp2sp2":
-        return branching.branch_sp4_to_sp2sp2(*ints)
-    if rule == "sp2_to_su2su2":
-        return branching.branch_sp2_to_su2su2(*ints)
-    if rule == "so5_to_so3so2":
-        return branching.branch_so5_to_so3so2(*params)
-    if rule == "spin10_halfspin":
-        return branching.branch_spin10_halfspin_to_spin8u1(*ints)
-    if rule == "su6_omega3":
-        return branching.branch_su6_omega3_to_sp2su2u1(ints[0], charge or 0)
-    if rule == "su6_omega3_to_sp3":
-        return branching.branch_su6_omega3_to_sp3(*ints).character
-    raise InvalidWeightError(f"unknown rule {rule!r}")
+def _charge_block(char: FormalCharacter, charge: int) -> FormalCharacter:
+    return FormalCharacter.from_dict(
+        char.group, {w: m for w, m in char.terms if w.charges[0] == charge}
+    )
 
 
-def _rule_source(rule: str, params: list[Q]) -> Weight:
-    e = branching.embedding(_RULE_EMBEDDINGS[rule])
-    if rule in ("sp4_to_sp2sp2",):
-        return branching.sp4_omega4_weight(int(params[0]))
-    if rule in ("spin10_halfspin",):
-        return branching.spin10_halfspin_weight(int(params[0]))
-    if rule in ("su6_omega3", "su6_omega3_to_sp3"):
-        return branching.su6_omega3_weight(int(params[0]))
-    return make_weight(e.big, (tuple(params),))
+def _terms_repr(char: FormalCharacter) -> str:
+    return " + ".join(f"{m}*{format_weight(w)}" for w, m in char.terms)
 
 
 def cmd_branch(args: argparse.Namespace) -> int:
     budget = resolve_budget(args.budget)
-    checks: list[dict] = []
-    params: list[Q] = []
-    if args.target in _RULE_EMBEDDINGS:
-        params = [_parse_fraction(p) for p in args.params]
-        char = _rule_closed(args.target, params, args.charge)
-        if args.target == "su6_omega3" and args.charge is not None and args.charge < 0:
+    checks: list[Check] = []
+    params: list = []
+    rule = branching.RULES.get(args.target)
+    if rule is not None:
+        params = _rule_params(rule, args.params, args.charge)
+        charge = args.charge or 0
+        char = rule.closed(*params)
+        if rule.charged:
+            char = _charge_block(char, charge)
+        if charge < 0:  # only a charged rule takes --charge
             checks.append(
-                {
-                    "name": "negative charge block",
-                    "status": "NOTE",
-                    "expected": "charge negation of the positive block",
-                    "actual": "duality convention",
-                }
+                Check(
+                    "negative charge block",
+                    "NOTE",
+                    "charge negation of the positive block",
+                    "duality convention",
+                )
             )
         if args.generic:
-            e = branching.embedding(_RULE_EMBEDDINGS[args.target])
+            e = branching.embedding(rule.embedding)
             generic = branching.restrict_generic(
-                e, _rule_source(args.target, params), budget
+                e, rule.source(*params), budget
             ).decomposition
-            if args.target == "su6_omega3":
-                sub = {
-                    w: m
-                    for w, m in generic.as_dict().items()
-                    if w.charges[0] == (args.charge or 0)
-                }
-                generic = FormalCharacter.from_dict(generic.group, sub)
+            if rule.charged:
+                generic = _charge_block(generic, charge)
             status = "MATCH" if generic.terms == char.terms else "MISMATCH"
             checks.append(
-                {
-                    "name": "closed form vs generic",
-                    "status": status,
-                    "expected": " + ".join(
-                        f"{m}*{format_weight(w)}" for w, m in char.terms
-                    ),
-                    "actual": " + ".join(
-                        f"{m}*{format_weight(w)}" for w, m in generic.terms
-                    ),
-                }
+                Check(
+                    "closed form vs generic",
+                    status,
+                    _terms_repr(char),
+                    _terms_repr(generic),
+                )
             )
     elif args.target in branching.CATALOG:
         e = branching.embedding(args.target)
         if len(args.params) != 1:
             raise InvalidWeightError("embeddings take one weight argument")
+        if args.charge is not None:
+            raise InvalidWeightError("embeddings take no --charge")
         hw = parse_weight(e.big, args.params[0])
         char = branching.restrict_generic(e, hw, budget).decomposition
     else:
@@ -287,37 +253,25 @@ def cmd_branch(args: argparse.Namespace) -> int:
             "charge": args.charge,
         },
         "result": character_rows(char),
-        "checks": checks,
+        "checks": [asdict(c) for c in checks],
     }
     if args.format == "pretty":
         for row in payload["result"]:
             print(f"{row[1]} * {row[0]}   dim {row[2]}")
         for check in checks:
-            print(check["status"])
+            print(check.status)
     else:
         _emit(payload, args.format)
-    if any(c["status"] == "MISMATCH" for c in checks):
+    if any(c.status == "MISMATCH" for c in checks):
         return EXIT_FAIL
     return EXIT_OK
 
 
-def _run_rule_sweep(task: tuple[str, int | None, int]) -> list[dict]:
-    rule_id, max_level, budget = task
-    report = branching.verify_rule(rule_id, max_level, budget)
-    rows = []
-    for case in report.cases:
-        rows.append(
-            {
-                "name": f"{rule_id} {' '.join(str(p) for p in case.params)}",
-                "status": case.status,
-                "expected": case.expected,
-                "actual": case.actual,
-            }
-        )
-    return rows
+def _run_rule_sweep(task: tuple[str, int | None, int]) -> tuple[Check, ...]:
+    return branching.verify_rule(*task).checks
 
 
-def _suite_rules(args) -> list[dict]:
+def _suite_rules(args) -> list[Check]:
     budget = resolve_budget(args.budget)
     tasks = [(rule_id, args.max_level, budget) for rule_id in RULE_IDS]
     if args.jobs > 1:
@@ -325,12 +279,11 @@ def _suite_rules(args) -> list[dict]:
             blocks = list(pool.map(_run_rule_sweep, tasks))
     else:
         blocks = [_run_rule_sweep(t) for t in tasks]
-    return [row for block in blocks for row in block]
+    return [check for block in blocks for check in block]
 
 
-def _suite_infchar(args) -> list[dict]:
-    report = theta.lemma_infchar_consistency(args.max_n)
-    rows = _checks_payload(report.checks)
+def _suite_infchar(args) -> list[Check]:
+    checks = list(theta.lemma_infchar_consistency(args.max_n).checks)
     rng = random.Random(2024)
     mismatches = 0
     for _ in range(1000):
@@ -339,24 +292,27 @@ def _suite_infchar(args) -> list[dict]:
         nu = theta.torus_character(a, b, -a - b)
         if theta.infchar_lift(nu) != theta.infchar_symmetric_form(nu):
             mismatches += 1
-    rows.append(
-        {
-            "name": "lift vs symmetric form on 1000 seeded triples",
-            "status": "PASS" if mismatches == 0 else "FAIL",
-            "expected": "0 mismatches",
-            "actual": f"{mismatches} mismatches",
-        }
+    checks.append(
+        Check(
+            "lift vs symmetric form on 1000 seeded triples",
+            "PASS" if mismatches == 0 else "FAIL",
+            "0 mismatches",
+            f"{mismatches} mismatches",
+        )
     )
-    return rows
+    return checks
 
 
-def _suite_quasisplit(args) -> list[dict]:
-    return _checks_payload(theta.compare_ps_vs_stabilized().checks)
+def _suite_quasisplit(args) -> tuple[Check, ...]:
+    return theta.compare_ps_vs_stabilized().checks
 
 
-def _suite_tables(args) -> list[dict]:
+def _suite_tables(args) -> tuple[Check, ...]:
     directory = Path(args.fixtures) if args.fixtures else None
-    return _checks_payload(theta.verify_tables(directory).checks)
+    return theta.verify_tables(directory).checks
+
+
+_VERDICT_EXIT = {"PASS": EXIT_OK, "FAIL": EXIT_FAIL, "BUDGET": EXIT_BUDGET}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -367,20 +323,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "tables": _suite_tables,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
-    rows: list[dict] = []
-    for name in names:
-        rows.extend(suites[name](args))
-    passed = sum(1 for r in rows if r["status"] == "PASS")
-    ok = passed == len(rows)
+    report = Report(args.suite, tuple(c for name in names for c in suites[name](args)))
     payload = {
         "command": "verify",
         "inputs": {"suite": args.suite},
         "result": [],
-        "checks": rows,
-        "summary": f"{'PASS' if ok else 'FAIL'} {passed}/{len(rows)}",
+        "checks": [asdict(c) for c in report.checks],
+        "summary": report.summary,
     }
     _emit(payload, args.format)
-    return EXIT_OK if ok else EXIT_FAIL
+    return _VERDICT_EXIT[report.verdict]
 
 
 _MINREP_GROUPS = {
@@ -391,13 +343,12 @@ _MINREP_GROUPS = {
 
 
 def cmd_minrep(args: argparse.Namespace) -> int:
-    cfg = config_from_args(args)
     case = args.case
     if case not in _MINREP_GROUPS:
         raise InvalidWeightError(f"unsupported case {case!r} for series output")
     gs = _MINREP_GROUPS[case]
     ktype = parse_weight(gs, args.type)
-    series = minrep.multiplicity_series(case, ktype, cfg.truncation, args.charge)
+    series = minrep.multiplicity_series(case, ktype, args.max_level, args.charge)
     tag = None
     try:
         assignment = minrep.sign_first_appearance(case, ktype)
@@ -459,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_branch.add_argument("params", nargs="*", help="rule parameters or a weight")
     p_branch.add_argument("--charge", type=int, default=None)
     p_branch.add_argument("--generic", action="store_true", help="replay the oracle")
-    p_branch.add_argument("--budget", type=int, default=None)
+    p_branch.add_argument("--budget", type=_int_in(1), default=None)
     p_branch.add_argument("--format", choices=("pretty", "json", "tsv"), default="pretty")
     p_branch.set_defaults(func=cmd_branch)
 
@@ -467,11 +418,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "suite", choices=("rules", "infchar", "quasisplit-mult", "tables", "all")
     )
-    p_verify.add_argument("--max-level", type=int, default=None)
-    p_verify.add_argument("--max-n", type=int, default=10)
+    p_verify.add_argument("--max-level", type=_int_in(0), default=None)
+    p_verify.add_argument("--max-n", type=_int_in(0), default=10)
     p_verify.add_argument("--fixtures", default=None)
-    p_verify.add_argument("--budget", type=int, default=None)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--budget", type=_int_in(1), default=None)
+    p_verify.add_argument("--jobs", type=_int_in(1, os.cpu_count() or 1), default=1)
     p_verify.add_argument("--format", choices=("pretty", "json", "tsv"), default="pretty")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -479,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_minrep.add_argument("case", help="splitJ-splitE, splitJ-mixedE or hermJ-mixedE")
     p_minrep.add_argument("--type", required=True, help='e.g. "0,0,0,0" or "(2,0)x0"')
     p_minrep.add_argument("--charge", type=int, default=None)
-    p_minrep.add_argument("--max-level", type=int, default=12)
+    p_minrep.add_argument("--max-level", type=_int_in(0), default=12)
     p_minrep.add_argument("--sign", action="store_true", help="require a sign tag")
     p_minrep.add_argument("--format", choices=("pretty", "json", "tsv"), default="pretty")
     p_minrep.set_defaults(func=cmd_minrep)

@@ -50,6 +50,10 @@ class UnsupportedTypeError(ValueError):
     """Raised for a Cartan type label outside the supported list."""
 
 
+class InvariantError(RuntimeError):
+    """An exact-arithmetic invariant failed: a defect here, not bad input."""
+
+
 def qv(*entries: int | str | Q) -> Vector:
     """Build an exact coordinate vector."""
     return tuple(Q(e) for e in entries)
@@ -341,7 +345,8 @@ def weyl_orbit_size(rs: RootSystem, v: Vector) -> int:
     stab = 1
     for component in _diagram_components(rs, fixed):
         stab *= _component_weyl_order(rs, component)
-    assert order % stab == 0
+    if order % stab:
+        raise InvariantError(f"stabilizer order {stab} does not divide {order}")
     return order // stab
 
 
@@ -452,7 +457,8 @@ def height_functional(rs: RootSystem) -> Vector:
         for i in range(n)
     ]
     coeffs = _solve_linear(gram, [Q(1)] * n)
-    assert coeffs is not None
+    if coeffs is None:
+        raise InvariantError(f"singular Gram matrix for {rs.label}")
     h = tuple(Q(0) for _ in range(rs.ambient_dim))
     for c, a in zip(coeffs, rs.simple_roots, strict=True):
         h = vadd(h, vscale(c, a))

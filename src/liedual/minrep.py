@@ -15,7 +15,7 @@ import functools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .branching import (
     BudgetExceededError,
@@ -24,7 +24,7 @@ from .branching import (
     branch_su6_omega3_to_sp2su2u1,
 )
 from .charalg import FormalCharacter, su2_tensor
-from .lattice import GroupSpec, Weight, group, make_weight
+from .lattice import GroupSpec, InvariantError, Weight, group, make_weight
 
 MINREP_CASES = ("split-E6", "hermitian-E6", "e62-compact")
 DUALPAIR_CASES = ("splitJ-splitE", "splitJ-mixedE", "hermJ-mixedE", "e62-spin8")
@@ -54,9 +54,6 @@ class GradedCharacter:
     @property
     def truncation(self) -> int:
         return max(self.levels)
-
-    def charge_of(self, w: Weight) -> Q | None:
-        return w.charges[0] if w.charges else None
 
     def sign_of(self, n: int, w: Weight) -> int:
         try:
@@ -452,6 +449,15 @@ def _side_of(sign: int) -> str:
     return "rho1" if sign == 1 else "epsilon"
 
 
+def _require_first_appearance(
+    case: str, level_multiplicity: Callable[[int], int], witness: int
+) -> None:
+    if level_multiplicity(witness) != 1 or (
+        witness > 0 and level_multiplicity(witness - 1) != 0
+    ):
+        raise InvariantError(f"{case}: level {witness} is not a first appearance")
+
+
 def sign_first_appearance(case: str, ktype: Weight) -> SignAssignment:
     """First-appearance level and order-two sign for the covered families.
 
@@ -472,8 +478,9 @@ def sign_first_appearance(case: str, ktype: Weight) -> SignAssignment:
         if not so3_cone_ok(a, b, c, 0):
             raise NotCoveredError("triangle condition fails")
         witness = (a + b + c) // 2
-        assert ktype_multiplicity(case, ktype, witness) == 1
-        assert witness == 0 or ktype_multiplicity(case, ktype, witness - 1) == 0
+        _require_first_appearance(
+            case, lambda n: ktype_multiplicity(case, ktype, n), witness
+        )
         sign = (-1) ** witness
         return SignAssignment(_side_of(sign), witness, sign)
     if case == "splitJ-mixedE":
@@ -482,8 +489,9 @@ def sign_first_appearance(case: str, ktype: Weight) -> SignAssignment:
             raise NotCoveredError("family is V_(2k,0) (x) V_0")
         k = x // 2
         witness = 2 * k
-        assert ktype_multiplicity(case, ktype, witness, m=0) == 1
-        assert witness == 0 or ktype_multiplicity(case, ktype, witness - 1, m=0) == 0
+        _require_first_appearance(
+            case, lambda n: ktype_multiplicity(case, ktype, n, m=0), witness
+        )
         sign = (-1) ** k
         return SignAssignment(_side_of(sign), witness, sign)
     if case == "hermJ-mixedE":
@@ -492,8 +500,9 @@ def sign_first_appearance(case: str, ktype: Weight) -> SignAssignment:
             raise NotCoveredError("family is V_(0,0) (x) V_(2k), k >= 1")
         k = z // 2
         witness = k - 1
-        assert quasisplit_level_multiplicity(0, 0, z, 0, witness) == 1
-        assert witness == 0 or quasisplit_level_multiplicity(0, 0, z, 0, witness - 1) == 0
+        _require_first_appearance(
+            case, lambda n: quasisplit_level_multiplicity(0, 0, z, 0, n), witness
+        )
         sign = (-1) ** witness
         return SignAssignment(_side_of(sign), witness, sign)
     raise KeyError(f"unknown case {case!r}")

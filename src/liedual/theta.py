@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from pathlib import Path
 
+from .branching import Check, Report
 from .charalg import (
     InfChar,
     infchar_of_vector,
@@ -21,6 +22,7 @@ from .charalg import (
 )
 from .lattice import (
     GroupSpec,
+    InvariantError,
     Vector,
     build_root_system,
     group,
@@ -102,29 +104,6 @@ def infchar_symmetric_form(nu: TorusCharacterData) -> InfChar:
     return infchar_of_vector(rs, v)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str
-    expected: str
-    actual: str
-
-
-@dataclass(frozen=True)
-class Report:
-    title: str
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.status == "PASS" for c in self.checks)
-
-    @property
-    def summary(self) -> str:
-        passed = sum(1 for c in self.checks if c.status == "PASS")
-        return f"{'PASS' if self.ok else 'FAIL'} {passed}/{len(self.checks)}"
-
-
 def graded_charge_triple(n: int, b: int) -> tuple[int, int, int]:
     """Torus character paired with the level-n, charge-b Spin(8) type."""
     if abs(b) > n or (n - b) % 2:
@@ -149,7 +128,7 @@ def lemma_infchar_consistency(max_level: int) -> Report:
             )
             status = "PASS" if lifted == direct else "FAIL"
             checks.append(
-                CheckResult(
+                Check(
                     f"infchar n={n} b={b}",
                     status,
                     str(direct.rep),
@@ -218,7 +197,8 @@ def quasisplit_stabilization_onset(x: int, y: int, z: int, m: int) -> int:
         return 0
     t_top = min(x + y - mm, z - mm - 2)  # = 2 * t_max
     onset2 = t_top + mm + max(x + y, z - 2)
-    assert onset2 % 2 == 0
+    if onset2 % 2:
+        raise InvariantError(f"odd doubled onset {onset2} for type ({x},{y},{z}) m={m}")
     return onset2 // 2
 
 
@@ -266,7 +246,7 @@ def compare_ps_vs_stabilized(
                         and series[-1] == stab
                     )
                     checks.append(
-                        CheckResult(
+                        Check(
                             f"type ({x},{y},{z}) m={m}",
                             "PASS" if ok else "FAIL",
                             f"count {ps} from level {onset}",
@@ -359,7 +339,7 @@ def verify_table(which: str, fixtures_dir: Path | None = None) -> Report:
         rows = by_row[row_id]
         ok = all(r.ok for r in rows)
         checks.append(
-            CheckResult(
+            Check(
                 f"{which} row {row_id}",
                 "PASS" if ok else "FAIL",
                 "; ".join(f"[{r.weight_csv}] -> {r.expected_dim}" for r in rows),

@@ -74,9 +74,9 @@ def test_criterion_2_closed_forms_vs_oracle():
     cases = 0
     for rule_id, level in ranges.items():
         report = verify_rule(rule_id, level)
-        cases += len(report.cases)
+        cases += len(report.checks)
         failures.extend(
-            (rule_id, c.params) for c in report.cases if c.status != "PASS"
+            (rule_id, c.name) for c in report.checks if c.status != "PASS"
         )
     # dimension conservation of the closed forms themselves
     for n in range(5):

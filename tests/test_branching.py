@@ -1,9 +1,14 @@
 """Embedding catalog, generic restriction oracle, and closed-form rules."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+import liedual
 from liedual.branching import (
     CATALOG,
     BudgetExceededError,
@@ -202,12 +207,42 @@ def test_branch_sp3_examples():
 def test_verify_rule_small_ranges(rule_id):
     level = {"sp2_to_su2su2": 4, "so5_to_so3so2": 3}.get(rule_id, 2)
     report = verify_rule(rule_id, level)
-    assert report.ok, [c for c in report.cases if c.status == "FAIL"]
+    assert report.ok, [c for c in report.checks if c.status == "FAIL"]
 
 
 def test_verify_rule_rejects_unknown():
     with pytest.raises(KeyError):
         verify_rule("nonsense")
+
+
+_UNDER_O = """
+import sys
+from liedual import branching
+
+e, hw = branching.embedding("sp2xsp2_in_sp4"), branching.sp4_omega4_weight(1)
+exact = branching.restrict_generic(e, hw).decomposition.terms == (
+    branching.branch_sp4_to_sp2sp2(1).terms
+)
+real = branching.weight_dimension
+branching.weight_dimension = lambda gs, w: real(gs, w) + 1
+try:
+    branching.restrict_generic(e, hw)
+    raised = False
+except branching.NegativeMultiplicityError:
+    raised = True
+print(sys.flags.optimize, exact, raised)
+"""
+
+
+def test_invariants_survive_python_O():
+    # Asserts vanish under -O; dimension conservation must still raise.
+    src = str(Path(liedual.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["1", "True", "True"]
 
 
 def test_dimension_conservation_on_all_catalog_entries():

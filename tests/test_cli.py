@@ -1,6 +1,10 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
+import os
+
+import pytest
 
 from liedual.cli import main
 
@@ -180,3 +184,79 @@ def test_minrep_sign_required_but_not_covered(capsys):
 def test_minrep_bad_type(capsys):
     code, _, err = run(capsys, "minrep", "splitJ-splitE", "--type", "1,1")
     assert code == 2
+
+
+def exit_code(capsys, *argv):
+    """Exit code and stderr of one call, argparse rejections included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sp4_to_sp2sp2", "1"),
+        ("sp2_to_su2su2", "1", "0"),
+        ("so5_to_so3so2", "1/2", "1/2"),
+        ("spin10_halfspin", "1"),
+        ("su6_omega3", "1"),
+        ("su6_omega3_to_sp3", "1"),
+    ],
+)
+def test_branch_every_rule_matches_generic(capsys, argv):
+    code, out, _ = run(capsys, "branch", *argv, "--generic", "--format", "json")
+    assert code == 0
+    assert [c["status"] for c in json.loads(out)["checks"]] == ["MATCH"]
+
+
+def test_verify_rules_golden(capsys):
+    # Pins check order (numeric, not by name string) and check naming.
+    code, out, _ = run(capsys, "verify", "rules", "--max-level", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["summary"] == "PASS 27/27"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "556ceeeb35a9de5868b484171350009e3d9ed73cff2544b35be8400085b43657"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("branch", "sp4_to_sp2sp2", "3/2"),
+        ("branch", "sp4_to_sp2sp2", "-1"),
+        ("branch", "sp4_to_sp2sp2", "1", "2"),
+        ("branch", "sp2_to_su2su2", "1"),
+        ("branch", "sp2_to_su2su2", "1", "2"),
+        ("branch", "so5_to_so3so2", "1/3", "1/3"),
+        ("branch", "spin10_halfspin", "2", "--charge", "5"),
+        ("branch", "sp3_in_su6", "1,1,1,0,0,0", "--charge", "1"),
+        ("branch", "sp4_to_sp2sp2", "1", "--generic", "--budget", "0"),
+        ("verify", "rules", "--jobs", "0"),
+        ("verify", "rules", "--jobs", "-3"),
+        ("verify", "rules", "--jobs", str((os.cpu_count() or 1) + 1)),
+        ("verify", "rules", "--max-level", "-1"),
+        ("minrep", "splitJ-splitE", "--type", "0,0,0,0", "--max-level", "-1"),
+    ],
+)
+def test_bad_input_exits_2(capsys, argv):
+    code, err = exit_code(capsys, *argv)
+    assert code == 2
+    assert "error" in err and "Traceback" not in err
+
+
+def test_verify_rules_reports_budget_per_case(capsys):
+    code, out, _ = run(
+        capsys, "verify", "rules", "--max-level", "1", "--budget", "10", "--format", "json"
+    )
+    assert code == 4
+    payload = json.loads(out)
+    status = {c["name"]: c["status"] for c in payload["checks"]}
+    assert status["sp4_to_sp2sp2 0"] == "PASS"
+    assert status["sp4_to_sp2sp2 1"] == "BUDGET"
+    assert status["so5_to_so3so2 1 1"] == "PASS"
+    assert {status["spin10_halfspin 1"], status["su6_omega3 1"]} == {"BUDGET"}
+    assert "FAIL" not in status.values()
+    assert payload["summary"].startswith("BUDGET")
