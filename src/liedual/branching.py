@@ -1,9 +1,10 @@
 """Restriction along catalogued embeddings, plus closed-form branching rules.
 
 ``restrict_generic`` is the oracle: it pushes the full weight diagram of an
-irreducible through the embedding's coordinate map and peels highest
-restricted weights greedily.  Every closed-form rule below can be replayed
-against it term by term via ``verify_rule``.
+irreducible through the embedding's coordinate map, folds it into the
+dominant chamber (Racah-Speiser) and certifies the fold by subtracting each
+term's diagram.  Every closed-form rule below can be replayed against it
+term by term via ``verify_rule``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from fractions import Fraction as Q
 from typing import Callable, Iterable, Mapping
 
 from .charalg import (
+    FlatKey,
     FormalCharacter,
     _full_multiplicities,
+    chamber_fold,
     weight_dimension,
 )
 from .lattice import (
@@ -25,8 +28,6 @@ from .lattice import (
     Weight,
     dot,
     group,
-    height_functional,
-    is_dominant_vector,
     make_weight,
     normalize_vector,
     weight_is_dominant,
@@ -36,7 +37,7 @@ DEFAULT_BUDGET = 200_000
 
 
 class NegativeMultiplicityError(RuntimeError):
-    """Peeling produced a negative coefficient: the embedding map is wrong."""
+    """A negative, lost or left-over multiplicity: the embedding map is wrong."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -201,30 +202,20 @@ class BranchResult:
     decomposition: FormalCharacter
 
 
-FlatKey = tuple[tuple[Vector, ...], tuple[Q, ...]]
-
-
-def _group_diagram(gs: GroupSpec, w: Weight) -> dict[Vector, int]:
-    """Weight diagram of an irreducible of a product group, flattened."""
+def _group_diagram(gs: GroupSpec, w: Weight) -> dict[tuple[Vector, ...], int]:
+    """Weight diagram of an irreducible of a product group, by factor."""
     diagrams = [
         _full_multiplicities(rs, part)
         for rs, part in zip(gs.factors, w.parts, strict=True)
     ]
-    out: dict[Vector, int] = {}
+    out: dict[tuple[Vector, ...], int] = {}
     for combo in itertools.product(*(d.items() for d in diagrams)):
-        flat = tuple(x for (vec, _) in combo for x in vec)
+        parts = tuple(vec for vec, _ in combo)
         mult = 1
         for _, m in combo:
             mult *= m
-        out[flat] = out.get(flat, 0) + mult
+        out[parts] = out.get(parts, 0) + mult
     return out
-
-
-def _small_height(gs: GroupSpec, parts: tuple[Vector, ...]) -> Q:
-    total = Q(0)
-    for rs, part in zip(gs.factors, parts, strict=True):
-        total += dot(part, height_functional(rs))
-    return total
 
 
 def restrict_generic(
@@ -232,10 +223,11 @@ def restrict_generic(
 ) -> BranchResult:
     """Restrict one irreducible of ``e.big`` along the embedding.
 
-    Greedy peeling order: strictly decreasing height of the restricted
-    weight, ties broken lexicographically on coordinates, so runs are
-    reproducible.  A negative coefficient anywhere aborts; it is never
-    clamped.
+    The projected weight diagram is folded (``charalg.chamber_fold``); a
+    negative coefficient or a lost dimension aborts, nothing is clamped.
+    As a certificate, every term's diagram is then subtracted from the
+    projected support, which must stay non-negative and end empty: a wrong
+    map can fold to a non-negative, dimension-conserving answer.
     """
     limit = DEFAULT_BUDGET if budget is None else budget
     if not weight_is_dominant(e.big, hw):
@@ -246,8 +238,8 @@ def restrict_generic(
             f"dim {source_dim} exceeds generic-restriction budget {limit}"
         )
     support: dict[FlatKey, int] = {}
-    for flat, mult in _group_diagram(e.big, hw).items():
-        parts, charges = e.apply(flat)
+    for big_parts, mult in _group_diagram(e.big, hw).items():
+        parts, charges = e.apply(tuple(x for part in big_parts for x in part))
         parts = tuple(
             normalize_vector(rs, p) for rs, p in zip(e.small.factors, parts, strict=True)
         )
@@ -255,52 +247,35 @@ def restrict_generic(
         support[key] = support.get(key, 0) + mult
 
     terms: dict[Weight, int] = {}
-    while support:
-        top = max(support, key=lambda k: (_small_height(e.small, k[0]),) + k[0] + (k[1],))
-        coeff = support[top]
-        parts, charges = top
+    for top, coeff in chamber_fold(e.small, support).items():
         if coeff < 0:
             raise NegativeMultiplicityError(
                 f"{e.name}: negative coefficient {coeff} at {top}"
             )
-        if not all(
-            is_dominant_vector(rs, p)
-            for rs, p in zip(e.small.factors, parts, strict=True)
-        ):
-            raise NegativeMultiplicityError(
-                f"{e.name}: maximal residual weight {top} is not dominant"
-            )
-        w = make_weight(e.small, parts, charges)
-        terms[w] = terms.get(w, 0) + coeff
-        for flat, mult in _group_diagram(e.small, w).items():
-            split = _split_flat(e.small, flat)
-            key = (split, charges)
-            value = support.get(key, 0) - coeff * mult
-            if value < 0:
-                raise NegativeMultiplicityError(
-                    f"{e.name}: peeling {w} drove {key} negative"
-                )
-            if value == 0:
-                support.pop(key, None)
-            else:
-                support[key] = value
-
+        terms[make_weight(e.small, *top)] = coeff
     decomposition = FormalCharacter.from_dict(e.small, terms)
     target_dim = decomposition.total_dimension()
     if target_dim != source_dim:
         raise NegativeMultiplicityError(
             f"{e.name}: dimension {target_dim} restricted from {source_dim}"
         )
+    for w, coeff in decomposition.terms:
+        for parts, mult in _group_diagram(e.small, w).items():
+            key = (parts, w.charges)
+            value = support.get(key, 0) - coeff * mult
+            if value < 0:
+                raise NegativeMultiplicityError(
+                    f"{e.name}: subtracting {w} drove {key} negative"
+                )
+            if value == 0:
+                support.pop(key, None)
+            else:
+                support[key] = value
+    if support:
+        raise NegativeMultiplicityError(
+            f"{e.name}: {len(support)} projected weights left after subtracting every term"
+        )
     return BranchResult((e.big, hw), e.name, decomposition)
-
-
-def _split_flat(gs: GroupSpec, flat: Vector) -> tuple[Vector, ...]:
-    parts = []
-    pos = 0
-    for rs in gs.factors:
-        parts.append(flat[pos : pos + rs.ambient_dim])
-        pos += rs.ambient_dim
-    return tuple(parts)
 
 
 # --------------------------------------------------------------------------

@@ -180,6 +180,32 @@ def freudenthal_total(rs: RootSystem, hw: Vector) -> int:
     return total
 
 
+#: A weight of a product group: one vector per simple factor, then charges.
+FlatKey = tuple[tuple[Vector, ...], tuple[Q, ...]]
+
+
+def chamber_fold(gs: GroupSpec, support: Mapping[FlatKey, int]) -> dict[FlatKey, int]:
+    """Signed Weyl-chamber fold (Racah-Speiser, Klimyk; Fulton-Harris 25).
+
+    Each (mu, charges) moves to (d - rho, charges), d the dominant conjugate
+    of mu + rho per factor, with the product of the factor signs; weights on
+    a wall drop out, and so do zero coefficients."""
+    out: dict[FlatKey, int] = {}
+    for (parts, charges), m in support.items():
+        folded = []
+        sign = 1
+        for rs, part in zip(gs.factors, parts, strict=True):
+            d, s = dominant_conjugate(rs, vadd(part, rs.weyl_vector))
+            sign *= s
+            if sign == 0:
+                break
+            folded.append(normalize_vector(rs, vsub(d, rs.weyl_vector)))
+        if sign:
+            key = (tuple(folded), charges)
+            out[key] = out.get(key, 0) + sign * m
+    return {k: v for k, v in out.items() if v != 0}
+
+
 @functools.lru_cache(maxsize=None)
 def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[Vector, int]:
     """Shifted-orbit (Racah) decomposition of V_hw1 (x) V_hw2."""
@@ -187,19 +213,11 @@ def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[Vector, int
     _require_dominant(rs, hw2)
     if dimension(rs, hw2) > dimension(rs, hw1):
         hw1, hw2 = hw2, hw1
-    rho = rs.weyl_vector
-    anchor = vadd(hw1, rho)
-    out: dict[Vector, int] = {}
-    for mu, m in _full_multiplicities(rs, hw2).items():
-        d, sign = dominant_conjugate(rs, vadd(anchor, mu))
-        if sign == 0:
-            continue
-        key = normalize_vector(rs, vsub(d, rho))
-        out[key] = out.get(key, 0) + sign * m
-    cleaned = {k: v for k, v in out.items() if v != 0}
-    if any(v < 0 for v in cleaned.values()):
+    shifted = {((vadd(hw1, mu),), ()): m for mu, m in _full_multiplicities(rs, hw2).items()}
+    out = {parts[0]: m for (parts, _), m in chamber_fold(GroupSpec((rs,)), shifted).items()}
+    if any(v < 0 for v in out.values()):
         raise InvariantError(f"negative tensor multiplicity in {hw1} x {hw2}")
-    return MappingProxyType(cleaned)
+    return MappingProxyType(out)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .lattice import (
     Weight,
     group,
     make_weight,
+    split_by_factor,
     weight_is_dominant,
 )
 
@@ -94,12 +95,8 @@ def parse_weight(gs: GroupSpec, text: str, charges: tuple[Q, ...] = ()) -> Weigh
     blocks = [b.strip().strip("()") for b in text.split("x")]
     if len(blocks) != len(gs.factors):
         flat = [_parse_fraction(c) for c in text.replace("(", "").replace(")", "").split(",")]
-        if len(flat) == sum(rs.ambient_dim for rs in gs.factors):
-            parts = []
-            pos = 0
-            for rs in gs.factors:
-                parts.append(flat[pos : pos + rs.ambient_dim])
-                pos += rs.ambient_dim
+        parts = split_by_factor(gs, flat)
+        if parts is not None:
             return make_weight(gs, parts, charges)
         raise InvalidWeightError(
             f"expected {len(gs.factors)} x-separated blocks, got {len(blocks)}"

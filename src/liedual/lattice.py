@@ -15,7 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Vector = tuple[Q, ...]
 
@@ -449,7 +449,7 @@ def height_functional(rs: RootSystem) -> Vector:
     """Vector h with (alpha_i, h) = 1 for all simple roots.
 
     Pairing against h decreases by exactly 1 under subtraction of a simple
-    root; it is the coweight-sum height used to order peeling.
+    root; ``height`` uses it to order the Freudenthal recursion.
     """
     n = rs.rank
     gram = [
@@ -546,6 +546,17 @@ def make_weight(
     if any(c.denominator not in (1, 2) for c in chg):
         raise InvalidWeightError("circle charges must be integers or half-integers")
     return Weight(tuple(normalized), chg)
+
+
+def split_by_factor(gs: GroupSpec, flat: Sequence) -> tuple[tuple, ...] | None:
+    """Cut a flat coordinate list into one slice per factor of ``gs``, or
+    None when its length is not the sum of the factors' ambient dimensions."""
+    parts = []
+    pos = 0
+    for rs in gs.factors:
+        parts.append(tuple(flat[pos : pos + rs.ambient_dim]))
+        pos += rs.ambient_dim
+    return tuple(parts) if pos == len(flat) else None
 
 
 def weight_is_dominant(gs: GroupSpec, w: Weight) -> bool:

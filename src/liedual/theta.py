@@ -27,6 +27,7 @@ from .lattice import (
     build_root_system,
     group,
     make_weight,
+    split_by_factor,
     vadd,
     vscale,
 )
@@ -266,12 +267,11 @@ _TABLES = {
 
 
 def default_fixture_dir() -> Path:
-    here = Path(__file__).resolve()
-    candidates = [Path.cwd() / "fixtures", here.parents[2] / "fixtures"]
-    for c in candidates:
-        if c.is_dir():
-            return c
-    raise FixtureError(f"no fixtures directory in {[str(c) for c in candidates]}")
+    """The repository's ``fixtures/``, whatever the current directory."""
+    path = Path(__file__).resolve().parents[2] / "fixtures"
+    if not path.is_dir():
+        raise FixtureError(f"no fixtures directory at {path}")
+    return path
 
 
 @dataclass(frozen=True)
@@ -307,12 +307,8 @@ def _parse_table(path: Path) -> list[tuple[int, tuple[int, ...], int]]:
 
 
 def _table_weight(gs: GroupSpec, coords: tuple[int, ...]):
-    parts = []
-    pos = 0
-    for rs in gs.factors:
-        parts.append(coords[pos : pos + rs.ambient_dim])
-        pos += rs.ambient_dim
-    if pos != len(coords):
+    parts = split_by_factor(gs, coords)
+    if parts is None:
         raise FixtureError(f"weight {coords} has wrong length for {gs}")
     return make_weight(gs, parts)
 

@@ -97,17 +97,32 @@ def test_budget_enforced():
         restrict_generic(embedding("sp2xsp2_in_sp4"), sp4_omega4_weight(2), budget=100)
 
 
-def test_wrong_embedding_aborts_with_negative_multiplicity():
+@pytest.mark.parametrize("n", [1, 2])
+def test_wrong_embedding_aborts_with_negative_multiplicity(n):
     # Doubling one coordinate row is not the weight map of any subgroup;
-    # peeling must abort rather than clamp.
+    # the oracle must abort rather than clamp.  At n=1 the fold conserves
+    # no dimension, at n=2 it has a negative coefficient.
     right = embedding("sp2xsp2_in_sp4")
     rows = (
         (tuple(2 * x for x in right.factor_rows[0][0]), right.factor_rows[0][1]),
         right.factor_rows[1],
     )
     wrong = EmbeddingMap("bogus", right.big, right.small, rows, ())
-    with pytest.raises(NegativeMultiplicityError):
-        restrict_generic(wrong, sp4_omega4_weight(1))
+    path = {1: "dimension", 2: "negative coefficient"}[n]
+    with pytest.raises(NegativeMultiplicityError, match=path):
+        restrict_generic(wrong, sp4_omega4_weight(n))
+
+
+def test_charge_row_typo_fails_the_certificate():
+    # With the charge row (1/2, 1/2) the C2 weight (1,0) folds to
+    # 2 V_1 (x) chi_1/2: non-negative and of the right dimension 4, but
+    # wrong.  Only subtracting the terms' diagrams catches it.
+    right = embedding("sp1so2_in_sp2")
+    typo = EmbeddingMap(
+        "typo", right.big, right.small, right.factor_rows, ((Q(1, 2), Q(1, 2)),)
+    )
+    with pytest.raises(NegativeMultiplicityError, match="drove"):
+        restrict_generic(typo, make_weight(group("C2"), ((1, 0),)))
 
 
 def test_branch_sp4_to_sp2sp2_examples():

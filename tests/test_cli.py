@@ -3,9 +3,11 @@
 import hashlib
 import json
 import os
+from fractions import Fraction as Q
 
 import pytest
 
+from liedual import branching
 from liedual.cli import main
 
 
@@ -112,7 +114,19 @@ def test_verify_rules_small(capsys):
     assert out.strip().splitlines()[-1].startswith("PASS")
 
 
-def test_verify_deterministic_across_jobs(capsys):
+def test_verify_tables_ignores_fixtures_in_cwd(capsys, monkeypatch, tmp_path):
+    # An empty ./fixtures must not shadow the shipped tables.
+    (tmp_path / "fixtures").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "verify", "tables")
+    assert code == 0
+    assert out.strip().endswith("PASS 36/36")
+
+
+def test_verify_deterministic_across_jobs(capsys, monkeypatch):
+    # The --jobs cap reads os.cpu_count() when main() builds its parser;
+    # claim two CPUs so a 2-worker pool is compared on any machine.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code1, out1, _ = run(capsys, "verify", "rules", "--max-level", "1", "--jobs", "1", "--format", "json")
     code2, out2, _ = run(capsys, "verify", "rules", "--max-level", "1", "--jobs", "2", "--format", "json")
     assert code1 == code2 == 0
@@ -260,3 +274,29 @@ def test_verify_rules_reports_budget_per_case(capsys):
     assert {status["spin10_halfspin 1"], status["su6_omega3 1"]} == {"BUDGET"}
     assert "FAIL" not in status.values()
     assert payload["summary"].startswith("BUDGET")
+
+
+def _doubled_row(e):
+    first = e.factor_rows[0]
+    return (((tuple(2 * x for x in first[0]), first[1]), e.factor_rows[1]), e.charge_rows)
+
+
+def _typo_charge_row(e):
+    return (e.factor_rows, ((Q(1, 2), Q(1, 2)),))
+
+
+@pytest.mark.parametrize(
+    "name, wrong_rows, weight",
+    [
+        ("sp2xsp2_in_sp4", _doubled_row, "(1,1,1,1)"),
+        ("sp2xsp2_in_sp4", _doubled_row, "(2,2,2,2)"),
+        ("sp1so2_in_sp2", _typo_charge_row, "(1,0)"),
+    ],
+)
+def test_wrong_embedding_exits_3(capsys, monkeypatch, name, wrong_rows, weight):
+    e = branching.CATALOG[name]
+    wrong = branching.EmbeddingMap(name, e.big, e.small, *wrong_rows(e))
+    monkeypatch.setitem(branching.CATALOG, name, wrong)
+    code, _, err = run(capsys, "branch", name, weight)
+    assert code == 3
+    assert "error" in err and "Traceback" not in err
