@@ -20,10 +20,14 @@ def describe(w) -> str:
 
 def main() -> int:
     case = sys.argv[1] if len(sys.argv) > 1 else "splitJ-mixedE"
-    top = int(sys.argv[2]) if len(sys.argv) > 2 else 4
     if case not in DUALPAIR_CASES:
-        print(f"unknown case {case!r}; choose from {DUALPAIR_CASES}", file=sys.stderr)
+        print(f"error: unknown case {case!r}; choose from {DUALPAIR_CASES}", file=sys.stderr)
         return 2
+    arg = sys.argv[2] if len(sys.argv) > 2 else "4"
+    if not arg.isdecimal():
+        print(f"error: max level must be a non-negative integer, got {arg!r}", file=sys.stderr)
+        return 2
+    top = int(arg)
     graded = dualpair_graded(case, top)
     for n in range(top + 1):
         char = graded.levels[n]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Mapping
 
@@ -42,26 +42,34 @@ class OddParityWarning(UserWarning):
     """Diagonal-invariant count requested for an odd-sum four-tuple."""
 
 
+# The order-two sign is (-1)^n on level n; this says which terms carry it.
+_SIGNED_TERMS: dict[str, Callable[[Weight], bool]] = {
+    "split-E6": lambda w: True,
+    "splitJ-splitE": lambda w: True,
+    "splitJ-mixedE": lambda w: True,
+    "hermJ-mixedE": lambda w: w.parts[0] == (0, 0),
+}  # no term of the other cases is signed
+
+
 @dataclass(frozen=True)
 class GradedCharacter:
-    """Level-indexed formal characters with optional charge/sign gradings."""
+    """Level-indexed formal characters, signed by the rule of their case."""
 
     case: str
     group: GroupSpec
     levels: Mapping[int, FormalCharacter]
-    signs: Mapping[tuple[int, Weight], int] = field(default_factory=dict)
-
-    @property
-    def truncation(self) -> int:
-        return max(self.levels)
 
     def sign_of(self, n: int, w: Weight) -> int:
-        try:
-            return self.signs[(n, w)]
-        except KeyError:
+        """(-1)^n, or ``NotCoveredError`` off the levels or for an unsigned type.
+
+        ``w`` is not checked to be a term of level ``n``: that scans the level.
+        """
+        signed = _SIGNED_TERMS.get(self.case)
+        if n not in self.levels or signed is None or not signed(w):
             raise NotCoveredError(
                 f"no sign grading for level {n} term {w} in case {self.case}"
-            ) from None
+            )
+        return (-1) ** n
 
 
 def minrep_levels(case: str, truncation: int) -> GradedCharacter:
@@ -77,13 +85,11 @@ def minrep_levels(case: str, truncation: int) -> GradedCharacter:
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
     levels: dict[int, FormalCharacter] = {}
-    signs: dict[tuple[int, Weight], int] = {}
     if case == "split-E6":
         gs = group("C4")
         for n in range(truncation + 1):
             w = make_weight(gs, ((n, n, n, n),))
             levels[n] = FormalCharacter.from_dict(gs, {w: 1})
-            signs[(n, w)] = (-1) ** n
     elif case == "hermitian-E6":
         gs = group("A1", "A5")
         for n in range(truncation + 1):
@@ -95,7 +101,7 @@ def minrep_levels(case: str, truncation: int) -> GradedCharacter:
             h = Q(n, 2)
             w = make_weight(gs, ((h, h, h, h, h),), (n + 4,))
             levels[n] = FormalCharacter.from_dict(gs, {w: 1})
-    return GradedCharacter(case, gs, levels, signs)
+    return GradedCharacter(case, gs, levels)
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,10 +181,11 @@ def dualpair_graded(
     """Level-by-level restriction of a minimal representation to a dual pair.
 
     splitJ-splitE: types of SU2^4 with sign (-1)^n.  splitJ-mixedE: types of
-    Sp(2) x SU2 with an integer circle charge and sign (-1)^n.  hermJ-mixedE:
-    types of Sp(2) x SU2 with circle charge, signs recorded only on
-    Sp(2)-trivial terms.  e62-spin8: Spin(8) types against torus characters
-    chi(n+4, -(b+n)/2-2, (b-n)/2-2).
+    Sp(2) x SU2 with an integer circle charge and sign (-1)^n.  In both, level
+    n is a running sum: level n-1 plus the blocks of V_(n,y), y <= n.
+    hermJ-mixedE: types of Sp(2) x SU2 with circle charge, signed only on
+    Sp(2)-trivial terms.  e62-spin8: unsigned Spin(8) types against torus
+    characters chi(n+4, -(b+n)/2-2, (b-n)/2-2).
 
     Levels are assembled from the certified closed forms, so no dimension
     budget applies by default; passing one bounds the top level's source
@@ -196,33 +203,26 @@ def dualpair_graded(
                 f"level {truncation} source dimension {top_dim} exceeds budget {budget}"
             )
     levels: dict[int, FormalCharacter] = {}
-    signs: dict[tuple[int, Weight], int] = {}
     if case == "splitJ-splitE":
         gs = group("A1", "A1", "A1", "A1")
+        data: dict[Weight, int] = {}
         for n in range(truncation + 1):
-            data: dict[Weight, int] = {}
-            for x in range(n + 1):
-                for y in range(x + 1):
-                    pairs = _su2su2_terms(x, y)
-                    for a, b in pairs:
-                        for c, d in pairs:
-                            w = Weight(((Q(a),), (Q(b),), (Q(c),), (Q(d),)))
-                            data[w] = data.get(w, 0) + 1
+            for y in range(n + 1):
+                pairs = _su2su2_terms(n, y)
+                for a, b in pairs:
+                    for c, d in pairs:
+                        w = Weight(((Q(a),), (Q(b),), (Q(c),), (Q(d),)))
+                        data[w] = data.get(w, 0) + 1
             levels[n] = FormalCharacter.from_dict(gs, data)
-            for w in data:
-                signs[(n, w)] = (-1) ** n
     elif case == "splitJ-mixedE":
         gs = group("C2", "A1", circles=1)
+        data = {}
         for n in range(truncation + 1):
-            data = {}
-            for x in range(n + 1):
-                for y in range(x + 1):
-                    for (z, m), mult in sp1so2_coefficients(x, y).items():
-                        w = make_weight(gs, ((x, y), (z,)), (m,))
-                        data[w] = data.get(w, 0) + mult
+            for y in range(n + 1):
+                for (z, m), mult in sp1so2_coefficients(n, y).items():
+                    w = make_weight(gs, ((n, y), (z,)), (m,))
+                    data[w] = data.get(w, 0) + mult
             levels[n] = FormalCharacter.from_dict(gs, data)
-            for w in data:
-                signs[(n, w)] = (-1) ** n
     elif case == "hermJ-mixedE":
         gs = group("C2", "A1", circles=1)
         for n in range(truncation + 1):
@@ -232,9 +232,6 @@ def dualpair_graded(
                     w = make_weight(gs, ((x, y), (z,)), (m,))
                     data[w] = data.get(w, 0) + mult
             levels[n] = FormalCharacter.from_dict(gs, data)
-            for w in data:
-                if w.parts[0] == (Q(0), Q(0)):
-                    signs[(n, w)] = (-1) ** n
     else:  # e62-spin8
         gs = group("D4", circles=3)
         for n in range(truncation + 1):
@@ -248,7 +245,7 @@ def dualpair_graded(
                 )
                 data[w] = 1
             levels[n] = FormalCharacter.from_dict(gs, data)
-    return GradedCharacter(case, gs, levels, signs)
+    return GradedCharacter(case, gs, levels)
 
 
 def _split_type(w: Weight) -> tuple[int, int, int, int]:
@@ -410,10 +407,7 @@ def verify_series(
         onset = len(v)
         while onset > 0 and v[onset - 1] == tail:
             onset -= 1
-        if all(x == tail for x in v[onset:]):
-            kind, bound = "value", tail
-        else:  # unreachable; kept for clarity
-            return SeriesCheck(False, None, None, None, "unstable tail")
+        kind, bound = "value", tail
     else:
         diffs = [v[0]] + [v[i] - v[i - 1] for i in range(1, len(v))]
         tail = diffs[-1]

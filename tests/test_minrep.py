@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from liedual.branching import embedding, restrict_generic, sp4_omega4_weight
 from liedual.charalg import dimension
-from liedual.lattice import build_root_system, group, make_weight
+from liedual.lattice import Weight, build_root_system, group, make_weight
 from liedual.minrep import (
     DUALPAIR_CASES,
+    MINREP_CASES,
     InvalidTypeError,
     MultiplicitySeries,
     NotCoveredError,
@@ -320,3 +321,36 @@ def test_hermJ_sign_grading_only_on_sp2_trivial_types():
         else:
             with pytest.raises(NotCoveredError):
                 g.sign_of(2, w)
+
+
+_SOURCE = {"splitJ-splitE": "split-E6", "splitJ-mixedE": "split-E6", "hermJ-mixedE": "hermitian-E6"}
+
+
+@pytest.mark.parametrize("case", sorted(_SOURCE))
+def test_dualpair_levels_agree_with_ktype_multiplicity(case):
+    # levels 0..6 against the per-type formulas and the source dimensions
+    g = dualpair_graded(case, 6)
+    source = minrep_levels(_SOURCE[case], 6)
+    for n, char in g.levels.items():
+        for w, mult in char.terms:
+            charge = int(w.charges[0]) if w.charges else None
+            assert ktype_multiplicity(case, Weight(w.parts), n, charge) == mult, (n, w)
+        assert char.total_dimension() == source.levels[n].total_dimension(), n
+
+
+def test_sign_is_one_rule_per_case():
+    g = dualpair_graded("splitJ-splitE", 4)
+    for n, char in g.levels.items():
+        for w, _ in char.terms:
+            assert g.sign_of(n, w) == (-1) ** n
+    for g in (dualpair_graded("e62-spin8", 4), minrep_levels("hermitian-E6", 4)):
+        for n, char in g.levels.items():
+            for w, _ in char.terms:
+                with pytest.raises(NotCoveredError):
+                    g.sign_of(n, w)
+    # above the truncation no term is signed, in every case
+    for case in MINREP_CASES + DUALPAIR_CASES:
+        g = (minrep_levels if case in MINREP_CASES else dualpair_graded)(case, 3)
+        for w, _ in g.levels[3].terms:
+            with pytest.raises(NotCoveredError):
+                g.sign_of(4, w)
