@@ -5,19 +5,29 @@ irreducible through the embedding's coordinate map, folds it into the
 dominant chamber (Racah-Speiser) and certifies the fold by subtracting each
 term's diagram.  Every closed-form rule below can be replayed against it
 term by term via ``verify_rule``.
+
+Weights enter and leave as ``Fraction`` ``Weight``s.  Inside, the oracle
+runs on integers: factor parts in doubled coordinates (2v), as in
+``charalg``, and circle charges in a per-embedding unit 1/(2d), d the least
+common denominator of the charge rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Iterable, Mapping
 
 from .charalg import (
+    Doubled,
     FlatKey,
     FormalCharacter,
+    _doubled,
     _full_multiplicities,
+    _halved,
     chamber_fold,
     weight_dimension,
 )
@@ -26,7 +36,6 @@ from .lattice import (
     InvariantError,
     Vector,
     Weight,
-    dot,
     group,
     make_weight,
     normalize_vector,
@@ -44,13 +53,23 @@ class BudgetExceededError(RuntimeError):
     """Source dimension above the configured generic-restriction budget."""
 
 
+#: A sparse integer row: (index, coefficient) for each nonzero entry.
+SparseRow = tuple[tuple[int, int], ...]
+
+
+def _sparse(row: Iterable[int]) -> SparseRow:
+    return tuple((i, c) for i, c in enumerate(row) if c)
+
+
 @dataclass(frozen=True)
 class EmbeddingMap:
     """Named linear restriction map from big-group to small-group weights.
 
     ``factor_rows[f]`` holds one row per coordinate of small factor ``f``;
     ``charge_rows`` holds one row per circle factor.  Rows act on the
-    concatenation of the big group's factor coordinates.
+    concatenation of the big group's factor coordinates.  Factor rows must
+    be integral, so that they map doubled weights to doubled weights;
+    charge rows may have any denominator.
     """
 
     name: str
@@ -60,11 +79,36 @@ class EmbeddingMap:
     charge_rows: tuple[Vector, ...]
     internal: bool = False
 
-    def apply(self, flat: Vector) -> tuple[tuple[Vector, ...], tuple[Q, ...]]:
-        parts = tuple(
-            tuple(dot(row, flat) for row in rows) for rows in self.factor_rows
+    def __post_init__(self) -> None:
+        for f, rows in enumerate(self.factor_rows):
+            for r, row in enumerate(rows):
+                if any(x.denominator != 1 for x in row):
+                    shown = ", ".join(str(x) for x in row)
+                    raise ValueError(f"{self.name}: factor {f} row {r} ({shown}) is not integral")
+
+    @functools.cached_property
+    def charge_denominator(self) -> int:
+        """d: charges are integers in the unit 1/(2d) inside the oracle."""
+        return math.lcm(*(x.denominator for row in self.charge_rows for x in row))
+
+    @functools.cached_property
+    def _integer_rows(self) -> tuple[tuple[tuple[SparseRow, ...], ...], tuple[SparseRow, ...]]:
+        d = self.charge_denominator
+        factors = tuple(
+            tuple(_sparse(int(x) for x in row) for row in rows) for rows in self.factor_rows
         )
-        charges = tuple(dot(row, flat) for row in self.charge_rows)
+        charges = tuple(_sparse(int(d * x) for x in row) for row in self.charge_rows)
+        return factors, charges
+
+    def apply(self, flat: Doubled) -> FlatKey:
+        """Image of a doubled big-group weight: doubled small-group parts and
+        charges in the unit 1/(2d)."""
+        factors, charge_rows = self._integer_rows
+        # Runs once per source weight; list comprehensions beat generators here.
+        parts = tuple(
+            [tuple([sum([c * flat[i] for i, c in row]) for row in rows]) for rows in factors]
+        )
+        charges = tuple([sum([c * flat[i] for i, c in row]) for row in charge_rows])
         return parts, charges
 
 
@@ -202,13 +246,13 @@ class BranchResult:
     decomposition: FormalCharacter
 
 
-def _group_diagram(gs: GroupSpec, w: Weight) -> dict[tuple[Vector, ...], int]:
-    """Weight diagram of an irreducible of a product group, by factor."""
+def _group_diagram(gs: GroupSpec, w: Weight) -> dict[tuple[Doubled, ...], int]:
+    """Weight diagram of an irreducible of a product group, by factor, doubled."""
     diagrams = [
-        _full_multiplicities(rs, part)
+        _full_multiplicities(rs, _doubled(part))
         for rs, part in zip(gs.factors, w.parts, strict=True)
     ]
-    out: dict[tuple[Vector, ...], int] = {}
+    out: dict[tuple[Doubled, ...], int] = {}
     for combo in itertools.product(*(d.items() for d in diagrams)):
         parts = tuple(vec for vec, _ in combo)
         mult = 1
@@ -216,6 +260,12 @@ def _group_diagram(gs: GroupSpec, w: Weight) -> dict[tuple[Vector, ...], int]:
             mult *= m
         out[parts] = out.get(parts, 0) + mult
     return out
+
+
+def _fractions(key: FlatKey, unit: int) -> tuple[tuple[Vector, ...], tuple[Q, ...]]:
+    """A projected key as ``Fraction`` parts and charges, charges in 1/unit."""
+    parts, charges = key
+    return tuple(_halved(p) for p in parts), tuple(Q(c, unit) for c in charges)
 
 
 def restrict_generic(
@@ -227,7 +277,9 @@ def restrict_generic(
     negative coefficient or a lost dimension aborts, nothing is clamped.
     As a certificate, every term's diagram is then subtracted from the
     projected support, which must stay non-negative and end empty: a wrong
-    map can fold to a non-negative, dimension-conserving answer.
+    map can fold to a non-negative, dimension-conserving answer.  The
+    projection, fold and certificate run on integer keys (see the module
+    docstring); messages show ``Fraction`` weights.
     """
     limit = DEFAULT_BUDGET if budget is None else budget
     if not weight_is_dominant(e.big, hw):
@@ -237,22 +289,21 @@ def restrict_generic(
         raise BudgetExceededError(
             f"dim {source_dim} exceeds generic-restriction budget {limit}"
         )
+    small = e.small.factors
     support: dict[FlatKey, int] = {}
     for big_parts, mult in _group_diagram(e.big, hw).items():
-        parts, charges = e.apply(tuple(x for part in big_parts for x in part))
-        parts = tuple(
-            normalize_vector(rs, p) for rs, p in zip(e.small.factors, parts, strict=True)
-        )
-        key = (parts, charges)
+        parts, charges = e.apply(sum(big_parts, ()))
+        key = (tuple([normalize_vector(rs, p) for rs, p in zip(small, parts)]), charges)
         support[key] = support.get(key, 0) + mult
 
+    unit = 2 * e.charge_denominator
     terms: dict[Weight, int] = {}
     for top, coeff in chamber_fold(e.small, support).items():
         if coeff < 0:
             raise NegativeMultiplicityError(
-                f"{e.name}: negative coefficient {coeff} at {top}"
+                f"{e.name}: negative coefficient {coeff} at {_fractions(top, unit)}"
             )
-        terms[make_weight(e.small, *top)] = coeff
+        terms[make_weight(e.small, *_fractions(top, unit))] = coeff
     decomposition = FormalCharacter.from_dict(e.small, terms)
     target_dim = decomposition.total_dimension()
     if target_dim != source_dim:
@@ -260,12 +311,13 @@ def restrict_generic(
             f"{e.name}: dimension {target_dim} restricted from {source_dim}"
         )
     for w, coeff in decomposition.terms:
+        charges = tuple(int(c * unit) for c in w.charges)
         for parts, mult in _group_diagram(e.small, w).items():
-            key = (parts, w.charges)
+            key = (parts, charges)
             value = support.get(key, 0) - coeff * mult
             if value < 0:
                 raise NegativeMultiplicityError(
-                    f"{e.name}: subtracting {w} drove {key} negative"
+                    f"{e.name}: subtracting {w} drove {_fractions(key, unit)} negative"
                 )
             if value == 0:
                 support.pop(key, None)

@@ -3,7 +3,16 @@
 Two independent code paths exist on purpose: the Weyl dimension formula and
 the Freudenthal recursion must agree on every irreducible, and the
 shifted-orbit tensor decomposition is checked against dimension counting.
-Everything is exact rational arithmetic; no floating point.
+Everything is exact; no floating point.
+
+Weights are ``Fraction`` tuples at the API.  The Freudenthal recursion, the
+orbit expansion and the chamber fold run on doubled ``int`` tuples (2v,
+exact because every weight coordinate has denominator 1 or 2): the
+``lru_cache`` internals ``_dominant_multiplicities`` and
+``_full_multiplicities`` take and return doubled vectors, and
+``weight_multiplicities``, ``freudenthal_total`` and ``_tensor_raw`` convert
+where a weight enters or leaves.  The Weyl dimension formula stays in
+``Fraction`` as the independent second path.
 """
 
 from __future__ import annotations
@@ -17,19 +26,18 @@ from typing import Mapping
 
 from .lattice import (
     GroupSpec,
+    InvalidWeightError,
     InvariantError,
     RootSystem,
     Vector,
     Weight,
     dominant_conjugate,
-    dot,
     height,
     is_dominant_vector,
     normalize_vector,
     pairing,
     root_coordinates,
     vadd,
-    vscale,
     vsub,
     weyl_orbit,
 )
@@ -78,36 +86,68 @@ def is_weight_of(rs: RootSystem, hw: Vector, v: Vector) -> bool:
     return all(c.denominator == 1 and c >= 0 for c in coords)
 
 
+#: A vector in doubled coordinates: 2v as integers.
+Doubled = tuple[int, ...]
+
+
+def _doubled(v: Vector) -> Doubled:
+    twice = tuple(2 * x for x in v)
+    if any(t.denominator != 1 for t in twice):
+        raise InvalidWeightError(f"{v} is not a weight-lattice vector")
+    return tuple(int(t) for t in twice)
+
+
+def _halved(v: Doubled) -> Vector:
+    return tuple(Q(x, 2) for x in v)
+
+
+def _idot(u: Doubled, v: Doubled) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
 @functools.lru_cache(maxsize=None)
-def _dominant_multiplicities(rs: RootSystem, hw: Vector) -> Mapping[Vector, int]:
-    """Freudenthal recursion over the dominant weights of V_hw."""
-    _require_dominant(rs, hw)
-    dominants = _dominant_weights(rs, hw)
-    rho = rs.weyl_vector
+def _dominant_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, int]:
+    """Freudenthal recursion over the dominant weights of V_hw, doubled.
+
+    Weights are doubled and the roots, all integral, are not: mu + k alpha
+    is mu + 2k alpha here, and the multiplicity at mu is
+    4 acc / (|hw + rho|^2 - |mu + rho|^2) with acc the sum of
+    m(mu + k alpha) (mu + k alpha, alpha) over the strings above mu.
+    """
+    half_hw = _halved(hw)
+    _require_dominant(rs, half_hw)
+    dominants = sorted(_dominant_weights(rs, half_hw), key=lambda v: height(rs, v), reverse=True)
+    roots = [tuple(int(x) for x in alpha) for alpha in rs.positive_roots]
+    if roots != list(rs.positive_roots):
+        raise InvariantError(f"{rs.label} has a non-integral root")
+    rho = _doubled(rs.weyl_vector)
     top = vadd(hw, rho)
-    top_norm = dot(top, top)
-    mults: dict[Vector, int] = {hw: 1}
-    for mu in sorted(dominants, key=lambda v: height(rs, v), reverse=True):
+    top_norm = _idot(top, top)
+    mults: dict[Doubled, int] = {hw: 1}
+    for mu in map(_doubled, dominants):
         if mu == hw:
             continue
-        acc = Q(0)
-        for alpha in rs.positive_roots:
-            k = 1
+        acc = 0
+        for alpha in roots:
+            step = vadd(alpha, alpha)
+            above = vadd(mu, step)
             while True:
-                above = vadd(mu, vscale(k, alpha))
                 d, _ = dominant_conjugate(rs, above)
                 # Weight strings are contiguous, and anything above mu was
                 # already processed, so a miss ends the ladder.
                 if d not in mults:
                     break
-                acc += mults[d] * dot(above, alpha)
-                k += 1
+                acc += mults[d] * _idot(above, alpha)
+                above = vadd(above, step)
         shifted = vadd(mu, rho)
-        denominator = top_norm - dot(shifted, shifted)
-        value = 2 * acc / denominator
-        if value.denominator != 1 or value <= 0:
-            raise InvariantError(f"Freudenthal multiplicity {value} at {mu} under {hw}")
-        mults[mu] = int(value)
+        denominator = top_norm - _idot(shifted, shifted)
+        value, rest = divmod(4 * acc, denominator)
+        if rest or value <= 0:
+            raise InvariantError(
+                f"Freudenthal multiplicity {Q(4 * acc, denominator)} at "
+                f"{_halved(mu)} under {half_hw}"
+            )
+        mults[mu] = value
     return MappingProxyType(mults)
 
 
@@ -159,8 +199,10 @@ def _dominant_weights(rs: RootSystem, hw: Vector) -> list[Vector]:
 
 
 @functools.lru_cache(maxsize=None)
-def _full_multiplicities(rs: RootSystem, hw: Vector) -> Mapping[Vector, int]:
-    support: dict[Vector, int] = {}
+def _full_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, int]:
+    """Every weight of V_hw with its multiplicity, doubled: dominant
+    multiplicities spread over their Weyl orbits."""
+    support: dict[Doubled, int] = {}
     for mu, m in _dominant_multiplicities(rs, hw).items():
         for v in weyl_orbit(rs, mu):
             support[v] = m
@@ -169,37 +211,41 @@ def _full_multiplicities(rs: RootSystem, hw: Vector) -> Mapping[Vector, int]:
 
 def weight_multiplicities(rs: RootSystem, hw: Vector) -> WeightFunction:
     """All weights of V_hw with multiplicities (Freudenthal)."""
-    return WeightFunction(rs, _full_multiplicities(rs, hw))
+    support = _full_multiplicities(rs, _doubled(hw))
+    return WeightFunction(rs, MappingProxyType({_halved(v): m for v, m in support.items()}))
 
 
 def freudenthal_total(rs: RootSystem, hw: Vector) -> int:
     """Sum of all weight multiplicities; independent check of dimension()."""
     total = 0
-    for mu, m in _dominant_multiplicities(rs, hw).items():
+    for mu, m in _dominant_multiplicities(rs, _doubled(hw)).items():
         total += m * len(weyl_orbit(rs, mu))
     return total
 
 
-#: A weight of a product group: one vector per simple factor, then charges.
-FlatKey = tuple[tuple[Vector, ...], tuple[Q, ...]]
+#: A weight of a product group in doubled coordinates: one vector per
+#: simple factor, then the circle charges (integers in the caller's unit).
+FlatKey = tuple[tuple[Doubled, ...], tuple[int, ...]]
 
 
 def chamber_fold(gs: GroupSpec, support: Mapping[FlatKey, int]) -> dict[FlatKey, int]:
     """Signed Weyl-chamber fold (Racah-Speiser, Klimyk; Fulton-Harris 25).
 
-    Each (mu, charges) moves to (d - rho, charges), d the dominant conjugate
-    of mu + rho per factor, with the product of the factor signs; weights on
-    a wall drop out, and so do zero coefficients."""
+    Keys are doubled.  Each (mu, charges) moves to (d - rho, charges), d the
+    dominant conjugate of mu + rho per factor, with the product of the
+    factor signs; weights on a wall drop out, and so do zero coefficients.
+    Charges pass through untouched."""
+    rhos = [_doubled(rs.weyl_vector) for rs in gs.factors]
     out: dict[FlatKey, int] = {}
     for (parts, charges), m in support.items():
         folded = []
         sign = 1
-        for rs, part in zip(gs.factors, parts, strict=True):
-            d, s = dominant_conjugate(rs, vadd(part, rs.weyl_vector))
+        for rs, rho, part in zip(gs.factors, rhos, parts, strict=True):
+            d, s = dominant_conjugate(rs, vadd(part, rho))
             sign *= s
             if sign == 0:
                 break
-            folded.append(normalize_vector(rs, vsub(d, rs.weyl_vector)))
+            folded.append(normalize_vector(rs, vsub(d, rho)))
         if sign:
             key = (tuple(folded), charges)
             out[key] = out.get(key, 0) + sign * m
@@ -213,11 +259,14 @@ def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[Vector, int
     _require_dominant(rs, hw2)
     if dimension(rs, hw2) > dimension(rs, hw1):
         hw1, hw2 = hw2, hw1
-    shifted = {((vadd(hw1, mu),), ()): m for mu, m in _full_multiplicities(rs, hw2).items()}
-    out = {parts[0]: m for (parts, _), m in chamber_fold(GroupSpec((rs,)), shifted).items()}
-    if any(v < 0 for v in out.values()):
+    top = _doubled(hw1)
+    shifted = {
+        ((vadd(top, mu),), ()): m for mu, m in _full_multiplicities(rs, _doubled(hw2)).items()
+    }
+    folded = chamber_fold(GroupSpec((rs,)), shifted)
+    if any(v < 0 for v in folded.values()):
         raise InvariantError(f"negative tensor multiplicity in {hw1} x {hw2}")
-    return MappingProxyType(out)
+    return MappingProxyType({_halved(parts[0]): m for (parts, _), m in folded.items()})
 
 
 @dataclass(frozen=True)

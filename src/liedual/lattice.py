@@ -2,9 +2,13 @@
 
 Supported simple types: A1 (one-dimensional realization, simple root 2*eps),
 A5 (in R^6, weights taken modulo the all-ones vector and normalized so the
-minimum coordinate is 0), B2, C2, C3, C4, D4, D5.  Vectors are tuples of
-``fractions.Fraction``; all weight-lattice coordinates have denominator 1
-or 2.  Everything here is immutable and pure.
+minimum coordinate is 0), B2, C2, C3, C4, D4, D5.  At the API, vectors are
+tuples of ``fractions.Fraction``; all weight-lattice coordinates have
+denominator 1 or 2, so twice a weight is an integer tuple.  The character
+oracle (``charalg``, ``branching``) runs on those doubled ``int`` tuples
+inside: ``dominant_conjugate``, ``weyl_orbit`` and ``normalize_vector`` only
+sort, negate, subtract and compare entries, so they are exact on ``int``
+tuples too and commute with doubling.  Everything here is immutable and pure.
 
 Cartan-matrix convention: ``a[i][j] = <alpha_i, alpha_j^vee>``.
 """
@@ -99,6 +103,11 @@ class RootSystem:
 
     def __repr__(self) -> str:  # keep reprs short in reports
         return f"RootSystem({self.label})"
+
+    def __hash__(self) -> int:
+        # The label determines the system; caches keyed on it would
+        # otherwise hash every root's Fractions on each lookup.
+        return hash(self.label)
 
 
 def _half_sum(vectors: Iterable[Vector], dim: int) -> Vector:
@@ -229,7 +238,7 @@ def dominant_conjugate(rs: RootSystem, v: Vector) -> tuple[Vector, int]:
     the Weyl group is non-trivial).  Per-series closed forms: A sorts, B/C
     sort absolute values, D sorts absolute values with an even number of
     sign changes; ``dominant_conjugate_by_reflections`` is the generic
-    oracle the closed forms are tested against.
+    oracle the closed forms are tested against.  Exact on ``int`` tuples.
     """
     if rs.label == "A1":
         x = v[0]
@@ -298,7 +307,7 @@ def _signed_spreads(base: Vector, parity: int | None) -> Iterable[Vector]:
 
 
 def weyl_orbit(rs: RootSystem, v: Vector) -> frozenset[Vector]:
-    """Full Weyl-group orbit of ``v``."""
+    """Full Weyl-group orbit of ``v``; exact on ``int`` tuples."""
     if rs.label == "A1":
         return frozenset({v, (-v[0],)})
     if rs.series == "A":
@@ -426,10 +435,12 @@ def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Q, ...] | None:
     """Coefficients of ``v`` in the simple-root basis, or None if off-span.
 
     Closed partial-sum forms per series; agrees with the generic Gram-solve
-    path on the span.
+    path on the span.  Halves are ``Fraction`` halves, so ``int`` input
+    gives exact coordinates too.
     """
+    half = Q(1, 2)
     if rs.label == "A1":
-        return (v[0] / 2,)
+        return (v[0] * half,)
     sums = list(itertools.accumulate(v))
     if rs.series == "A":
         if sums[-1] != 0:
@@ -438,9 +449,9 @@ def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Q, ...] | None:
     if rs.label == "B2":
         return (sums[0], sums[1])
     if rs.series == "C":
-        return tuple(sums[:-1]) + (sums[-1] / 2,)
+        return tuple(sums[:-1]) + (sums[-1] * half,)
     # D series
-    last = sums[-1] / 2
+    last = sums[-1] * half
     return tuple(sums[:-2]) + (sums[-2] - last, last)
 
 
@@ -486,7 +497,10 @@ def in_weight_lattice(rs: RootSystem, v: Vector) -> bool:
 
 
 def normalize_vector(rs: RootSystem, v: Vector) -> Vector:
-    """Canonical coset representative; only A5 weights live modulo (1,..,1)."""
+    """Canonical coset representative; only A5 weights live modulo (1,..,1).
+
+    Exact on ``int`` tuples and commutes with doubling.
+    """
     if rs.label == "A5":
         low = min(v)
         return tuple(x - low for x in v)

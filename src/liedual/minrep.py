@@ -175,6 +175,24 @@ _DUALPAIR_SOURCE = {
 }
 
 
+_E62_GROUP = group("D4", circles=3)
+
+
+def _e62_level(n: int) -> FormalCharacter:
+    """Level n of e62-spin8: V_(n/2,n/2,n/2,b/2) against the torus character
+    chi(n+4, -(b+n)/2-2, (b-n)/2-2), for b = -n, -n+2, .., n."""
+    h = Q(n, 2)
+    data = {}
+    for b in range(-n, n + 1, 2):
+        w = make_weight(
+            _E62_GROUP,
+            ((h, h, h, Q(b, 2)),),
+            (n + 4, Q(-(b + n), 2) - 2, Q(b - n, 2) - 2),
+        )
+        data[w] = 1
+    return FormalCharacter.from_dict(_E62_GROUP, data)
+
+
 def dualpair_graded(
     case: str, truncation: int, budget: int | None = None
 ) -> GradedCharacter:
@@ -233,18 +251,8 @@ def dualpair_graded(
                     data[w] = data.get(w, 0) + mult
             levels[n] = FormalCharacter.from_dict(gs, data)
     else:  # e62-spin8
-        gs = group("D4", circles=3)
-        for n in range(truncation + 1):
-            data = {}
-            h = Q(n, 2)
-            for b in range(-n, n + 1, 2):
-                w = make_weight(
-                    gs,
-                    ((h, h, h, Q(b, 2)),),
-                    (n + 4, Q(-(b + n), 2) - 2, Q(b - n, 2) - 2),
-                )
-                data[w] = 1
-            levels[n] = FormalCharacter.from_dict(gs, data)
+        gs = _E62_GROUP
+        levels = {n: _e62_level(n) for n in range(truncation + 1)}
     return GradedCharacter(case, gs, levels)
 
 
@@ -308,8 +316,7 @@ def ktype_multiplicity(
             )
         return quasisplit_level_multiplicity(x, y, z, m, n)
     if case == "e62-spin8":
-        graded = dualpair_graded(case, n)
-        return graded.levels[n].multiplicity(ktype)
+        return _e62_level(n).multiplicity(ktype)
     raise KeyError(f"unknown case {case!r}")
 
 

@@ -97,20 +97,28 @@ def test_budget_enforced():
         restrict_generic(embedding("sp2xsp2_in_sp4"), sp4_omega4_weight(2), budget=100)
 
 
+_WRONG_EMBEDDING_MESSAGES = {
+    1: "bogus: dimension 126 restricted from 42",
+    2: "bogus: negative coefficient -1 at "
+    "(((Fraction(1, 1), Fraction(1, 1)), (Fraction(2, 1), Fraction(0, 1))), ())",
+}
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_wrong_embedding_aborts_with_negative_multiplicity(n):
     # Doubling one coordinate row is not the weight map of any subgroup;
     # the oracle must abort rather than clamp.  At n=1 the fold conserves
-    # no dimension, at n=2 it has a negative coefficient.
+    # no dimension, at n=2 it has a negative coefficient.  Messages show
+    # Fraction weights, never the oracle's internal doubled integers.
     right = embedding("sp2xsp2_in_sp4")
     rows = (
         (tuple(2 * x for x in right.factor_rows[0][0]), right.factor_rows[0][1]),
         right.factor_rows[1],
     )
     wrong = EmbeddingMap("bogus", right.big, right.small, rows, ())
-    path = {1: "dimension", 2: "negative coefficient"}[n]
-    with pytest.raises(NegativeMultiplicityError, match=path):
+    with pytest.raises(NegativeMultiplicityError) as raised:
         restrict_generic(wrong, sp4_omega4_weight(n))
+    assert str(raised.value) == _WRONG_EMBEDDING_MESSAGES[n]
 
 
 def test_charge_row_typo_fails_the_certificate():
@@ -121,8 +129,31 @@ def test_charge_row_typo_fails_the_certificate():
     typo = EmbeddingMap(
         "typo", right.big, right.small, right.factor_rows, ((Q(1, 2), Q(1, 2)),)
     )
-    with pytest.raises(NegativeMultiplicityError, match="drove"):
+    with pytest.raises(NegativeMultiplicityError) as raised:
         restrict_generic(typo, make_weight(group("C2"), ((1, 0),)))
+    assert str(raised.value) == (
+        "typo: subtracting Weight(parts=((Fraction(1, 1),),), charges=(Fraction(1, 2),)) "
+        "drove (((Fraction(-1, 1),),), (Fraction(1, 2),)) negative"
+    )
+
+
+def test_non_integral_factor_row_rejected_at_construction():
+    # Factor rows must map doubled weights to doubled weights.
+    right = embedding("sp1so2_in_sp2")
+    with pytest.raises(ValueError, match=r"half: factor 0 row 0 \(1/2, 1\) is not integral"):
+        EmbeddingMap("half", right.big, right.small, (((Q(1, 2), Q(1)),),), right.charge_rows)
+
+
+def test_charge_units_per_embedding():
+    # Charges are integers in the unit 1/(2d) inside the oracle.
+    units = {name: e.charge_denominator for name, e in CATALOG.items()}
+    assert units.pop("sp2su2u1_in_su6") == 3
+    assert units.pop("sp1so2_in_sp2") == 2
+    assert set(units.values()) == {1}
+    e = embedding("sp2su2u1_in_su6")
+    # Twice the SU(6) weight (1,1,1,0,0,0) goes to twice (1,0) x 0 at
+    # charge 6/6 = 1.
+    assert e.apply((2, 2, 2, 0, 0, 0)) == (((2, 0), (0,)), (6,))
 
 
 def test_branch_sp4_to_sp2sp2_examples():

@@ -17,12 +17,22 @@ from liedual.charalg import (
     weight_dimension,
     weight_multiplicities,
 )
+from liedual.charalg import _dominant_weights
 from liedual.lattice import (
+    SUPPORTED_TYPES,
     build_root_system,
+    dominant_conjugate,
+    dot,
     group,
+    height,
     make_weight,
     qv,
     reflect,
+    root_coordinates,
+    vadd,
+    vscale,
+    vsub,
+    weyl_orbit,
     weyl_orbit_size,
 )
 
@@ -90,6 +100,73 @@ def test_freudenthal_total_equals_weyl_dimension(label, hw):
     hw = tuple(Q(x) for x in hw)
     assert dimension(rs, hw) <= 10**4
     assert freudenthal_total(rs, hw) == dimension(rs, hw)
+
+
+def _fraction_freudenthal(rs, hw):
+    """Reference: the Freudenthal recursion in Fraction coordinates, with
+    the orbit expansion, as the oracle ran before it moved to integers."""
+    rho = rs.weyl_vector
+    top = vadd(hw, rho)
+    top_norm = dot(top, top)
+    mults = {hw: 1}
+    for mu in sorted(_dominant_weights(rs, hw), key=lambda v: height(rs, v), reverse=True):
+        if mu == hw:
+            continue
+        acc = Q(0)
+        for alpha in rs.positive_roots:
+            k = 1
+            while True:
+                above = vadd(mu, vscale(k, alpha))
+                d, _ = dominant_conjugate(rs, above)
+                if d not in mults:
+                    break
+                acc += mults[d] * dot(above, alpha)
+                k += 1
+        shifted = vadd(mu, rho)
+        value = 2 * acc / (top_norm - dot(shifted, shifted))
+        assert value.denominator == 1 and value > 0
+        mults[mu] = int(value)
+    return {v: m for mu, m in mults.items() for v in weyl_orbit(rs, mu)}
+
+
+@pytest.mark.parametrize("label,hw", _FREUDENTHAL_SWEEP)
+def test_weight_multiplicities_match_fraction_reference(label, hw):
+    rs = build_root_system(label)
+    hw = tuple(Q(x) for x in hw)
+    support = weight_multiplicities(rs, hw).support
+    assert dict(support) == _fraction_freudenthal(rs, hw)
+    assert all(type(x) is Q for v in support for x in v)
+
+
+#: An integral dominant weight of every supported type.
+_INTEGRAL_WEIGHTS = {
+    "A1": (3,),
+    "A5": (2, 1, 1, 0, 0, 0),
+    "B2": (2, 1),
+    "C2": (1, 0),
+    "C3": (2, 1, 0),
+    "C4": (1, 1, 0, 0),
+    "D4": (1, 1, 1, -1),
+    "D5": (1, 1, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_int_and_fraction_inputs_agree(label):
+    rs = build_root_system(label)
+    hw = _INTEGRAL_WEIGHTS[label]
+    exact = tuple(Q(x) for x in hw)
+    below = vsub(exact, rs.simple_roots[0])
+    span = vadd(rs.simple_roots[0], rs.simple_roots[-1])
+    coords = root_coordinates(rs, tuple(int(x) for x in span))
+    assert coords is not None and coords == root_coordinates(rs, span)
+    assert all(isinstance(c, (int, Q)) for c in coords)  # no float halves
+    assert dimension(rs, hw) == dimension(rs, exact)
+    assert freudenthal_total(rs, hw) == freudenthal_total(rs, exact) == dimension(rs, exact)
+    assert weight_multiplicities(rs, hw) == weight_multiplicities(rs, exact)
+    for v in (exact, below, tuple(int(x) for x in below)):
+        assert is_weight_of(rs, hw, v) == is_weight_of(rs, exact, v)
+    assert tensor_decompose(rs, hw, hw) == tensor_decompose(rs, exact, exact)
 
 
 def test_freudenthal_handles_shifted_coset_representative():

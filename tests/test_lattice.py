@@ -18,6 +18,7 @@ from liedual.lattice import (
     in_weight_lattice,
     is_dominant_vector,
     make_weight,
+    normalize_vector,
     pairing,
     qv,
     reflect,
@@ -155,6 +156,24 @@ def test_orbit_closed_under_reflections(data, label):
     orbit = weyl_orbit(rs, v)
     for a in rs.simple_roots:
         assert reflect(v, a) in orbit
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), label=st.sampled_from(SUPPORTED_TYPES))
+def test_weyl_moves_commute_with_doubling(data, label):
+    # The oracle runs these on doubled int tuples: 2v must move exactly
+    # as v does, with the same sign, and stay integral.
+    rs = build_root_system(label)
+    v = _random_vector(data.draw, rs)
+    doubled = tuple(int(2 * x) for x in v)
+    d, sign = dominant_conjugate(rs, v)
+    d2, sign2 = dominant_conjugate(rs, doubled)
+    assert (d2, sign2) == (tuple(2 * x for x in d), sign)
+    assert all(type(x) is int for x in d2)
+    orbit2 = weyl_orbit(rs, doubled)
+    assert orbit2 == {tuple(2 * x for x in u) for u in weyl_orbit(rs, v)}
+    assert all(type(x) is int for u in orbit2 for x in u)
+    assert normalize_vector(rs, doubled) == tuple(2 * x for x in normalize_vector(rs, v))
 
 
 def test_weyl_orbit_size_examples():

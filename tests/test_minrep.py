@@ -354,3 +354,20 @@ def test_sign_is_one_rule_per_case():
         for w, _ in g.levels[3].terms:
             with pytest.raises(NotCoveredError):
                 g.sign_of(4, w)
+
+
+def test_e62_series_agrees_with_graded_levels():
+    # ktype_multiplicity builds only level n; every term of the graded
+    # levels 0..12 must read back at its own level and nowhere else.
+    top = 12
+    graded = dualpair_graded("e62-spin8", top)
+    for n, char in graded.levels.items():
+        for w, mult in char.terms:
+            series = multiplicity_series("e62-spin8", w, top)
+            expected = tuple(graded.levels[k].multiplicity(w) for k in range(top + 1))
+            assert series.values == expected
+            assert series.values[n] == mult == 1
+    gs = group("D4", circles=3)
+    # The level-2 Spin(8) type of b = 2, against the wrong torus character.
+    stranger = make_weight(gs, ((1, 1, 1, 1),), (6, -3, -3))
+    assert multiplicity_series("e62-spin8", stranger, top).values == (0,) * (top + 1)
