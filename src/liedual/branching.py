@@ -7,9 +7,10 @@ term's diagram.  Every closed-form rule below can be replayed against it
 term by term via ``verify_rule``.
 
 Weights enter and leave as ``Fraction`` ``Weight``s.  Inside, the oracle
-runs on integers: factor parts in doubled coordinates (2v), as in
-``charalg``, and circle charges in a per-embedding unit 1/(2d), d the least
-common denominator of the charge rows.
+runs on integers: factor parts in doubled coordinates (2v,
+``lattice.doubled``), as in ``charalg``, and circle charges in a
+per-embedding unit 1/(2d), d the least common denominator of the charge
+rows.
 """
 
 from __future__ import annotations
@@ -22,21 +23,21 @@ from fractions import Fraction as Q
 from typing import Callable, Iterable, Mapping
 
 from .charalg import (
-    Doubled,
     FlatKey,
     FormalCharacter,
-    _doubled,
     _full_multiplicities,
-    _halved,
     chamber_fold,
     weight_dimension,
 )
 from .lattice import (
+    Doubled,
     GroupSpec,
     InvariantError,
     Vector,
     Weight,
+    doubled,
     group,
+    halved,
     make_weight,
     normalize_vector,
     weight_is_dominant,
@@ -69,7 +70,8 @@ class EmbeddingMap:
     ``charge_rows`` holds one row per circle factor.  Rows act on the
     concatenation of the big group's factor coordinates.  Factor rows must
     be integral, so that they map doubled weights to doubled weights;
-    charge rows may have any denominator.
+    charge rows may have any denominator.  Shapes and integrality are
+    checked at construction.
     """
 
     name: str
@@ -80,11 +82,38 @@ class EmbeddingMap:
     internal: bool = False
 
     def __post_init__(self) -> None:
-        for f, rows in enumerate(self.factor_rows):
+        small = self.small.factors
+        if len(self.factor_rows) != len(small):
+            raise ValueError(
+                f"{self.name}: {len(self.factor_rows)} factor blocks for {len(small)} factors"
+            )
+        if len(self.charge_rows) != self.small.circles:
+            raise ValueError(
+                f"{self.name}: {len(self.charge_rows)} charge rows for "
+                f"{self.small.circles} circles"
+            )
+        width = sum(rs.ambient_dim for rs in self.big.factors)
+        for f, (rs, rows) in enumerate(zip(small, self.factor_rows, strict=True)):
+            if len(rows) != rs.ambient_dim:
+                raise ValueError(
+                    f"{self.name}: factor {f} has {len(rows)} rows for {rs.label}, "
+                    f"which needs {rs.ambient_dim}"
+                )
             for r, row in enumerate(rows):
+                shown = ", ".join(str(x) for x in row)
+                if len(row) != width:
+                    raise ValueError(
+                        f"{self.name}: factor {f} row {r} ({shown}) has length {len(row)}, "
+                        f"not {width}"
+                    )
                 if any(x.denominator != 1 for x in row):
-                    shown = ", ".join(str(x) for x in row)
                     raise ValueError(f"{self.name}: factor {f} row {r} ({shown}) is not integral")
+        for r, row in enumerate(self.charge_rows):
+            if len(row) != width:
+                shown = ", ".join(str(x) for x in row)
+                raise ValueError(
+                    f"{self.name}: charge row {r} ({shown}) has length {len(row)}, not {width}"
+                )
 
     @functools.cached_property
     def charge_denominator(self) -> int:
@@ -100,7 +129,7 @@ class EmbeddingMap:
         charges = tuple(_sparse(int(d * x) for x in row) for row in self.charge_rows)
         return factors, charges
 
-    def apply(self, flat: Doubled) -> FlatKey:
+    def _apply(self, flat: Doubled) -> FlatKey:
         """Image of a doubled big-group weight: doubled small-group parts and
         charges in the unit 1/(2d)."""
         factors, charge_rows = self._integer_rows
@@ -249,7 +278,7 @@ class BranchResult:
 def _group_diagram(gs: GroupSpec, w: Weight) -> dict[tuple[Doubled, ...], int]:
     """Weight diagram of an irreducible of a product group, by factor, doubled."""
     diagrams = [
-        _full_multiplicities(rs, _doubled(part))
+        _full_multiplicities(rs, doubled(part))
         for rs, part in zip(gs.factors, w.parts, strict=True)
     ]
     out: dict[tuple[Doubled, ...], int] = {}
@@ -265,7 +294,7 @@ def _group_diagram(gs: GroupSpec, w: Weight) -> dict[tuple[Doubled, ...], int]:
 def _fractions(key: FlatKey, unit: int) -> tuple[tuple[Vector, ...], tuple[Q, ...]]:
     """A projected key as ``Fraction`` parts and charges, charges in 1/unit."""
     parts, charges = key
-    return tuple(_halved(p) for p in parts), tuple(Q(c, unit) for c in charges)
+    return tuple(halved(p) for p in parts), tuple(Q(c, unit) for c in charges)
 
 
 def restrict_generic(
@@ -292,8 +321,11 @@ def restrict_generic(
     small = e.small.factors
     support: dict[FlatKey, int] = {}
     for big_parts, mult in _group_diagram(e.big, hw).items():
-        parts, charges = e.apply(sum(big_parts, ()))
-        key = (tuple([normalize_vector(rs, p) for rs, p in zip(small, parts)]), charges)
+        parts, charges = e._apply(sum(big_parts, ()))
+        key = (
+            tuple([normalize_vector(rs, p) for rs, p in zip(small, parts, strict=True)]),
+            charges,
+        )
         support[key] = support.get(key, 0) + mult
 
     unit = 2 * e.charge_denominator

@@ -11,8 +11,9 @@ exact because every weight coordinate has denominator 1 or 2): the
 ``lru_cache`` internals ``_dominant_multiplicities`` and
 ``_full_multiplicities`` take and return doubled vectors, and
 ``weight_multiplicities``, ``freudenthal_total`` and ``_tensor_raw`` convert
-where a weight enters or leaves.  The Weyl dimension formula stays in
-``Fraction`` as the independent second path.
+where a weight enters or leaves, with ``lattice.doubled`` and
+``lattice.halved``.  The Weyl dimension formula stays in ``Fraction`` as the
+independent second path.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .lattice import (
+    Doubled,
     GroupSpec,
-    InvalidWeightError,
     InvariantError,
     RootSystem,
     Vector,
     Weight,
     dominant_conjugate,
+    doubled,
+    halved,
     height,
     is_dominant_vector,
     normalize_vector,
@@ -86,21 +89,6 @@ def is_weight_of(rs: RootSystem, hw: Vector, v: Vector) -> bool:
     return all(c.denominator == 1 and c >= 0 for c in coords)
 
 
-#: A vector in doubled coordinates: 2v as integers.
-Doubled = tuple[int, ...]
-
-
-def _doubled(v: Vector) -> Doubled:
-    twice = tuple(2 * x for x in v)
-    if any(t.denominator != 1 for t in twice):
-        raise InvalidWeightError(f"{v} is not a weight-lattice vector")
-    return tuple(int(t) for t in twice)
-
-
-def _halved(v: Doubled) -> Vector:
-    return tuple(Q(x, 2) for x in v)
-
-
 def _idot(u: Doubled, v: Doubled) -> int:
     return sum(a * b for a, b in zip(u, v))
 
@@ -114,17 +102,17 @@ def _dominant_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, in
     4 acc / (|hw + rho|^2 - |mu + rho|^2) with acc the sum of
     m(mu + k alpha) (mu + k alpha, alpha) over the strings above mu.
     """
-    half_hw = _halved(hw)
+    half_hw = halved(hw)
     _require_dominant(rs, half_hw)
     dominants = sorted(_dominant_weights(rs, half_hw), key=lambda v: height(rs, v), reverse=True)
     roots = [tuple(int(x) for x in alpha) for alpha in rs.positive_roots]
     if roots != list(rs.positive_roots):
         raise InvariantError(f"{rs.label} has a non-integral root")
-    rho = _doubled(rs.weyl_vector)
+    rho = doubled(rs.weyl_vector)
     top = vadd(hw, rho)
     top_norm = _idot(top, top)
     mults: dict[Doubled, int] = {hw: 1}
-    for mu in map(_doubled, dominants):
+    for mu in map(doubled, dominants):
         if mu == hw:
             continue
         acc = 0
@@ -145,7 +133,7 @@ def _dominant_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, in
         if rest or value <= 0:
             raise InvariantError(
                 f"Freudenthal multiplicity {Q(4 * acc, denominator)} at "
-                f"{_halved(mu)} under {half_hw}"
+                f"{halved(mu)} under {half_hw}"
             )
         mults[mu] = value
     return MappingProxyType(mults)
@@ -211,14 +199,14 @@ def _full_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, int]:
 
 def weight_multiplicities(rs: RootSystem, hw: Vector) -> WeightFunction:
     """All weights of V_hw with multiplicities (Freudenthal)."""
-    support = _full_multiplicities(rs, _doubled(hw))
-    return WeightFunction(rs, MappingProxyType({_halved(v): m for v, m in support.items()}))
+    support = _full_multiplicities(rs, doubled(hw))
+    return WeightFunction(rs, MappingProxyType({halved(v): m for v, m in support.items()}))
 
 
 def freudenthal_total(rs: RootSystem, hw: Vector) -> int:
     """Sum of all weight multiplicities; independent check of dimension()."""
     total = 0
-    for mu, m in _dominant_multiplicities(rs, _doubled(hw)).items():
+    for mu, m in _dominant_multiplicities(rs, doubled(hw)).items():
         total += m * len(weyl_orbit(rs, mu))
     return total
 
@@ -235,7 +223,7 @@ def chamber_fold(gs: GroupSpec, support: Mapping[FlatKey, int]) -> dict[FlatKey,
     dominant conjugate of mu + rho per factor, with the product of the
     factor signs; weights on a wall drop out, and so do zero coefficients.
     Charges pass through untouched."""
-    rhos = [_doubled(rs.weyl_vector) for rs in gs.factors]
+    rhos = [doubled(rs.weyl_vector) for rs in gs.factors]
     out: dict[FlatKey, int] = {}
     for (parts, charges), m in support.items():
         folded = []
@@ -259,14 +247,14 @@ def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[Vector, int
     _require_dominant(rs, hw2)
     if dimension(rs, hw2) > dimension(rs, hw1):
         hw1, hw2 = hw2, hw1
-    top = _doubled(hw1)
+    top = doubled(hw1)
     shifted = {
-        ((vadd(top, mu),), ()): m for mu, m in _full_multiplicities(rs, _doubled(hw2)).items()
+        ((vadd(top, mu),), ()): m for mu, m in _full_multiplicities(rs, doubled(hw2)).items()
     }
     folded = chamber_fold(GroupSpec((rs,)), shifted)
     if any(v < 0 for v in folded.values()):
         raise InvariantError(f"negative tensor multiplicity in {hw1} x {hw2}")
-    return MappingProxyType({_halved(parts[0]): m for (parts, _), m in folded.items()})
+    return MappingProxyType({halved(parts[0]): m for (parts, _), m in folded.items()})
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ Supported simple types: A1 (one-dimensional realization, simple root 2*eps),
 A5 (in R^6, weights taken modulo the all-ones vector and normalized so the
 minimum coordinate is 0), B2, C2, C3, C4, D4, D5.  At the API, vectors are
 tuples of ``fractions.Fraction``; all weight-lattice coordinates have
-denominator 1 or 2, so twice a weight is an integer tuple.  The character
-oracle (``charalg``, ``branching``) runs on those doubled ``int`` tuples
-inside: ``dominant_conjugate``, ``weyl_orbit`` and ``normalize_vector`` only
+denominator 1 or 2, so twice a weight is an integer tuple; ``doubled`` and
+``halved`` convert between the two.  The character oracle (``charalg``,
+``branching``) runs on those doubled ``int`` tuples inside:
+``dominant_conjugate``, ``weyl_orbit`` and ``normalize_vector`` only
 sort, negate, subtract and compare entries, so they are exact on ``int``
 tuples too and commute with doubling.  Everything here is immutable and pure.
 
@@ -494,6 +495,23 @@ def in_weight_lattice(rs: RootSystem, v: Vector) -> bool:
         return all(x.denominator == 1 for x in v)
     denominators = {x.denominator for x in v}
     return denominators == {1} or denominators == {2}
+
+
+#: A vector in doubled coordinates: 2v as integers.
+Doubled = tuple[int, ...]
+
+
+def doubled(v: Vector) -> Doubled:
+    """2v as an ``int`` tuple; exact because coordinates have denominator 1 or 2."""
+    twice = tuple(2 * x for x in v)
+    if any(t.denominator != 1 for t in twice):
+        raise InvalidWeightError(f"{v} is not a weight-lattice vector")
+    return tuple(int(t) for t in twice)
+
+
+def halved(v: Doubled) -> Vector:
+    """The ``Fraction`` vector whose doubled coordinates are ``v``."""
+    return tuple(Q(x, 2) for x in v)
 
 
 def normalize_vector(rs: RootSystem, v: Vector) -> Vector:

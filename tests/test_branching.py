@@ -144,6 +144,29 @@ def test_non_integral_factor_row_rejected_at_construction():
         EmbeddingMap("half", right.big, right.small, (((Q(1, 2), Q(1)),),), right.charge_rows)
 
 
+def _sp1so2_with(**changes):
+    right = embedding("sp1so2_in_sp2")
+    rows = {"factor_rows": right.factor_rows, "charge_rows": right.charge_rows} | changes
+    return EmbeddingMap("bad", right.big, right.small, rows["factor_rows"], rows["charge_rows"])
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"factor_rows": (((Q(1), Q(1)),), ((Q(1), Q(0)),))}, "2 factor blocks for 1 factors"),
+        ({"factor_rows": (((Q(1), Q(1)), (Q(1), Q(0))),)}, "factor 0 has 2 rows for A1"),
+        ({"factor_rows": (((Q(1),),),)}, r"factor 0 row 0 \(1\) has length 1, not 2"),
+        ({"factor_rows": (((Q(1), Q(1), Q(0)),),)}, "factor 0 row 0 .* has length 3, not 2"),
+        ({"charge_rows": ()}, "0 charge rows for 1 circles"),
+        ({"charge_rows": ((Q(1, 2),),)}, r"charge row 0 \(1/2\) has length 1, not 2"),
+    ],
+)
+def test_embedding_map_shape_checked_at_construction(changes, message):
+    # A short row or a surplus block would otherwise be cut off silently.
+    with pytest.raises(ValueError, match=f"bad: {message}"):
+        _sp1so2_with(**changes)
+
+
 def test_charge_units_per_embedding():
     # Charges are integers in the unit 1/(2d) inside the oracle.
     units = {name: e.charge_denominator for name, e in CATALOG.items()}
@@ -153,7 +176,7 @@ def test_charge_units_per_embedding():
     e = embedding("sp2su2u1_in_su6")
     # Twice the SU(6) weight (1,1,1,0,0,0) goes to twice (1,0) x 0 at
     # charge 6/6 = 1.
-    assert e.apply((2, 2, 2, 0, 0, 0)) == (((2, 0), (0,)), (6,))
+    assert e._apply((2, 2, 2, 0, 0, 0)) == (((2, 0), (0,)), (6,))
 
 
 def test_branch_sp4_to_sp2sp2_examples():
