@@ -12,8 +12,9 @@ exact because every weight coordinate has denominator 1 or 2): the
 ``_full_multiplicities`` take and return doubled vectors, and
 ``weight_multiplicities``, ``freudenthal_total`` and ``_tensor_raw`` convert
 where a weight enters or leaves, with ``lattice.doubled`` and
-``lattice.halved``.  The Weyl dimension formula stays in ``Fraction`` as the
-independent second path.
+``lattice.halved``.  The Weyl dimension formula, the independent second
+path, takes integer products over the positive roots in doubled
+coordinates and divides once; it shares no code with the recursion.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Mapping
 from .lattice import (
     Doubled,
     GroupSpec,
+    InvalidWeightError,
     InvariantError,
     RootSystem,
     Vector,
@@ -35,10 +37,9 @@ from .lattice import (
     dominant_conjugate,
     doubled,
     halved,
-    height,
+    in_weight_lattice,
     is_dominant_vector,
     normalize_vector,
-    pairing,
     root_coordinates,
     vadd,
     vsub,
@@ -55,17 +56,36 @@ def _require_dominant(rs: RootSystem, hw: Vector) -> None:
         raise NonDominantError(f"{hw} is not dominant for {rs.label}")
 
 
+def _integral_roots(rs: RootSystem) -> list[Doubled]:
+    roots = [tuple(int(x) for x in alpha) for alpha in rs.positive_roots]
+    if roots != list(rs.positive_roots):
+        raise InvariantError(f"{rs.label} has a non-integral root")
+    return roots
+
+
+def _idot(u: Doubled, v: Doubled) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
 @functools.lru_cache(maxsize=None)
 def dimension(rs: RootSystem, hw: Vector) -> int:
-    """Weyl dimension formula, exact."""
+    """Weyl dimension formula, exact: the product of (2hw + 2rho, alpha)
+    over the product of (2rho, alpha), alpha positive, as integers."""
+    if not in_weight_lattice(rs, hw):
+        raise InvalidWeightError(f"{hw} is not a {rs.label} weight")
     _require_dominant(rs, hw)
-    shifted = vadd(hw, rs.weyl_vector)
-    value = Q(1)
-    for alpha in rs.positive_roots:
-        value *= pairing(shifted, alpha) / pairing(rs.weyl_vector, alpha)
-    if value.denominator != 1 or value <= 0:
-        raise InvariantError(f"Weyl dimension {value} of {hw} is not a positive integer")
-    return int(value)
+    rho = doubled(rs.weyl_vector)
+    shifted = vadd(doubled(hw), rho)
+    numerator = denominator = 1
+    for alpha in _integral_roots(rs):
+        numerator *= _idot(shifted, alpha)
+        denominator *= _idot(rho, alpha)
+    value, rest = divmod(numerator, denominator)
+    if rest or value <= 0:
+        raise InvariantError(
+            f"Weyl dimension {Q(numerator, denominator)} of {hw} is not a positive integer"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,10 +109,6 @@ def is_weight_of(rs: RootSystem, hw: Vector, v: Vector) -> bool:
     return all(c.denominator == 1 and c >= 0 for c in coords)
 
 
-def _idot(u: Doubled, v: Doubled) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
 @functools.lru_cache(maxsize=None)
 def _dominant_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, int]:
     """Freudenthal recursion over the dominant weights of V_hw, doubled.
@@ -102,17 +118,13 @@ def _dominant_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, in
     4 acc / (|hw + rho|^2 - |mu + rho|^2) with acc the sum of
     m(mu + k alpha) (mu + k alpha, alpha) over the strings above mu.
     """
-    half_hw = halved(hw)
-    _require_dominant(rs, half_hw)
-    dominants = sorted(_dominant_weights(rs, half_hw), key=lambda v: height(rs, v), reverse=True)
-    roots = [tuple(int(x) for x in alpha) for alpha in rs.positive_roots]
-    if roots != list(rs.positive_roots):
-        raise InvariantError(f"{rs.label} has a non-integral root")
+    _require_dominant(rs, halved(hw))
+    roots = _integral_roots(rs)
     rho = doubled(rs.weyl_vector)
     top = vadd(hw, rho)
     top_norm = _idot(top, top)
     mults: dict[Doubled, int] = {hw: 1}
-    for mu in map(doubled, dominants):
+    for mu in _dominant_weights(rs, hw):
         if mu == hw:
             continue
         acc = 0
@@ -133,57 +145,41 @@ def _dominant_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, in
         if rest or value <= 0:
             raise InvariantError(
                 f"Freudenthal multiplicity {Q(4 * acc, denominator)} at "
-                f"{halved(mu)} under {half_hw}"
+                f"{halved(mu)} under {halved(hw)}"
             )
         mults[mu] = value
     return MappingProxyType(mults)
 
 
-def _grid_down(top: Q, frac: Q) -> list[Q]:
-    values = []
-    v = top
-    while v >= frac:
-        values.append(v)
-        v -= 1
-    return values
-
-
-def _dominant_weights(rs: RootSystem, hw: Vector) -> list[Vector]:
-    """All dominant weights of V_hw: dominant lattice vectors under hw."""
-    out = []
+def _dominant_weights(rs: RootSystem, hw: Doubled) -> list[Doubled]:
+    """All dominant weights of V_hw, doubled: dominant lattice vectors under
+    hw, in order of depth below hw (the sum of the simple-root coordinates
+    of hw - mu).  So hw comes first, and the dominant conjugate of any
+    mu + k alpha (alpha positive, k >= 1) comes before mu."""
     if rs.label == "A1":
-        x = hw[0]
-        while x >= 0:
-            out.append((x,))
-            x -= 2
-        return out
-    def keep(mu: Vector) -> bool:
+        return [(x,) for x in range(hw[0], -1, -4)]
+    depth: dict[Doubled, Q] = {}
+    def keep(mu: Doubled) -> None:
         coords = root_coordinates(rs, vsub(hw, mu))
-        return coords is not None and all(
-            c.denominator == 1 and c >= 0 for c in coords
-        )
+        if coords is not None and all(c >= 0 and c % 2 == 0 for c in coords):
+            depth[mu] = sum(coords)
+    # Dominant weights under hw have entries inside [min(hw), max(hw)] for
+    # A (any coset representative) and [class offset, max(hw)] for B/C/D,
+    # stepping by 1 (2 doubled) within the congruence class.
+    low = hw[-1] if rs.series == "A" else hw[0] % 2
+    values = range(hw[0], low - 1, -2)
     if rs.series in ("A", "B", "C"):
-        # dominant weights under hw have entries inside [min(hw), max(hw)]
-        # for A (any coset representative) and [class offset, max(hw)] for
-        # B/C, stepping by 1 within the congruence class
-        frac = hw[-1] if rs.series == "A" else hw[0] % 1
-        values = _grid_down(hw[0], frac)
         for mu in itertools.combinations_with_replacement(values, rs.ambient_dim):
-            if keep(mu):
-                out.append(mu)
-        return out
-    # D series: the last coordinate may be negative down to -x_{rank-1}.
-    frac = hw[0] % 1
-    values = _grid_down(hw[0], frac)
-    for head in itertools.combinations_with_replacement(values, rs.rank - 1):
-        for g in values:
-            if g > head[-1]:
-                continue
-            for s in ((1,) if g == 0 else (1, -1)):
-                mu = head + (s * g,)
-                if keep(mu):
-                    out.append(mu)
-    return out
+            keep(mu)
+    else:
+        # D series: the last coordinate may be negative down to -x_{rank-1}.
+        for head in itertools.combinations_with_replacement(values, rs.rank - 1):
+            for g in values:
+                if g > head[-1]:
+                    continue
+                for s in ((1,) if g == 0 else (1, -1)):
+                    keep(head + (s * g,))
+    return sorted(depth, key=depth.__getitem__)
 
 
 @functools.lru_cache(maxsize=None)

@@ -9,7 +9,10 @@ denominator 1 or 2, so twice a weight is an integer tuple; ``doubled`` and
 ``branching``) runs on those doubled ``int`` tuples inside:
 ``dominant_conjugate``, ``weyl_orbit`` and ``normalize_vector`` only
 sort, negate, subtract and compare entries, so they are exact on ``int``
-tuples too and commute with doubling.  Everything here is immutable and pure.
+tuples too and commute with doubling.  ``root_coordinates`` is a closed
+form per series, so nothing here solves a linear system: the Freudenthal
+order and the stabilizer classification both read simple-root coordinates.
+Everything here is immutable and pure.
 
 Cartan-matrix convention: ``a[i][j] = <alpha_i, alpha_j^vee>``.
 """
@@ -381,12 +384,13 @@ def _diagram_components(rs: RootSystem, nodes: list[int]) -> list[list[int]]:
 def _component_weyl_order(rs: RootSystem, component: list[int]) -> int:
     # Classify the sub-root-system spanned by these simple roots through its
     # rank and positive-root count; the (A3, D3) coincidence is harmless
-    # because the Weyl orders agree.
-    span = [rs.simple_roots[i] for i in component]
+    # because the Weyl orders agree.  A positive root lies in the span when
+    # its simple-root coordinates vanish off the component.
+    off = [i for i in range(rs.rank) if i not in component]
     count = 0
     for root in rs.positive_roots:
-        coords = _solve_in_basis(span, root)
-        if coords is not None:
+        coords = root_coordinates(rs, root)
+        if all(coords[i] == 0 for i in off):
             count += 1
     rank = len(component)
     if count == rank_count_a(rank):
@@ -398,45 +402,13 @@ def _component_weyl_order(rs: RootSystem, component: list[int]) -> int:
     raise ValueError(f"unrecognized sub-diagram of {rs.label}")
 
 
-def _solve_in_basis(basis: list[Vector], target: Vector) -> tuple[Q, ...] | None:
-    """Coordinates of ``target`` in a linearly independent basis, or None."""
-    n = len(basis)
-    gram = [[dot(basis[i], basis[j]) for j in range(n)] for i in range(n)]
-    rhs = [dot(basis[i], target) for i in range(n)]
-    coords = _solve_linear(gram, rhs)
-    if coords is None:
-        return None
-    rebuilt = tuple(Q(0) for _ in target)
-    for c, b in zip(coords, basis, strict=True):
-        rebuilt = vadd(rebuilt, vscale(c, b))
-    if rebuilt != target:
-        return None
-    return tuple(coords)
-
-
-def _solve_linear(matrix: list[list[Q]], rhs: list[Q]) -> list[Q] | None:
-    """Exact Gaussian elimination for a small square system."""
-    n = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
-
-
 def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Q, ...] | None:
     """Coefficients of ``v`` in the simple-root basis, or None if off-span.
 
-    Closed partial-sum forms per series; agrees with the generic Gram-solve
-    path on the span.  Halves are ``Fraction`` halves, so ``int`` input
+    Closed partial-sum forms per series; only A5 has vectors off the span.
+    Their sum orders the Freudenthal recursion (depth below the highest
+    weight) and their support classifies the stabilizers in
+    ``weyl_orbit_size``.  Halves are ``Fraction`` halves, so ``int`` input
     gives exact coordinates too.
     """
     half = Q(1, 2)
@@ -454,31 +426,6 @@ def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Q, ...] | None:
     # D series
     last = sums[-1] * half
     return tuple(sums[:-2]) + (sums[-2] - last, last)
-
-
-@functools.lru_cache(maxsize=None)
-def height_functional(rs: RootSystem) -> Vector:
-    """Vector h with (alpha_i, h) = 1 for all simple roots.
-
-    Pairing against h decreases by exactly 1 under subtraction of a simple
-    root; ``height`` uses it to order the Freudenthal recursion.
-    """
-    n = rs.rank
-    gram = [
-        [dot(rs.simple_roots[i], rs.simple_roots[j]) for j in range(n)]
-        for i in range(n)
-    ]
-    coeffs = _solve_linear(gram, [Q(1)] * n)
-    if coeffs is None:
-        raise InvariantError(f"singular Gram matrix for {rs.label}")
-    h = tuple(Q(0) for _ in range(rs.ambient_dim))
-    for c, a in zip(coeffs, rs.simple_roots, strict=True):
-        h = vadd(h, vscale(c, a))
-    return h
-
-
-def height(rs: RootSystem, v: Vector) -> Q:
-    return dot(v, height_functional(rs))
 
 
 def in_weight_lattice(rs: RootSystem, v: Vector) -> bool:

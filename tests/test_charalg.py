@@ -20,11 +20,13 @@ from liedual.charalg import (
 from liedual.charalg import _dominant_weights
 from liedual.lattice import (
     SUPPORTED_TYPES,
+    InvalidWeightError,
     build_root_system,
     dominant_conjugate,
     dot,
+    doubled,
     group,
-    height,
+    halved,
     make_weight,
     qv,
     reflect,
@@ -54,6 +56,13 @@ def test_dimension_examples():
 def test_dimension_rejects_non_dominant():
     with pytest.raises(NonDominantError):
         dimension(C2, qv(0, 1))
+
+
+@pytest.mark.parametrize("hw", [(Q(1, 3), Q(0)), (Q(1, 2), Q(1, 2))])
+def test_dimension_rejects_off_lattice_input(hw):
+    # Bad input, not an internal defect: not InvariantError.
+    with pytest.raises(InvalidWeightError, match="is not a C2 weight"):
+        dimension(C2, hw)
 
 
 def test_dimension_known_small_values():
@@ -102,6 +111,26 @@ def test_freudenthal_total_equals_weyl_dimension(label, hw):
     assert freudenthal_total(rs, hw) == dimension(rs, hw)
 
 
+@pytest.mark.parametrize("label,hw", _FREUDENTHAL_SWEEP)
+def test_dominant_weights_come_after_everything_above_them(label, hw):
+    # The recursion at mu reads m(d) for d the dominant conjugate of each
+    # mu + k alpha; every such d that is a weight must come before mu.
+    rs = build_root_system(label)
+    order = _dominant_weights(rs, doubled(tuple(Q(x) for x in hw)))
+    position = {mu: i for i, mu in enumerate(order)}
+    bound = max(sum(x * x for x in mu) for mu in order)
+    for mu in order:
+        for alpha in rs.positive_roots:
+            step = tuple(2 * int(x) for x in alpha)
+            above = vadd(mu, step)
+            # |mu + k alpha|^2 is convex in k and at most bound at k = 0,
+            # and Weyl moves keep norms: past the bound nothing is listed.
+            while sum(x * x for x in above) <= bound:
+                d, _ = dominant_conjugate(rs, above)
+                assert position.get(d, -1) < position[mu], (halved(mu), halved(d))
+                above = vadd(above, step)
+
+
 def _fraction_freudenthal(rs, hw):
     """Reference: the Freudenthal recursion in Fraction coordinates, with
     the orbit expansion, as the oracle ran before it moved to integers."""
@@ -109,7 +138,7 @@ def _fraction_freudenthal(rs, hw):
     top = vadd(hw, rho)
     top_norm = dot(top, top)
     mults = {hw: 1}
-    for mu in sorted(_dominant_weights(rs, hw), key=lambda v: height(rs, v), reverse=True):
+    for mu in map(halved, _dominant_weights(rs, doubled(hw))):
         if mu == hw:
             continue
         acc = Q(0)

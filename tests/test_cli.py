@@ -236,6 +236,17 @@ def test_verify_rules_golden(capsys):
     )
 
 
+def test_verify_all_golden(capsys):
+    # The whole default sweep, byte for byte: a change to the oracle that
+    # moves any term, check or summary shows up here.
+    code, out, _ = run(capsys, "verify", "all", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["summary"] == "PASS 904/904"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0e25be4251f9d2ef56ae32c0e019c4b2f835f6af13f2d9641a75b21561d94e17"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 """Root-system construction, Weyl moves, and weight plumbing."""
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -193,6 +194,41 @@ def test_weyl_orbit_size_matches_enumeration(data, label):
     v = tuple(Q(data.draw(st.integers(0, 2))) for _ in range(rs.ambient_dim))
     d, _ = dominant_conjugate(rs, v)
     assert weyl_orbit_size(rs, d) == len(weyl_orbit(rs, d))
+
+
+def _fundamental_weights(rs):
+    """omega_j with <omega_j, alpha_i^vee> = delta_ij, in stored coordinates."""
+    if rs.label == "A1":
+        return [qv(1)]
+    omegas = [
+        tuple(Q(int(k < j)) for k in range(rs.ambient_dim)) for j in range(1, rs.rank + 1)
+    ]
+    h = Q(1, 2)
+    if rs.label == "B2":
+        omegas[-1] = (h, h)
+    if rs.series == "D":
+        omegas[-2] = (h,) * (rs.rank - 1) + (-h,)
+        omegas[-1] = (h,) * rs.rank
+    return omegas
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_weyl_orbit_size_on_every_parabolic_stabilizer(label):
+    # The sum of the fundamental weights off a set S of simple roots is
+    # fixed by exactly the reflections in S, so all 2^rank stabilizers
+    # are met once each.
+    rs = build_root_system(label)
+    omegas = _fundamental_weights(rs)
+    for j, omega in enumerate(omegas):
+        assert [pairing(omega, a) for a in rs.simple_roots] == [int(i == j) for i in range(rs.rank)]
+    zero = tuple(Q(0) for _ in range(rs.ambient_dim))
+    for size in range(rs.rank + 1):
+        for fixed in itertools.combinations(range(rs.rank), size):
+            v = zero
+            for j, omega in enumerate(omegas):
+                if j not in fixed:
+                    v = vadd(v, omega)
+            assert weyl_orbit_size(rs, v) == len(weyl_orbit(rs, v)), fixed
 
 
 def test_weyl_group_orders():
