@@ -14,7 +14,8 @@ exact because every weight coordinate has denominator 1 or 2): the
 where a weight enters or leaves, with ``lattice.doubled`` and
 ``lattice.halved``.  The Weyl dimension formula, the independent second
 path, takes integer products over the positive roots in doubled
-coordinates and divides once; it shares no code with the recursion.
+coordinates and divides once; it shares only the list of positive roots
+(``_integral_roots``) with the recursion.
 """
 
 from __future__ import annotations
