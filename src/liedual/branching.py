@@ -401,22 +401,22 @@ def branch_sp2_to_su2su2(x: int, y: int) -> FormalCharacter:
     return FormalCharacter.from_dict(gs, terms)
 
 
-def _so2_product(p_values: list[Q], q_values: list[Q]) -> dict[Q, int]:
-    out: dict[Q, int] = {}
-    for u in p_values:
-        for v in q_values:
-            out[u + v] = out.get(u + v, 0) + 1
+def _so5_to_so3so2_core(a2: int, b2: int) -> dict[tuple[int, int], int]:
+    """``branch_so5_to_so3so2`` on doubled ints: (2a, 2b) to {(2c, 2k): mult},
+    2c the SU2 weight of V_c and 2k the doubled SO(2) charge.
+
+    chi[c] is A(b) B(a-c) for c >= b and A(c) B(a-b) for c < b, where A(p)
+    has the charges p, p-1, .., -p and B(q) the charges q, q-2, .., -q.
+    """
+    if not (a2 >= b2 >= 0 and (a2 - b2) % 2 == 0):
+        raise ValueError("need a >= b >= 0 with a = b mod Z")
+    out: dict[tuple[int, int], int] = {}
+    for c2 in range(a2 % 2, a2 + 1, 2):  # c = a mod Z, 0 <= c <= a
+        p2, q2 = (b2, a2 - c2) if c2 >= b2 else (c2, a2 - b2)
+        for u in range(-p2, p2 + 1, 2):
+            for v in range(-q2, q2 + 1, 4):
+                out[(c2, u + v)] = out.get((c2, u + v), 0) + 1
     return out
-
-
-def _chi_interval(n: Q, step: int) -> list[Q]:
-    # characters chi_n + chi_{n-step} + ... + chi_{-n}
-    values = []
-    v = n
-    while v >= -n:
-        values.append(v)
-        v -= step
-    return values
 
 
 def branch_so5_to_so3so2(a: Q | int, b: Q | int) -> FormalCharacter:
@@ -430,19 +430,11 @@ def branch_so5_to_so3so2(a: Q | int, b: Q | int) -> FormalCharacter:
     a, b = Q(a), Q(b)
     if not (a >= b >= 0 and (a - b).denominator == 1):
         raise ValueError("need a >= b >= 0 with a = b mod Z")
-    gs = group("A1", circles=1)
-    terms: dict[Weight, int] = {}
-    c = a % 1  # smallest c >= 0 congruent to a mod Z
-    while c <= a:
-        if c >= b:
-            charges = _so2_product(_chi_interval(b, 1), _chi_interval(a - c, 2))
-        else:
-            charges = _so2_product(_chi_interval(c, 1), _chi_interval(a - b, 2))
-        for k, mult in charges.items():
-            w = make_weight(gs, ((2 * c,),), (k,))
-            terms[w] = terms.get(w, 0) + mult
-        c += 1
-    return FormalCharacter.from_dict(gs, terms)
+    a2, b2 = doubled((a, b))
+    core = _so5_to_so3so2_core(a2, b2)
+    return FormalCharacter.from_int_keys(
+        group("A1", circles=1), {(2 * c2, k2): m for (c2, k2), m in core.items()}
+    )
 
 
 def branch_spin10_halfspin_to_spin8u1(n: int) -> FormalCharacter:
@@ -461,6 +453,23 @@ def branch_spin10_halfspin_to_spin8u1(n: int) -> FormalCharacter:
     return FormalCharacter.from_dict(gs, terms)
 
 
+def _su6_omega3_to_sp2su2u1_core(n: int, m: int) -> list[tuple[int, int, int]]:
+    """The (x, y, z) of ``branch_su6_omega3_to_sp2su2u1(n, m)``, each of
+    multiplicity one: V_(x,y) (x) V_z at charge m."""
+    if n < 0:
+        raise ValueError("level must be non-negative")
+    mm = abs(m)
+    out: list[tuple[int, int, int]] = []
+    if mm > n:
+        return out
+    for t in range((n - mm) // 2 + 1):
+        z = n - mm - 2 * t
+        for s in range(2 * t + mm, 2 * n - 2 * t - mm + 1, 2):  # s = x + y
+            for d in range(mm, min(mm + 2 * t, s) + 1, 2):  # d = x - y
+                out.append(((s + d) // 2, (s - d) // 2, z))
+    return out
+
+
 def branch_su6_omega3_to_sp2su2u1(n: int, m: int) -> FormalCharacter:
     """Charge-m block of the n-th third-fundamental power under
     Sp(2) x SU2 x U(1) inside SU(6).
@@ -470,23 +479,11 @@ def branch_su6_omega3_to_sp2su2u1(n: int, m: int) -> FormalCharacter:
     Negative m is defined by charge negation of the |m| block.
     |m| > n yields the empty character.
     """
-    if n < 0:
-        raise ValueError("level must be non-negative")
-    gs = group("C2", "A1", circles=1)
-    mm = abs(m)
-    terms: dict[Weight, int] = {}
-    if mm > n:
-        return FormalCharacter.from_dict(gs, terms)
-    t = 0
-    while n - mm - 2 * t >= 0:
-        z = n - mm - 2 * t
-        for s in range(2 * t + mm, 2 * n - 2 * t - mm + 1, 2):  # s = x + y
-            for d in range(mm, min(mm + 2 * t, s) + 1, 2):  # d = x - y
-                x, y = (s + d) // 2, (s - d) // 2
-                w = make_weight(gs, ((x, y), (z,)), (m,))
-                terms[w] = 1
-        t += 1
-    return FormalCharacter.from_dict(gs, terms)
+    terms = {
+        (2 * x, 2 * y, 2 * z, 2 * m): 1
+        for x, y, z in _su6_omega3_to_sp2su2u1_core(n, m)
+    }
+    return FormalCharacter.from_int_keys(group("C2", "A1", circles=1), terms)
 
 
 @dataclass(frozen=True)
@@ -613,10 +610,12 @@ def _half_pairs(top: int) -> list[tuple]:
 
 
 def _su6_omega3_all_charges(n: int) -> FormalCharacter:
-    terms: dict[Weight, int] = {}
-    for m in range(-n, n + 1):  # charge blocks are disjoint
-        terms.update(branch_su6_omega3_to_sp2su2u1(n, m).as_dict())
-    return FormalCharacter.from_dict(group("C2", "A1", circles=1), terms)
+    terms = {
+        (2 * x, 2 * y, 2 * z, 2 * m): 1
+        for m in range(-n, n + 1)  # charge blocks are disjoint
+        for x, y, z in _su6_omega3_to_sp2su2u1_core(n, m)
+    }
+    return FormalCharacter.from_int_keys(group("C2", "A1", circles=1), terms)
 
 
 # Entries look module functions up at call time, so wrappers installed on

@@ -40,8 +40,10 @@ from .lattice import (
     halved,
     in_weight_lattice,
     is_dominant_vector,
+    make_weight,
     normalize_vector,
     root_coordinates,
+    split_by_factor,
     vadd,
     vsub,
     weyl_orbit,
@@ -254,6 +256,28 @@ def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[Vector, int
     return MappingProxyType({halved(parts[0]): m for (parts, _), m in folded.items()})
 
 
+#: A weight of a product group as one flat doubled tuple: twice its
+#: ``Weight.sort_key()``, factor parts then circle charges.  Doubling scales
+#: every coordinate by the same positive constant, so these keys sort in
+#: ``sort_key`` order.
+IntKey = tuple[int, ...]
+
+
+def _key_weight(gs: GroupSpec, key: IntKey) -> Weight:
+    """The ``Weight`` of ``key``, validated by ``make_weight``, which must
+    leave it unchanged (so the key is canonical, e.g. A5-normalized)."""
+    # make_weight turns every entry into a Fraction; ints take its fast path.
+    flat = tuple(x // 2 if x % 2 == 0 else Q(x, 2) for x in key)
+    cut = len(flat) - gs.circles
+    parts = split_by_factor(gs, flat[:cut])
+    if parts is None:
+        raise InvalidWeightError(f"{key} is not a flat key of {gs}")
+    w = make_weight(gs, parts, flat[cut:])
+    if w.sort_key() != flat:
+        raise InvalidWeightError(f"{key} is not the canonical key of {w}")
+    return w
+
+
 @dataclass(frozen=True)
 class FormalCharacter:
     """Non-negative integer combination of dominant weights of a group."""
@@ -268,6 +292,29 @@ class FormalCharacter:
             raise ValueError("formal characters carry non-negative multiplicities")
         items.sort(key=lambda pair: pair[0].sort_key())
         return FormalCharacter(gs, tuple(items))
+
+    @staticmethod
+    def from_int_keys(
+        gs: GroupSpec,
+        data: Mapping[IntKey, int],
+        weights: dict[IntKey, Weight] | None = None,
+    ) -> "FormalCharacter":
+        """``from_dict`` on ``IntKey``s: sorts the int keys and turns each
+        distinct one into a ``Weight`` through ``make_weight`` once.  Pass
+        one ``weights`` dict (for one group) to several calls, e.g. the
+        levels of a graded character, to reuse those ``Weight``s."""
+        keys = sorted(k for k, m in data.items() if m != 0)
+        if any(data[k] < 0 for k in keys):
+            raise ValueError("formal characters carry non-negative multiplicities")
+        if weights is None:
+            weights = {}
+        terms = []
+        for k in keys:
+            w = weights.get(k)
+            if w is None:
+                w = weights[k] = _key_weight(gs, k)
+            terms.append((w, data[k]))
+        return FormalCharacter(gs, tuple(terms))
 
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.terms)

@@ -15,15 +15,16 @@ import functools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .branching import (
     BudgetExceededError,
+    _so5_to_so3so2_core,
+    _su6_omega3_to_sp2su2u1_core,
     branch_sp2_to_su2su2,
-    branch_so5_to_so3so2,
-    branch_su6_omega3_to_sp2su2u1,
 )
-from .charalg import FormalCharacter, su2_tensor
+from .charalg import FormalCharacter, IntKey, su2_tensor
 from .lattice import GroupSpec, InvariantError, Weight, group, make_weight
 
 MINREP_CASES = ("split-E6", "hermitian-E6", "e62-compact")
@@ -128,15 +129,12 @@ def sp1so2_coefficients(x: int, y: int) -> Mapping[tuple[int, int], int]:
     """Restriction of V_(x,y) to Sp(1) x SO2 with integer circle charges.
 
     Charges here are twice the SO(5)-natural half-integer charges, so the
-    circle's character lattice is identified with Z.
+    circle's character lattice is identified with Z.  Read-only: the
+    mapping is cached.
     """
-    char = branch_so5_to_so3so2(Q(x + y, 2), Q(x - y, 2))
-    out: dict[tuple[int, int], int] = {}
-    for w, mult in char.terms:
-        z = int(w.parts[0][0])
-        m = int(2 * w.charges[0])
-        out[(z, m)] = out.get((z, m), 0) + mult
-    return out
+    # V_(x,y) of Sp(2) is the SO(5) irreducible ((x+y)/2, (x-y)/2): doubled,
+    # (x+y, x-y).  The core's (2c, 2k) are the SU2 weight and integer charge.
+    return MappingProxyType(_so5_to_so3so2_core(x + y, x - y))
 
 
 def sp1so2_coefficient(x: int, y: int, z: int, m: int) -> int:
@@ -148,16 +146,15 @@ def _hermJ_level(n: int, m: int) -> Mapping[tuple[tuple[int, int], int], int]:
     """Charge-m block of level n for the quasi-split hermitian dual pair.
 
     Tensor of the SU2 content of the charge-m block of the n-th
-    third-fundamental type with the outer V_{n+2} factor.
+    third-fundamental type with the outer V_{n+2} factor.  Read-only: the
+    mapping is cached.
     """
     out: dict[tuple[tuple[int, int], int], int] = {}
-    for w, mult in branch_su6_omega3_to_sp2su2u1(n, m).terms:
-        x, y = int(w.parts[0][0]), int(w.parts[0][1])
-        inner = int(w.parts[1][0])
+    for x, y, inner in _su6_omega3_to_sp2su2u1_core(n, m):
         for z in su2_tensor(n + 2, inner):
             key = ((x, y), z)
-            out[key] = out.get(key, 0) + mult
-    return out
+            out[key] = out.get(key, 0) + 1
+    return MappingProxyType(out)
 
 
 def quasisplit_level_multiplicity(x: int, y: int, z: int, m: int, n: int) -> int:
@@ -181,16 +178,11 @@ _E62_GROUP = group("D4", circles=3)
 def _e62_level(n: int) -> FormalCharacter:
     """Level n of e62-spin8: V_(n/2,n/2,n/2,b/2) against the torus character
     chi(n+4, -(b+n)/2-2, (b-n)/2-2), for b = -n, -n+2, .., n."""
-    h = Q(n, 2)
-    data = {}
-    for b in range(-n, n + 1, 2):
-        w = make_weight(
-            _E62_GROUP,
-            ((h, h, h, Q(b, 2)),),
-            (n + 4, Q(-(b + n), 2) - 2, Q(b - n, 2) - 2),
-        )
-        data[w] = 1
-    return FormalCharacter.from_dict(_E62_GROUP, data)
+    data = {
+        (n, n, n, b, 2 * n + 8, -(b + n) - 4, b - n - 4): 1
+        for b in range(-n, n + 1, 2)
+    }
+    return FormalCharacter.from_int_keys(_E62_GROUP, data)
 
 
 def dualpair_graded(
@@ -205,9 +197,14 @@ def dualpair_graded(
     Sp(2)-trivial terms.  e62-spin8: unsigned Spin(8) types against torus
     characters chi(n+4, -(b+n)/2-2, (b-n)/2-2).
 
-    Levels are assembled from the certified closed forms, so no dimension
-    budget applies by default; passing one bounds the top level's source
-    dimension (useful when replaying levels against the generic oracle).
+    Levels are assembled from the certified closed forms on integer keys:
+    every sum runs over ``IntKey``s (doubled flat sort keys), each level is
+    sorted on them, and ``FormalCharacter.from_int_keys`` builds one
+    validated ``Weight`` per distinct term, shared by every level it is in.
+
+    No dimension budget applies by default; passing one bounds the top
+    level's source dimension (useful when replaying levels against the
+    generic oracle).
     """
     if case not in DUALPAIR_CASES:
         raise KeyError(f"unknown case {case!r}")
@@ -221,35 +218,35 @@ def dualpair_graded(
                 f"level {truncation} source dimension {top_dim} exceeds budget {budget}"
             )
     levels: dict[int, FormalCharacter] = {}
+    weights: dict[IntKey, Weight] = {}
+    data: dict[IntKey, int] = {}
     if case == "splitJ-splitE":
         gs = group("A1", "A1", "A1", "A1")
-        data: dict[Weight, int] = {}
         for n in range(truncation + 1):
             for y in range(n + 1):
-                pairs = _su2su2_terms(n, y)
-                for a, b in pairs:
-                    for c, d in pairs:
-                        w = Weight(((Q(a),), (Q(b),), (Q(c),), (Q(d),)))
-                        data[w] = data.get(w, 0) + 1
-            levels[n] = FormalCharacter.from_dict(gs, data)
+                pairs = [(2 * a, 2 * b) for a, b in _su2su2_terms(n, y)]
+                for left in pairs:
+                    for right in pairs:
+                        key = left + right
+                        data[key] = data.get(key, 0) + 1
+            levels[n] = FormalCharacter.from_int_keys(gs, data, weights)
     elif case == "splitJ-mixedE":
         gs = group("C2", "A1", circles=1)
-        data = {}
         for n in range(truncation + 1):
             for y in range(n + 1):
                 for (z, m), mult in sp1so2_coefficients(n, y).items():
-                    w = make_weight(gs, ((n, y), (z,)), (m,))
-                    data[w] = data.get(w, 0) + mult
-            levels[n] = FormalCharacter.from_dict(gs, data)
-    elif case == "hermJ-mixedE":
+                    key = (2 * n, 2 * y, 2 * z, 2 * m)
+                    data[key] = data.get(key, 0) + mult
+            levels[n] = FormalCharacter.from_int_keys(gs, data, weights)
+    elif case == "hermJ-mixedE":  # levels are not running sums
         gs = group("C2", "A1", circles=1)
         for n in range(truncation + 1):
             data = {}
             for m in range(-n, n + 1):
                 for ((x, y), z), mult in _hermJ_level(n, m).items():
-                    w = make_weight(gs, ((x, y), (z,)), (m,))
-                    data[w] = data.get(w, 0) + mult
-            levels[n] = FormalCharacter.from_dict(gs, data)
+                    key = (2 * x, 2 * y, 2 * z, 2 * m)
+                    data[key] = data.get(key, 0) + mult
+            levels[n] = FormalCharacter.from_int_keys(gs, data, weights)
     else:  # e62-spin8
         gs = _E62_GROUP
         levels = {n: _e62_level(n) for n in range(truncation + 1)}

@@ -11,6 +11,7 @@ from liedual.charalg import dimension
 from liedual.lattice import Weight, build_root_system, group, make_weight
 from liedual.minrep import (
     DUALPAIR_CASES,
+    _hermJ_level,
     MINREP_CASES,
     InvalidTypeError,
     MultiplicitySeries,
@@ -25,6 +26,7 @@ from liedual.minrep import (
     so3_cone_ok,
     so3_invariants,
     sp1so2_coefficient,
+    sp1so2_coefficients,
     verify_series,
 )
 
@@ -280,6 +282,17 @@ def test_sign_first_appearance_hermitian():
         sign_first_appearance("hermJ-mixedE", wp(0, 0, 0))
     with pytest.raises(NotCoveredError):
         sign_first_appearance("hermJ-mixedE", wp(2, 0, 2))
+
+
+@pytest.mark.parametrize("table", [sp1so2_coefficients, _hermJ_level])
+def test_cached_tables_are_read_only(table):
+    before = dict(table(2, 0))
+    key = next(iter(before))
+    with pytest.raises(TypeError):
+        table(2, 0)[key] = 99
+    assert dict(table(2, 0)) == before
+    if table is sp1so2_coefficients:
+        assert sp1so2_coefficient(2, 0, *key) == before[key]
 
 
 def test_dualpair_budget_is_opt_in():
