@@ -10,7 +10,8 @@ Weights enter and leave as ``Fraction`` ``Weight``s.  Inside, the oracle
 runs on integers: factor parts in doubled coordinates (2v,
 ``lattice.doubled``), as in ``charalg``, and circle charges in a
 per-embedding unit 1/(2d), d the least common denominator of the charge
-rows.
+rows.  The oracle's fold keys and the closed forms both become
+``charalg.IntKey``s for ``FormalCharacter.from_int_keys``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Callable, Iterable, Mapping
 from .charalg import (
     FlatKey,
     FormalCharacter,
+    IntKey,
     _full_multiplicities,
     chamber_fold,
     weight_dimension,
@@ -32,6 +34,7 @@ from .charalg import (
 from .lattice import (
     Doubled,
     GroupSpec,
+    InvalidWeightError,
     InvariantError,
     Vector,
     Weight,
@@ -275,12 +278,9 @@ class BranchResult:
     decomposition: FormalCharacter
 
 
-def _group_diagram(gs: GroupSpec, w: Weight) -> dict[tuple[Doubled, ...], int]:
-    """Weight diagram of an irreducible of a product group, by factor, doubled."""
-    diagrams = [
-        _full_multiplicities(rs, doubled(part))
-        for rs, part in zip(gs.factors, w.parts, strict=True)
-    ]
+def _group_diagram(gs: GroupSpec, top: tuple[Doubled, ...]) -> dict[tuple[Doubled, ...], int]:
+    """Doubled weight diagram, by factor, of the irreducible of doubled top weight ``top``."""
+    diagrams = [_full_multiplicities(rs, part) for rs, part in zip(gs.factors, top, strict=True)]
     out: dict[tuple[Doubled, ...], int] = {}
     for combo in itertools.product(*(d.items() for d in diagrams)):
         parts = tuple(vec for vec, _ in combo)
@@ -320,7 +320,7 @@ def restrict_generic(
         )
     small = e.small.factors
     support: dict[FlatKey, int] = {}
-    for big_parts, mult in _group_diagram(e.big, hw).items():
+    for big_parts, mult in _group_diagram(e.big, tuple(map(doubled, hw.parts))).items():
         parts, charges = e._apply(sum(big_parts, ()))
         key = (
             tuple([normalize_vector(rs, p) for rs, p in zip(small, parts, strict=True)]),
@@ -328,28 +328,31 @@ def restrict_generic(
         )
         support[key] = support.get(key, 0) + mult
 
-    unit = 2 * e.charge_denominator
-    terms: dict[Weight, int] = {}
-    for top, coeff in chamber_fold(e.small, support).items():
+    d = e.charge_denominator  # a charge c in the unit 1/(2d) is c / d doubled
+    folded = chamber_fold(e.small, support)
+    keys: dict[IntKey, int] = {}
+    for key, coeff in folded.items():
         if coeff < 0:
             raise NegativeMultiplicityError(
-                f"{e.name}: negative coefficient {coeff} at {_fractions(top, unit)}"
+                f"{e.name}: negative coefficient {coeff} at {_fractions(key, 2 * d)}"
             )
-        terms[make_weight(e.small, *_fractions(top, unit))] = coeff
-    decomposition = FormalCharacter.from_dict(e.small, terms)
+        if any(c % d for c in key[1]):
+            raise InvalidWeightError("circle charges must be integers or half-integers")
+        keys[sum(key[0], ()) + tuple([c // d for c in key[1]])] = coeff
+    decomposition = FormalCharacter.from_int_keys(e.small, keys)
     target_dim = decomposition.total_dimension()
     if target_dim != source_dim:
         raise NegativeMultiplicityError(
             f"{e.name}: dimension {target_dim} restricted from {source_dim}"
         )
-    for w, coeff in decomposition.terms:
-        charges = tuple(int(c * unit) for c in w.charges)
-        for parts, mult in _group_diagram(e.small, w).items():
+    # Sorted fold keys are in the order of their flat IntKeys, so of the terms.
+    for (top, charges), (w, coeff) in zip(sorted(folded), decomposition.terms, strict=True):
+        for parts, mult in _group_diagram(e.small, top).items():
             key = (parts, charges)
             value = support.get(key, 0) - coeff * mult
             if value < 0:
                 raise NegativeMultiplicityError(
-                    f"{e.name}: subtracting {w} drove {_fractions(key, unit)} negative"
+                    f"{e.name}: subtracting {w} drove {_fractions(key, 2 * d)} negative"
                 )
             if value == 0:
                 support.pop(key, None)
@@ -373,13 +376,20 @@ def branch_sp4_to_sp2sp2(n: int) -> FormalCharacter:
     """
     if n < 0:
         raise ValueError("level must be non-negative")
-    gs = group("C2", "C2")
-    terms = {}
-    for x in range(n + 1):
-        for y in range(x + 1):
-            w = make_weight(gs, ((x, y), (x, y)))
-            terms[w] = 1
-    return FormalCharacter.from_dict(gs, terms)
+    terms = {(2 * x, 2 * y, 2 * x, 2 * y): 1 for x in range(n + 1) for y in range(x + 1)}
+    return FormalCharacter.from_int_keys(group("C2", "C2"), terms)
+
+
+def _sp2_to_su2su2_core(x: int, y: int) -> tuple[tuple[int, int], ...]:
+    """The sorted (a, b) of ``branch_sp2_to_su2su2(x, y)``, each of multiplicity one."""
+    if not x >= y >= 0:
+        raise ValueError("need x >= y >= 0")
+    return tuple(
+        (a, b)
+        for a in range(x + y + 1)
+        for b in range(x + y + 1)
+        if (a + b) % 2 == (x + y) % 2 and abs(a - b) <= x - y <= a + b <= x + y
+    )
 
 
 def branch_sp2_to_su2su2(x: int, y: int) -> FormalCharacter:
@@ -388,17 +398,8 @@ def branch_sp2_to_su2su2(x: int, y: int) -> FormalCharacter:
     Multiplicity-free sum of V_a (x) V_b with a+b = x+y (mod 2),
     |a-b| <= x-y and x-y <= a+b <= x+y.
     """
-    if not x >= y >= 0:
-        raise ValueError("need x >= y >= 0")
-    gs = group("A1", "A1")
-    terms = {}
-    for a in range(x + y + 1):
-        for b in range(x + y + 1):
-            if (a + b) % 2 != (x + y) % 2:
-                continue
-            if abs(a - b) <= x - y <= a + b <= x + y:
-                terms[make_weight(gs, ((a,), (b,)))] = 1
-    return FormalCharacter.from_dict(gs, terms)
+    terms = {(2 * a, 2 * b): 1 for a, b in _sp2_to_su2su2_core(x, y)}
+    return FormalCharacter.from_int_keys(group("A1", "A1"), terms)
 
 
 def _so5_to_so3so2_core(a2: int, b2: int) -> dict[tuple[int, int], int]:
@@ -445,12 +446,8 @@ def branch_spin10_halfspin_to_spin8u1(n: int) -> FormalCharacter:
     """
     if n < 0:
         raise ValueError("level must be non-negative")
-    gs = group("D4", circles=1)
-    terms = {}
-    for b in range(-n, n + 1, 2):
-        w = make_weight(gs, ((Q(n, 2), Q(n, 2), Q(n, 2), Q(b, 2)),), (b,))
-        terms[w] = 1
-    return FormalCharacter.from_dict(gs, terms)
+    terms = {(n, n, n, b, 2 * b): 1 for b in range(-n, n + 1, 2)}
+    return FormalCharacter.from_int_keys(group("D4", circles=1), terms)
 
 
 def _su6_omega3_to_sp2su2u1_core(n: int, m: int) -> list[tuple[int, int, int]]:
@@ -505,14 +502,12 @@ def branch_su6_omega3_to_sp3(n: int) -> SignedCharacter:
     """
     if n < 0:
         raise ValueError("level must be non-negative")
-    gs = group("C3")
-    terms = {}
-    signs = {}
-    for m in range(n + 1):
-        w = make_weight(gs, ((n, m, m),))
-        terms[w] = 1
-        signs[w] = (-1) ** (n - m)
-    return SignedCharacter(FormalCharacter.from_dict(gs, terms), signs)
+    char = FormalCharacter.from_int_keys(
+        group("C3"), {(2 * n, 2 * m, 2 * m): 1 for m in range(n + 1)}
+    )
+    # The terms are sorted, so the m-th one is V_(n,m,m).
+    signs = {w: (-1) ** (n - m) for m, (w, _) in enumerate(char.terms)}
+    return SignedCharacter(char, signs)
 
 
 def su6_omega3_weight(n: int) -> Weight:

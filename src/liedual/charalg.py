@@ -10,12 +10,12 @@ orbit expansion and the chamber fold run on doubled ``int`` tuples (2v,
 exact because every weight coordinate has denominator 1 or 2): the
 ``lru_cache`` internals ``_dominant_multiplicities`` and
 ``_full_multiplicities`` take and return doubled vectors, and
-``weight_multiplicities``, ``freudenthal_total`` and ``_tensor_raw`` convert
-where a weight enters or leaves, with ``lattice.doubled`` and
-``lattice.halved``.  The Weyl dimension formula, the independent second
-path, takes integer products over the positive roots in doubled
-coordinates and divides once; it shares only the list of positive roots
-(``_integral_roots``) with the recursion.
+``weight_multiplicities`` and ``freudenthal_total`` convert where a weight
+enters or leaves, with ``lattice.doubled`` and ``lattice.halved``; every
+``FormalCharacter`` is built from ``IntKey``s.  The Weyl dimension formula,
+the independent second path, takes integer products over the positive
+roots in doubled coordinates and divides once; it shares only the list of
+positive roots (``_integral_roots``) with the recursion.
 """
 
 from __future__ import annotations
@@ -240,8 +240,8 @@ def chamber_fold(gs: GroupSpec, support: Mapping[FlatKey, int]) -> dict[FlatKey,
 
 
 @functools.lru_cache(maxsize=None)
-def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[Vector, int]:
-    """Shifted-orbit (Racah) decomposition of V_hw1 (x) V_hw2."""
+def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[Doubled, int]:
+    """Shifted-orbit (Racah) decomposition of V_hw1 (x) V_hw2, doubled."""
     _require_dominant(rs, hw1)
     _require_dominant(rs, hw2)
     if dimension(rs, hw2) > dimension(rs, hw1):
@@ -253,7 +253,7 @@ def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[Vector, int
     folded = chamber_fold(GroupSpec((rs,)), shifted)
     if any(v < 0 for v in folded.values()):
         raise InvariantError(f"negative tensor multiplicity in {hw1} x {hw2}")
-    return MappingProxyType({halved(parts[0]): m for (parts, _), m in folded.items()})
+    return MappingProxyType({parts[0]: m for (parts, _), m in folded.items()})
 
 
 #: A weight of a product group as one flat doubled tuple: twice its
@@ -287,6 +287,8 @@ class FormalCharacter:
 
     @staticmethod
     def from_dict(gs: GroupSpec, data: Mapping[Weight, int]) -> "FormalCharacter":
+        """The public ``Weight``-keyed constructor, weights taken as given; inside
+        the package every character comes from ``from_int_keys``."""
         items = [(w, m) for w, m in data.items() if m != 0]
         if any(m < 0 for _, m in items):
             raise ValueError("formal characters carry non-negative multiplicities")
@@ -299,10 +301,11 @@ class FormalCharacter:
         data: Mapping[IntKey, int],
         weights: dict[IntKey, Weight] | None = None,
     ) -> "FormalCharacter":
-        """``from_dict`` on ``IntKey``s: sorts the int keys and turns each
-        distinct one into a ``Weight`` through ``make_weight`` once.  Pass
-        one ``weights`` dict (for one group) to several calls, e.g. the
-        levels of a graded character, to reuse those ``Weight``s."""
+        """A character from ``IntKey``s: drops zeros, rejects negatives,
+        sorts the int keys and turns each distinct one into a ``Weight``
+        through ``make_weight`` once.  Pass one ``weights`` dict (for one
+        group) to several calls, e.g. the levels of a graded character, to
+        reuse those ``Weight``s."""
         keys = sorted(k for k, m in data.items() if m != 0)
         if any(data[k] < 0 for k in keys):
             raise ValueError("formal characters carry non-negative multiplicities")
@@ -341,7 +344,7 @@ def tensor_decompose(rs: RootSystem, hw1: Vector, hw2: Vector) -> FormalCharacte
     """Decomposition of a tensor product of two irreducibles of one factor."""
     gs = GroupSpec((rs,))
     raw = _tensor_raw(rs, normalize_vector(rs, hw1), normalize_vector(rs, hw2))
-    return FormalCharacter.from_dict(gs, {Weight((v,)): m for v, m in raw.items()})
+    return FormalCharacter.from_int_keys(gs, raw)
 
 
 def su2_tensor(a: int, b: int) -> list[int]:

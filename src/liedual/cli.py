@@ -187,8 +187,9 @@ def _rule_params(rule: Rule, texts: list[str], charge: int | None) -> list:
 
 
 def _charge_block(char: FormalCharacter, charge: int) -> FormalCharacter:
-    return FormalCharacter.from_dict(
-        char.group, {w: m for w, m in char.terms if w.charges[0] == charge}
+    """The terms of ``char`` at ``charge``, in their sorted order."""
+    return FormalCharacter(
+        char.group, tuple((w, m) for w, m in char.terms if w.charges[0] == charge)
     )
 
 

@@ -14,18 +14,17 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .branching import (
     BudgetExceededError,
     _so5_to_so3so2_core,
+    _sp2_to_su2su2_core,
     _su6_omega3_to_sp2su2u1_core,
-    branch_sp2_to_su2su2,
 )
 from .charalg import FormalCharacter, IntKey, su2_tensor
-from .lattice import GroupSpec, InvariantError, Weight, group, make_weight
+from .lattice import GroupSpec, InvariantError, Weight, group
 
 MINREP_CASES = ("split-E6", "hermitian-E6", "e62-compact")
 DUALPAIR_CASES = ("splitJ-splitE", "splitJ-mixedE", "hermJ-mixedE", "e62-spin8")
@@ -85,32 +84,24 @@ def minrep_levels(case: str, truncation: int) -> GradedCharacter:
         raise KeyError(f"unknown case {case!r}")
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
-    levels: dict[int, FormalCharacter] = {}
+    ns = range(truncation + 1)
     if case == "split-E6":
         gs = group("C4")
-        for n in range(truncation + 1):
-            w = make_weight(gs, ((n, n, n, n),))
-            levels[n] = FormalCharacter.from_dict(gs, {w: 1})
+        keys = [(2 * n,) * 4 for n in ns]
     elif case == "hermitian-E6":
         gs = group("A1", "A5")
-        for n in range(truncation + 1):
-            w = make_weight(gs, ((n + 2,), (n, n, n, 0, 0, 0)))
-            levels[n] = FormalCharacter.from_dict(gs, {w: 1})
+        keys = [(2 * n + 4,) + (2 * n,) * 3 + (0,) * 3 for n in ns]
     else:
         gs = group("D5", circles=1)
-        for n in range(truncation + 1):
-            h = Q(n, 2)
-            w = make_weight(gs, ((h, h, h, h, h),), (n + 4,))
-            levels[n] = FormalCharacter.from_dict(gs, {w: 1})
+        keys = [(n,) * 5 + (2 * n + 8,) for n in ns]
+    levels = {n: FormalCharacter.from_int_keys(gs, {key: 1}) for n, key in enumerate(keys)}
     return GradedCharacter(case, gs, levels)
 
 
 @functools.lru_cache(maxsize=None)
 def _su2su2_terms(x: int, y: int) -> tuple[tuple[int, int], ...]:
-    char = branch_sp2_to_su2su2(x, y)
-    return tuple(
-        (int(w.parts[0][0]), int(w.parts[1][0])) for w, _ in char.terms
-    )
+    """The (a, b) of V_a (x) V_b in V_(x,y) under SU2 x SU2, sorted."""
+    return _sp2_to_su2su2_core(x, y)
 
 
 def su2su2_coefficient(x: int, y: int, a: int, b: int) -> int:
@@ -276,6 +267,8 @@ def ktype_multiplicity(
     case: str, ktype: Weight, n: int, m: int | None = None
 ) -> int:
     """Multiplicity of a compact type in level n, optionally at one charge."""
+    if case not in DUALPAIR_CASES:
+        raise KeyError(f"unknown case {case!r}")
     if n < 0:
         return 0
     if case == "splitJ-splitE":
@@ -312,9 +305,7 @@ def ktype_multiplicity(
                 for mm in range(-n, n + 1)
             )
         return quasisplit_level_multiplicity(x, y, z, m, n)
-    if case == "e62-spin8":
-        return _e62_level(n).multiplicity(ktype)
-    raise KeyError(f"unknown case {case!r}")
+    return _e62_level(n).multiplicity(ktype)  # e62-spin8
 
 
 def so3_invariants(a: int, b: int, c: int, d: int) -> int:
@@ -462,8 +453,10 @@ def sign_first_appearance(case: str, ktype: Weight) -> SignAssignment:
     splitJ-splitE covers all-even types with a zero coordinate whose other
     entries satisfy the triangle condition; splitJ-mixedE covers
     V_(2k,0) (x) V_0; hermJ-mixedE covers the Sp(2)-trivial types
-    V_(0,0) (x) V_(2k) with k >= 1.
+    V_(0,0) (x) V_(2k) with k >= 1.  e62-spin8 has no sign grading.
     """
+    if case not in DUALPAIR_CASES:
+        raise KeyError(f"unknown case {case!r}")
     if case == "splitJ-splitE":
         vals = _split_type(ktype)
         if 0 not in vals:
@@ -503,4 +496,4 @@ def sign_first_appearance(case: str, ktype: Weight) -> SignAssignment:
         )
         sign = (-1) ** witness
         return SignAssignment(_side_of(sign), witness, sign)
-    raise KeyError(f"unknown case {case!r}")
+    raise NotCoveredError(f"no sign grading in case {case}")

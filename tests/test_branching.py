@@ -1,5 +1,6 @@
 """Embedding catalog, generic restriction oracle, and closed-form rules."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from liedual.branching import (
     verify_rule,
 )
 from liedual.charalg import dimension, weight_dimension
-from liedual.lattice import build_root_system, group, make_weight
+from liedual.lattice import InvalidWeightError, build_root_system, group, make_weight
 
 PUBLIC_NAMES = {
     "sp2xsp2_in_sp4",
@@ -135,6 +136,15 @@ def test_charge_row_typo_fails_the_certificate():
         "typo: subtracting Weight(parts=((Fraction(1, 1),),), charges=(Fraction(1, 2),)) "
         "drove (((Fraction(-1, 1),),), (Fraction(1, 2),)) negative"
     )
+
+
+def test_third_integral_charge_is_rejected():
+    # sp2su2u1_in_su6 gives the fundamental (1,0,0,0,0,0) the charge 1/3,
+    # which no circle character carries.
+    hw = make_weight(group("A5"), ((1, 0, 0, 0, 0, 0),))
+    with pytest.raises(InvalidWeightError) as raised:
+        restrict_generic(embedding("sp2su2u1_in_su6"), hw)
+    assert str(raised.value) == "circle charges must be integers or half-integers"
 
 
 def test_non_integral_factor_row_rejected_at_construction():
@@ -312,6 +322,20 @@ def test_invariants_survive_python_O():
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.split() == ["1", "True", "True"]
+
+
+def test_package_has_no_assert_statements():
+    # Invariants must be exceptions: python -O strips every assert.
+    package = Path(liedual.__file__).resolve().parent
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_dimension_conservation_on_all_catalog_entries():

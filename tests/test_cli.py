@@ -272,6 +272,14 @@ def test_bad_input_exits_2(capsys, argv):
     assert "error" in err and "Traceback" not in err
 
 
+def test_third_integral_charge_exits_2(capsys):
+    # The fundamental of SU(6) restricts to charge 1/3 along sp2su2u1_in_su6.
+    code, out, err = run(capsys, "branch", "sp2su2u1_in_su6", "1,0,0,0,0,0")
+    assert code == 2
+    assert err == "error: circle charges must be integers or half-integers\n"
+    assert out == ""
+
+
 def test_verify_rules_reports_budget_per_case(capsys):
     code, out, _ = run(
         capsys, "verify", "rules", "--max-level", "1", "--budget", "10", "--format", "json"

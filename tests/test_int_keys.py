@@ -1,11 +1,11 @@
-"""Integer keys on the graded path, against the ``Fraction`` bodies they replaced.
+"""Integer keys inside the package, against the ``Fraction`` bodies they replaced.
 
-The closed forms ``branch_so5_to_so3so2`` and
-``branch_su6_omega3_to_sp2su2u1`` run on integer cores, and
-``dualpair_graded`` sums, sorts and dedupes ``IntKey``s (doubled flat sort
-keys).  The ``Fraction``-keyed bodies below are the earlier implementations,
-kept as references.  An ``int`` where a ``Fraction`` belongs hashes and
-compares equal to it, so every comparison also checks coordinate types.
+Every closed form, ``minrep_levels``, ``tensor_decompose`` and
+``dualpair_graded`` build ``IntKey``s (doubled flat sort keys) for
+``FormalCharacter.from_int_keys``.  The ``Fraction``-keyed bodies below are
+the earlier implementations, kept as references.  An ``int`` where a
+``Fraction`` belongs hashes and compares equal to it, so every comparison
+also checks coordinate types.
 """
 
 from fractions import Fraction as Q
@@ -19,17 +19,37 @@ from liedual.branching import (
     RULES,
     branch_so5_to_so3so2,
     branch_sp2_to_su2su2,
+    branch_sp4_to_sp2sp2,
+    branch_spin10_halfspin_to_spin8u1,
     branch_su6_omega3_to_sp2su2u1,
+    branch_su6_omega3_to_sp3,
 )
-from liedual.charalg import FormalCharacter, su2_tensor
+from liedual.charalg import (
+    FormalCharacter,
+    su2_tensor,
+    tensor_decompose,
+    weight_multiplicities,
+)
 from liedual.lattice import (
+    GroupSpec,
     InvalidWeightError,
     Weight,
+    build_root_system,
+    dominant_conjugate,
     doubled,
     group,
     make_weight,
+    normalize_vector,
+    vadd,
+    vsub,
 )
-from liedual.minrep import DUALPAIR_CASES, dualpair_graded
+from liedual.minrep import (
+    DUALPAIR_CASES,
+    MINREP_CASES,
+    _su2su2_terms,
+    dualpair_graded,
+    minrep_levels,
+)
 
 
 # --------------------------------------------------------------------------
@@ -85,6 +105,88 @@ def _fraction_su6_omega3_to_sp2su2u1(n, m) -> FormalCharacter:
     return FormalCharacter.from_dict(gs, terms)
 
 
+def _fraction_sp4_to_sp2sp2(n) -> FormalCharacter:
+    gs = group("C2", "C2")
+    terms = {}
+    for x in range(n + 1):
+        for y in range(x + 1):
+            w = make_weight(gs, ((x, y), (x, y)))
+            terms[w] = 1
+    return FormalCharacter.from_dict(gs, terms)
+
+
+def _fraction_sp2_to_su2su2(x, y) -> FormalCharacter:
+    gs = group("A1", "A1")
+    terms = {}
+    for a in range(x + y + 1):
+        for b in range(x + y + 1):
+            if (a + b) % 2 != (x + y) % 2:
+                continue
+            if abs(a - b) <= x - y <= a + b <= x + y:
+                terms[make_weight(gs, ((a,), (b,)))] = 1
+    return FormalCharacter.from_dict(gs, terms)
+
+
+def _fraction_su2su2_terms(x, y):
+    return tuple(
+        (int(w.parts[0][0]), int(w.parts[1][0])) for w, _ in _fraction_sp2_to_su2su2(x, y).terms
+    )
+
+
+def _fraction_spin10_halfspin_to_spin8u1(n) -> FormalCharacter:
+    gs = group("D4", circles=1)
+    terms = {}
+    for b in range(-n, n + 1, 2):
+        w = make_weight(gs, ((Q(n, 2), Q(n, 2), Q(n, 2), Q(b, 2)),), (b,))
+        terms[w] = 1
+    return FormalCharacter.from_dict(gs, terms)
+
+
+def _fraction_su6_omega3_to_sp3(n):
+    gs = group("C3")
+    terms = {}
+    signs = {}
+    for m in range(n + 1):
+        w = make_weight(gs, ((n, m, m),))
+        terms[w] = 1
+        signs[w] = (-1) ** (n - m)
+    return FormalCharacter.from_dict(gs, terms), signs
+
+
+def _fraction_minrep_levels(case, truncation) -> dict[int, FormalCharacter]:
+    levels = {}
+    if case == "split-E6":
+        gs = group("C4")
+        for n in range(truncation + 1):
+            w = make_weight(gs, ((n, n, n, n),))
+            levels[n] = FormalCharacter.from_dict(gs, {w: 1})
+    elif case == "hermitian-E6":
+        gs = group("A1", "A5")
+        for n in range(truncation + 1):
+            w = make_weight(gs, ((n + 2,), (n, n, n, 0, 0, 0)))
+            levels[n] = FormalCharacter.from_dict(gs, {w: 1})
+    else:
+        gs = group("D5", circles=1)
+        for n in range(truncation + 1):
+            h = Q(n, 2)
+            w = make_weight(gs, ((h, h, h, h, h),), (n + 4,))
+            levels[n] = FormalCharacter.from_dict(gs, {w: 1})
+    return levels
+
+
+def _fraction_tensor_decompose(rs, hw1, hw2) -> FormalCharacter:
+    """Racah-Speiser on ``Fraction`` weights: each weight mu of V_hw2 adds
+    sign * mult at the dominant conjugate of hw1 + mu + rho, minus rho."""
+    rho = rs.weyl_vector
+    terms = {}
+    for mu, mult in weight_multiplicities(rs, hw2).support.items():
+        d, sign = dominant_conjugate(rs, vadd(vadd(hw1, mu), rho))
+        if sign:
+            w = Weight((normalize_vector(rs, vsub(d, rho)),))
+            terms[w] = terms.get(w, 0) + sign * mult
+    return FormalCharacter.from_dict(GroupSpec((rs,)), terms)
+
+
 def _fraction_dualpair_levels(case: str, top: int) -> dict[int, FormalCharacter]:
     """``Weight``-keyed running sums, on the reference closed forms."""
     levels = {}
@@ -93,7 +195,7 @@ def _fraction_dualpair_levels(case: str, top: int) -> dict[int, FormalCharacter]
         data = {}
         for n in range(top + 1):
             for y in range(n + 1):
-                pairs = [(w.parts[0][0], w.parts[1][0]) for w, _ in branch_sp2_to_su2su2(n, y).terms]
+                pairs = _fraction_su2su2_terms(n, y)
                 for a, b in pairs:
                     for c, d in pairs:
                         w = Weight(((Q(a),), (Q(b),), (Q(c),), (Q(d),)))
@@ -170,6 +272,71 @@ def test_dualpair_levels_match_fraction_reference(case):
     assert sorted(graded.levels) == sorted(reference) == list(range(top + 1))
     for n in range(top + 1):
         _assert_same_fraction_terms(graded.levels[n], reference[n], (case, n))
+
+
+def test_sp4_to_sp2sp2_matches_fraction_reference():
+    for (n,) in RULES["sp4_to_sp2sp2"].grid(8):
+        _assert_same_fraction_terms(branch_sp4_to_sp2sp2(n), _fraction_sp4_to_sp2sp2(n), n)
+
+
+def test_sp2_to_su2su2_matches_fraction_reference():
+    for x, y in RULES["sp2_to_su2su2"].grid(8):
+        want = _fraction_sp2_to_su2su2(x, y)
+        _assert_same_fraction_terms(branch_sp2_to_su2su2(x, y), want, (x, y))
+        # the graded split-split levels read the same pairs as ints
+        assert _su2su2_terms(x, y) == _fraction_su2su2_terms(x, y), (x, y)
+
+
+def test_spin10_halfspin_matches_fraction_reference():
+    for (n,) in RULES["spin10_halfspin"].grid(8):
+        want = _fraction_spin10_halfspin_to_spin8u1(n)
+        _assert_same_fraction_terms(branch_spin10_halfspin_to_spin8u1(n), want, n)
+
+
+def test_su6_omega3_to_sp3_matches_fraction_reference():
+    for (n,) in RULES["su6_omega3_to_sp3"].grid(8):
+        want, want_signs = _fraction_su6_omega3_to_sp3(n)
+        signed = branch_su6_omega3_to_sp3(n)
+        _assert_same_fraction_terms(signed.character, want, n)
+        assert dict(signed.signs) == want_signs, n
+        # the signs are keyed by the character's own Weights
+        assert all(a is b for a, (b, _) in zip(signed.signs, signed.character.terms)), n
+
+
+@pytest.mark.parametrize("case", MINREP_CASES)
+def test_minrep_levels_match_fraction_reference(case):
+    graded = minrep_levels(case, 8)
+    reference = _fraction_minrep_levels(case, 8)
+    assert sorted(graded.levels) == sorted(reference) == list(range(9))
+    for n in range(9):
+        _assert_same_fraction_terms(graded.levels[n], reference[n], (case, n))
+
+
+_TENSOR_CASES = {
+    "A1": [((a,), (b,)) for a in range(5) for b in range(5)],
+    "A5": [
+        ((1, 0, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0)),
+        ((2, 1, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0)),
+        ((1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 0)),
+    ],
+    "B2": [((Q(1, 2), Q(1, 2)), (1, 0)), ((Q(3, 2), Q(1, 2)), (Q(1, 2), Q(1, 2))), ((1, 1), (2, 1))],
+    "C2": [((x, y), (1, 1)) for x in range(3) for y in range(x + 1)],
+    "C3": [((2, 1, 0), (1, 1, 1)), ((1, 1, 0), (1, 0, 0))],
+    "D4": [
+        ((Q(1, 2),) * 4, (Q(1, 2),) * 4),
+        ((Q(1, 2),) * 3 + (Q(-1, 2),), (1, 0, 0, 0)),
+        ((1, 1, 0, 0), (Q(1, 2),) * 4),
+    ],
+}
+
+
+@pytest.mark.parametrize("label", sorted(_TENSOR_CASES))
+def test_tensor_decompose_matches_fraction_reference(label):
+    rs = build_root_system(label)
+    for hw1, hw2 in _TENSOR_CASES[label]:
+        hw1, hw2 = tuple(map(Q, hw1)), tuple(map(Q, hw2))
+        want = _fraction_tensor_decompose(rs, hw1, hw2)
+        _assert_same_fraction_terms(tensor_decompose(rs, hw1, hw2), want, (hw1, hw2))
 
 
 # --------------------------------------------------------------------------

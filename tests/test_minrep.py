@@ -384,3 +384,28 @@ def test_e62_series_agrees_with_graded_levels():
     # The level-2 Spin(8) type of b = 2, against the wrong torus character.
     stranger = make_weight(gs, ((1, 1, 1, 1),), (6, -3, -3))
     assert multiplicity_series("e62-spin8", stranger, top).values == (0,) * (top + 1)
+
+
+def test_sign_first_appearance_e62_is_not_covered():
+    # e62-spin8 is a case with no sign grading, not an unknown case.
+    w = dualpair_graded("e62-spin8", 2).levels[2].terms[0][0]
+    with pytest.raises(NotCoveredError, match="e62-spin8"):
+        sign_first_appearance("e62-spin8", w)
+    with pytest.raises(KeyError, match="nope"):
+        sign_first_appearance("nope", w)
+
+
+def test_ktype_multiplicity_checks_the_case_before_the_level():
+    with pytest.raises(KeyError, match="nope"):
+        ktype_multiplicity("nope", w4(0, 0, 0, 0), -1)
+    e62 = dualpair_graded("e62-spin8", 0).levels[0].terms[0][0]
+    types = {
+        "splitJ-splitE": w4(0, 0, 0, 0),
+        "splitJ-mixedE": wp(0, 0, 0),
+        "hermJ-mixedE": wp(0, 0, 2),
+        "e62-spin8": e62,
+    }
+    assert set(types) == set(DUALPAIR_CASES)
+    for case, w in types.items():
+        assert ktype_multiplicity(case, w, -1) == 0
+        assert ktype_multiplicity(case, w, 0) == 1
