@@ -82,7 +82,6 @@ class EmbeddingMap:
     small: GroupSpec
     factor_rows: tuple[tuple[Vector, ...], ...]
     charge_rows: tuple[Vector, ...]
-    internal: bool = False
 
     def __post_init__(self) -> None:
         small = self.small.factors
@@ -242,7 +241,6 @@ def _build_catalog() -> dict[str, EmbeddingMap]:
             group("C2", "A1"),
             (_unit_rows(3, 0, 1), _unit_rows(3, 2)),
             (),
-            internal=True,
         )
     )
     entries.append(
@@ -252,7 +250,6 @@ def _build_catalog() -> dict[str, EmbeddingMap]:
             group("C2", "A1", circles=1),
             (_unit_rows(4, 0, 1), _rows((0, 0, 1, 1))),
             _rows((0, 0, 1, -1)),
-            internal=True,
         )
     )
     catalog = {e.name: e for e in entries}
@@ -380,6 +377,17 @@ def branch_sp4_to_sp2sp2(n: int) -> FormalCharacter:
     return FormalCharacter.from_int_keys(group("C2", "C2"), terms)
 
 
+def su2su2_coefficient(x: int, y: int, a: int, b: int) -> int:
+    """Multiplicity of V_a (x) V_b in V_(x,y) under SU2 x SU2."""
+    if a < 0 or b < 0:
+        return 0
+    ok = (
+        (a + b) % 2 == (x + y) % 2
+        and abs(a - b) <= x - y <= a + b <= x + y
+    )
+    return 1 if ok else 0
+
+
 def _sp2_to_su2su2_core(x: int, y: int) -> tuple[tuple[int, int], ...]:
     """The sorted (a, b) of ``branch_sp2_to_su2su2(x, y)``, each of multiplicity one."""
     if not x >= y >= 0:
@@ -388,7 +396,7 @@ def _sp2_to_su2su2_core(x: int, y: int) -> tuple[tuple[int, int], ...]:
         (a, b)
         for a in range(x + y + 1)
         for b in range(x + y + 1)
-        if (a + b) % 2 == (x + y) % 2 and abs(a - b) <= x - y <= a + b <= x + y
+        if su2su2_coefficient(x, y, a, b)
     )
 
 

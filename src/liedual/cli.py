@@ -136,8 +136,6 @@ def _emit(payload: dict, fmt: str) -> None:
             print(payload["summary"])
         return
     # pretty
-    for row in payload.get("result", []):
-        print("  ".join(str(x) for x in row))
     for check in payload.get("checks", []):
         print(f"{check['status']:4}  {check['name']}")
         if check["status"] != "PASS":

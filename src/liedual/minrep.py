@@ -6,7 +6,8 @@ and the eventually-linear-growth verifier for multiplicity series.
 
 Level characters are assembled from the closed-form branching rules, which
 keeps every level cheap; the rules themselves are certified against the
-generic restriction oracle elsewhere.
+generic restriction oracle elsewhere.  ``minrep_levels`` and
+``dualpair_graded`` share one loop over ``_LEVELS``, one entry per case.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from types import MappingProxyType
 from typing import Callable, Mapping
 
 from .branching import (
-    BudgetExceededError,
     _so5_to_so3so2_core,
     _sp2_to_su2su2_core,
     _su6_omega3_to_sp2su2u1_core,
+    su2su2_coefficient,
 )
 from .charalg import FormalCharacter, IntKey, su2_tensor
 from .lattice import GroupSpec, InvariantError, Weight, group
@@ -82,37 +83,13 @@ def minrep_levels(case: str, truncation: int) -> GradedCharacter:
     """
     if case not in MINREP_CASES:
         raise KeyError(f"unknown case {case!r}")
-    if truncation < 0:
-        raise ValueError("truncation must be non-negative")
-    ns = range(truncation + 1)
-    if case == "split-E6":
-        gs = group("C4")
-        keys = [(2 * n,) * 4 for n in ns]
-    elif case == "hermitian-E6":
-        gs = group("A1", "A5")
-        keys = [(2 * n + 4,) + (2 * n,) * 3 + (0,) * 3 for n in ns]
-    else:
-        gs = group("D5", circles=1)
-        keys = [(n,) * 5 + (2 * n + 8,) for n in ns]
-    levels = {n: FormalCharacter.from_int_keys(gs, {key: 1}) for n, key in enumerate(keys)}
-    return GradedCharacter(case, gs, levels)
+    return _graded(case, truncation)
 
 
 @functools.lru_cache(maxsize=None)
 def _su2su2_terms(x: int, y: int) -> tuple[tuple[int, int], ...]:
     """The (a, b) of V_a (x) V_b in V_(x,y) under SU2 x SU2, sorted."""
     return _sp2_to_su2su2_core(x, y)
-
-
-def su2su2_coefficient(x: int, y: int, a: int, b: int) -> int:
-    """Multiplicity of V_a (x) V_b in V_(x,y) under SU2 x SU2."""
-    if a < 0 or b < 0:
-        return 0
-    ok = (
-        (a + b) % 2 == (x + y) % 2
-        and abs(a - b) <= x - y <= a + b <= x + y
-    )
-    return 1 if ok else 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,30 +132,78 @@ def quasisplit_level_multiplicity(x: int, y: int, z: int, m: int, n: int) -> int
     return _hermJ_level(n, m).get(((x, y), z), 0)
 
 
-_DUALPAIR_SOURCE = {
-    "splitJ-splitE": "split-E6",
-    "splitJ-mixedE": "split-E6",
-    "hermJ-mixedE": "hermitian-E6",
-    "e62-spin8": "e62-compact",
+def _split_E6(data: dict[IntKey, int], n: int) -> None:
+    data[(2 * n,) * 4] = 1
+
+
+def _hermitian_E6(data: dict[IntKey, int], n: int) -> None:
+    data[(2 * n + 4,) + (2 * n,) * 3 + (0,) * 3] = 1
+
+
+def _e62_compact(data: dict[IntKey, int], n: int) -> None:
+    data[(n,) * 5 + (2 * n + 8,)] = 1
+
+
+def _splitJ_splitE(data: dict[IntKey, int], n: int) -> None:
+    for y in range(n + 1):
+        pairs = [(2 * a, 2 * b) for a, b in _su2su2_terms(n, y)]
+        for left in pairs:
+            for right in pairs:
+                key = left + right
+                data[key] = data.get(key, 0) + 1
+
+
+def _splitJ_mixedE(data: dict[IntKey, int], n: int) -> None:
+    for y in range(n + 1):
+        for (z, m), mult in sp1so2_coefficients(n, y).items():
+            key = (2 * n, 2 * y, 2 * z, 2 * m)
+            data[key] = data.get(key, 0) + mult
+
+
+def _hermJ_mixedE(data: dict[IntKey, int], n: int) -> None:
+    for m in range(-n, n + 1):
+        for ((x, y), z), mult in _hermJ_level(n, m).items():
+            key = (2 * x, 2 * y, 2 * z, 2 * m)
+            data[key] = data.get(key, 0) + mult
+
+
+def _e62_spin8(data: dict[IntKey, int], n: int) -> None:
+    """V_(n/2,n/2,n/2,b/2) against the torus character
+    chi(n+4, -(b+n)/2-2, (b-n)/2-2), for b = -n, -n+2, .., n."""
+    for b in range(-n, n + 1, 2):
+        data[(n, n, n, b, 2 * n + 8, -(b + n) - 4, b - n - 4)] = 1
+
+
+# case: (group, the function adding level n's IntKey terms to a dict in
+# place, whether a level is a running sum that keeps level n-1's terms)
+_LEVELS: dict[str, tuple[GroupSpec, Callable[[dict[IntKey, int], int], None], bool]] = {
+    "split-E6": (group("C4"), _split_E6, False),
+    "hermitian-E6": (group("A1", "A5"), _hermitian_E6, False),
+    "e62-compact": (group("D5", circles=1), _e62_compact, False),
+    "splitJ-splitE": (group("A1", "A1", "A1", "A1"), _splitJ_splitE, True),
+    "splitJ-mixedE": (group("C2", "A1", circles=1), _splitJ_mixedE, True),
+    "hermJ-mixedE": (group("C2", "A1", circles=1), _hermJ_mixedE, False),
+    "e62-spin8": (group("D4", circles=3), _e62_spin8, False),
 }
 
 
-_E62_GROUP = group("D4", circles=3)
+def _graded(case: str, truncation: int) -> GradedCharacter:
+    """Levels 0..truncation of a ``_LEVELS`` case; one ``Weight`` per distinct term."""
+    if truncation < 0:
+        raise ValueError("truncation must be non-negative")
+    gs, add_level, running = _LEVELS[case]
+    levels: dict[int, FormalCharacter] = {}
+    weights: dict[IntKey, Weight] = {}
+    data: dict[IntKey, int] = {}
+    for n in range(truncation + 1):
+        if not running:
+            data = {}
+        add_level(data, n)
+        levels[n] = FormalCharacter.from_int_keys(gs, data, weights)
+    return GradedCharacter(case, gs, levels)
 
 
-def _e62_level(n: int) -> FormalCharacter:
-    """Level n of e62-spin8: V_(n/2,n/2,n/2,b/2) against the torus character
-    chi(n+4, -(b+n)/2-2, (b-n)/2-2), for b = -n, -n+2, .., n."""
-    data = {
-        (n, n, n, b, 2 * n + 8, -(b + n) - 4, b - n - 4): 1
-        for b in range(-n, n + 1, 2)
-    }
-    return FormalCharacter.from_int_keys(_E62_GROUP, data)
-
-
-def dualpair_graded(
-    case: str, truncation: int, budget: int | None = None
-) -> GradedCharacter:
+def dualpair_graded(case: str, truncation: int) -> GradedCharacter:
     """Level-by-level restriction of a minimal representation to a dual pair.
 
     splitJ-splitE: types of SU2^4 with sign (-1)^n.  splitJ-mixedE: types of
@@ -192,56 +217,10 @@ def dualpair_graded(
     every sum runs over ``IntKey``s (doubled flat sort keys), each level is
     sorted on them, and ``FormalCharacter.from_int_keys`` builds one
     validated ``Weight`` per distinct term, shared by every level it is in.
-
-    No dimension budget applies by default; passing one bounds the top
-    level's source dimension (useful when replaying levels against the
-    generic oracle).
     """
     if case not in DUALPAIR_CASES:
         raise KeyError(f"unknown case {case!r}")
-    if truncation < 0:
-        raise ValueError("truncation must be non-negative")
-    if budget is not None:
-        source = minrep_levels(_DUALPAIR_SOURCE[case], truncation)
-        top_dim = source.levels[truncation].total_dimension()
-        if top_dim > budget:
-            raise BudgetExceededError(
-                f"level {truncation} source dimension {top_dim} exceeds budget {budget}"
-            )
-    levels: dict[int, FormalCharacter] = {}
-    weights: dict[IntKey, Weight] = {}
-    data: dict[IntKey, int] = {}
-    if case == "splitJ-splitE":
-        gs = group("A1", "A1", "A1", "A1")
-        for n in range(truncation + 1):
-            for y in range(n + 1):
-                pairs = [(2 * a, 2 * b) for a, b in _su2su2_terms(n, y)]
-                for left in pairs:
-                    for right in pairs:
-                        key = left + right
-                        data[key] = data.get(key, 0) + 1
-            levels[n] = FormalCharacter.from_int_keys(gs, data, weights)
-    elif case == "splitJ-mixedE":
-        gs = group("C2", "A1", circles=1)
-        for n in range(truncation + 1):
-            for y in range(n + 1):
-                for (z, m), mult in sp1so2_coefficients(n, y).items():
-                    key = (2 * n, 2 * y, 2 * z, 2 * m)
-                    data[key] = data.get(key, 0) + mult
-            levels[n] = FormalCharacter.from_int_keys(gs, data, weights)
-    elif case == "hermJ-mixedE":  # levels are not running sums
-        gs = group("C2", "A1", circles=1)
-        for n in range(truncation + 1):
-            data = {}
-            for m in range(-n, n + 1):
-                for ((x, y), z), mult in _hermJ_level(n, m).items():
-                    key = (2 * x, 2 * y, 2 * z, 2 * m)
-                    data[key] = data.get(key, 0) + mult
-            levels[n] = FormalCharacter.from_int_keys(gs, data, weights)
-    else:  # e62-spin8
-        gs = _E62_GROUP
-        levels = {n: _e62_level(n) for n in range(truncation + 1)}
-    return GradedCharacter(case, gs, levels)
+    return _graded(case, truncation)
 
 
 def _split_type(w: Weight) -> tuple[int, int, int, int]:
@@ -305,7 +284,11 @@ def ktype_multiplicity(
                 for mm in range(-n, n + 1)
             )
         return quasisplit_level_multiplicity(x, y, z, m, n)
-    return _e62_level(n).multiplicity(ktype)  # e62-spin8
+    if (len(ktype.parts), len(ktype.charges)) != (1, 3):  # e62-spin8
+        return 0
+    data: dict[IntKey, int] = {}
+    _e62_spin8(data, n)  # level n's int keys, read at the type's doubled key
+    return data.get(tuple(2 * x for x in ktype.sort_key()), 0)
 
 
 def so3_invariants(a: int, b: int, c: int, d: int) -> int:

@@ -31,7 +31,7 @@ from .lattice import (
     vadd,
     vscale,
 )
-from .minrep import quasisplit_level_multiplicity, so3_invariants
+from .minrep import dualpair_graded, quasisplit_level_multiplicity, so3_invariants
 
 _TORUS_CASES = {
     # (E, K) labels: split/hermitian Jordan algebra x split/complex torus part.
@@ -105,32 +105,24 @@ def infchar_symmetric_form(nu: TorusCharacterData) -> InfChar:
     return infchar_of_vector(rs, v)
 
 
-def graded_charge_triple(n: int, b: int) -> tuple[int, int, int]:
-    """Torus character paired with the level-n, charge-b Spin(8) type."""
-    if abs(b) > n or (n - b) % 2:
-        raise ValueError("need |b| <= n with b = n (mod 2)")
-    return (n + 4, -(b + n) // 2 - 2, (b - n) // 2 - 2)
-
-
 def lemma_infchar_consistency(max_level: int) -> Report:
     """Level-by-level agreement of the transfer with the graded model.
 
-    For each level n and admissible charge b, the lift of the torus triple
-    (n+4, -(b+n)/2-2, (b-n)/2-2) must equal the infinitesimal character of
-    the Spin(8) type (n/2, n/2, n/2, b/2).
+    For each term of level n of ``dualpair_graded("e62-spin8", max_level)``,
+    a Spin(8) type (n/2, n/2, n/2, b/2) against a torus character, the lift
+    of the torus character must equal the infinitesimal character of the
+    type.
     """
     rs = build_root_system("D4")
     checks = []
-    for n in range(max_level + 1):
-        for b in range(-n, n + 1, 2):
-            lifted = infchar_lift(torus_character(*graded_charge_triple(n, b)))
-            direct = infinitesimal_character(
-                rs, (Q(n, 2), Q(n, 2), Q(n, 2), Q(b, 2))
-            )
+    for n, level in dualpair_graded("e62-spin8", max_level).levels.items():
+        for w, _ in level.terms:
+            lifted = infchar_lift(torus_character(*w.charges))
+            direct = infinitesimal_character(rs, w.parts[0])
             status = "PASS" if lifted == direct else "FAIL"
             checks.append(
                 Check(
-                    f"infchar n={n} b={b}",
+                    f"infchar n={n} b={2 * w.parts[0][3]}",
                     status,
                     str(direct.rep),
                     str(lifted.rep),

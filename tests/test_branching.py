@@ -52,7 +52,6 @@ def test_catalog_names():
     assert all(CATALOG[n].name == n for n in CATALOG)
     internal = set(CATALOG) - PUBLIC_NAMES
     assert internal == {"sp2sp1_in_sp3", "sp2su2so2_in_sp4"}
-    assert all(CATALOG[n].internal for n in internal)
 
 
 def test_catalog_row_shapes():

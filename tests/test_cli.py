@@ -248,6 +248,30 @@ def test_verify_all_golden(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("splitJ-splitE", "--type", "0,0,0,0"),
+            "420cd9b35f5f6579c9960dd9f934ebd2eef89f5b4783d0661e61da0a3f79b010",
+        ),
+        (
+            ("splitJ-mixedE", "--type", "(2,0)x0", "--charge", "0"),
+            "348ba364aa2f7b595c713dca60577e9086773b143766e7d9902e2ff26c18b4f4",
+        ),
+        (
+            ("hermJ-mixedE", "--type", "(0,0)x4"),
+            "48e6297f549510944333c5a7c10a02877efe8750ed4c2717040400ba68c2ec51",
+        ),
+    ],
+)
+def test_minrep_golden(capsys, argv, digest):
+    # The three series the graded-series benchmark calls, byte for byte.
+    code, out, _ = run(capsys, "minrep", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("branch", "sp4_to_sp2sp2", "3/2"),

@@ -295,14 +295,6 @@ def test_cached_tables_are_read_only(table):
         assert sp1so2_coefficient(2, 0, *key) == before[key]
 
 
-def test_dualpair_budget_is_opt_in():
-    from liedual.branching import BudgetExceededError
-
-    dualpair_graded("splitJ-splitE", 12)  # closed forms need no budget
-    with pytest.raises(BudgetExceededError):
-        dualpair_graded("splitJ-splitE", 4, budget=100)
-
-
 def test_unknown_cases_rejected():
     with pytest.raises(KeyError):
         minrep_levels("nope", 2)
@@ -316,6 +308,16 @@ def test_unknown_cases_rejected():
         "hermJ-mixedE",
         "e62-spin8",
     }
+
+
+def test_level_builders_reject_each_others_cases():
+    # Both builders read one table of all seven cases; each takes only its own.
+    for case in DUALPAIR_CASES:
+        with pytest.raises(KeyError, match=case):
+            minrep_levels(case, 1)
+    for case in MINREP_CASES:
+        with pytest.raises(KeyError, match=case):
+            dualpair_graded(case, 1)
 
 
 def test_split_sign_grading_tracks_level_parity():

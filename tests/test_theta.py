@@ -14,7 +14,6 @@ from liedual.theta import (
     TorusCharacterData,
     compare_ps_vs_stabilized,
     default_fixture_dir,
-    graded_charge_triple,
     infchar_lift,
     infchar_symmetric_form,
     lemma_infchar_consistency,
@@ -81,14 +80,6 @@ def test_lift_distinguishes_fourth_coordinate_sign():
     assert lift1 != lift2
     assert lift1.rep[:3] == lift2.rep[:3]
     assert lift1.rep[3] == -lift2.rep[3]
-
-
-def test_graded_charge_triple():
-    assert graded_charge_triple(0, 0) == (4, -2, -2)
-    assert graded_charge_triple(1, 1) == (5, -3, -2)
-    assert graded_charge_triple(1, -1) == (5, -2, -3)
-    with pytest.raises(ValueError):
-        graded_charge_triple(2, 1)
 
 
 def test_lemma_infchar_consistency():
