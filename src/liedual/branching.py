@@ -7,11 +7,10 @@ term's diagram.  Every closed-form rule below can be replayed against it
 term by term via ``verify_rule``.
 
 Weights enter and leave as ``Fraction`` ``Weight``s.  Inside, the oracle
-runs on integers: factor parts in doubled coordinates (2v,
-``lattice.doubled``), as in ``charalg``, and circle charges in a
-per-embedding unit 1/(2d), d the least common denominator of the charge
-rows.  The oracle's fold keys and the closed forms both become
-``charalg.IntKey``s for ``FormalCharacter.from_int_keys``.
+keys every weight as a ``charalg.IntKey``, one flat tuple of the doubled
+factor parts (2v, ``lattice.doubled``) and the doubled charges, from the
+projection through the fold and the certificate to
+``FormalCharacter.from_int_keys``; the closed forms build the same keys.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from fractions import Fraction as Q
 from typing import Callable, Iterable, Mapping
 
 from .charalg import (
-    FlatKey,
     FormalCharacter,
     IntKey,
     _full_multiplicities,
@@ -32,7 +30,6 @@ from .charalg import (
     weight_dimension,
 )
 from .lattice import (
-    Doubled,
     GroupSpec,
     InvalidWeightError,
     InvariantError,
@@ -94,7 +91,7 @@ class EmbeddingMap:
                 f"{self.name}: {len(self.charge_rows)} charge rows for "
                 f"{self.small.circles} circles"
             )
-        width = sum(rs.ambient_dim for rs in self.big.factors)
+        width = self.big.width
         for f, (rs, rows) in enumerate(zip(small, self.factor_rows, strict=True)):
             if len(rows) != rs.ambient_dim:
                 raise ValueError(
@@ -119,7 +116,7 @@ class EmbeddingMap:
 
     @functools.cached_property
     def charge_denominator(self) -> int:
-        """d: charges are integers in the unit 1/(2d) inside the oracle."""
+        """d, the least common denominator of the charge rows."""
         return math.lcm(*(x.denominator for row in self.charge_rows for x in row))
 
     @functools.cached_property
@@ -131,16 +128,23 @@ class EmbeddingMap:
         charges = tuple(_sparse(int(d * x) for x in row) for row in self.charge_rows)
         return factors, charges
 
-    def _apply(self, flat: Doubled) -> FlatKey:
-        """Image of a doubled big-group weight: doubled small-group parts and
-        charges in the unit 1/(2d)."""
+    def _apply(self, flat: IntKey) -> IntKey:
+        """Image of a doubled big-group weight as a small-group ``IntKey``:
+        each doubled part normalized, then the doubled charges.  The charge
+        rows, times d, give integer charges in the unit 1/(2d); a doubled
+        charge is that divided by d."""
         factors, charge_rows = self._integer_rows
+        d = self.charge_denominator
         # Runs once per source weight; list comprehensions beat generators here.
-        parts = tuple(
-            [tuple([sum([c * flat[i] for i, c in row]) for row in rows]) for rows in factors]
-        )
-        charges = tuple([sum([c * flat[i] for i, c in row]) for row in charge_rows])
-        return parts, charges
+        key: list[int] = []
+        for rs, rows in zip(self.small.factors, factors):
+            key += normalize_vector(rs, [sum([c * flat[i] for i, c in row]) for row in rows])
+        for row in charge_rows:
+            charge, rest = divmod(sum([c * flat[i] for i, c in row]), d)
+            if rest:
+                raise InvalidWeightError("circle charges must be integers or half-integers")
+            key.append(charge)
+        return tuple(key)
 
 
 def _rows(*entries: Iterable[int | str | Q]) -> tuple[Vector, ...]:
@@ -275,23 +279,28 @@ class BranchResult:
     decomposition: FormalCharacter
 
 
-def _group_diagram(gs: GroupSpec, top: tuple[Doubled, ...]) -> dict[tuple[Doubled, ...], int]:
-    """Doubled weight diagram, by factor, of the irreducible of doubled top weight ``top``."""
-    diagrams = [_full_multiplicities(rs, part) for rs, part in zip(gs.factors, top, strict=True)]
-    out: dict[tuple[Doubled, ...], int] = {}
-    for combo in itertools.product(*(d.items() for d in diagrams)):
-        parts = tuple(vec for vec, _ in combo)
+def _group_diagram(gs: GroupSpec, top: IntKey) -> dict[IntKey, int]:
+    """Weight diagram of the irreducible with key ``top``, as ``IntKey``s:
+    each part normalized as ``EmbeddingMap._apply`` does, and the charges
+    of ``top``."""
+    diagrams = [
+        [(normalize_vector(rs, v), m) for v, m in _full_multiplicities(rs, top[part]).items()]
+        for rs, part in zip(gs.factors, gs.slices)
+    ]
+    charges = top[gs.width :]
+    out: dict[IntKey, int] = {}
+    for combo in itertools.product(*diagrams):
+        key = sum([vec for vec, _ in combo], ()) + charges
         mult = 1
         for _, m in combo:
             mult *= m
-        out[parts] = out.get(parts, 0) + mult
+        out[key] = out.get(key, 0) + mult
     return out
 
 
-def _fractions(key: FlatKey, unit: int) -> tuple[tuple[Vector, ...], tuple[Q, ...]]:
-    """A projected key as ``Fraction`` parts and charges, charges in 1/unit."""
-    parts, charges = key
-    return tuple(halved(p) for p in parts), tuple(Q(c, unit) for c in charges)
+def _fractions(gs: GroupSpec, key: IntKey) -> tuple[tuple[Vector, ...], Vector]:
+    """An ``IntKey`` as ``Fraction`` parts and charges, for messages."""
+    return tuple(halved(key[part]) for part in gs.slices), halved(key[gs.width :])
 
 
 def restrict_generic(
@@ -315,41 +324,29 @@ def restrict_generic(
         raise BudgetExceededError(
             f"dim {source_dim} exceeds generic-restriction budget {limit}"
         )
-    small = e.small.factors
-    support: dict[FlatKey, int] = {}
-    for big_parts, mult in _group_diagram(e.big, tuple(map(doubled, hw.parts))).items():
-        parts, charges = e._apply(sum(big_parts, ()))
-        key = (
-            tuple([normalize_vector(rs, p) for rs, p in zip(small, parts, strict=True)]),
-            charges,
-        )
+    support: dict[IntKey, int] = {}
+    for flat, mult in _group_diagram(e.big, doubled(hw.sort_key())).items():
+        key = e._apply(flat)
         support[key] = support.get(key, 0) + mult
 
-    d = e.charge_denominator  # a charge c in the unit 1/(2d) is c / d doubled
     folded = chamber_fold(e.small, support)
-    keys: dict[IntKey, int] = {}
     for key, coeff in folded.items():
         if coeff < 0:
             raise NegativeMultiplicityError(
-                f"{e.name}: negative coefficient {coeff} at {_fractions(key, 2 * d)}"
+                f"{e.name}: negative coefficient {coeff} at {_fractions(e.small, key)}"
             )
-        if any(c % d for c in key[1]):
-            raise InvalidWeightError("circle charges must be integers or half-integers")
-        keys[sum(key[0], ()) + tuple([c // d for c in key[1]])] = coeff
-    decomposition = FormalCharacter.from_int_keys(e.small, keys)
+    decomposition = FormalCharacter.from_int_keys(e.small, folded)
     target_dim = decomposition.total_dimension()
     if target_dim != source_dim:
         raise NegativeMultiplicityError(
             f"{e.name}: dimension {target_dim} restricted from {source_dim}"
         )
-    # Sorted fold keys are in the order of their flat IntKeys, so of the terms.
-    for (top, charges), (w, coeff) in zip(sorted(folded), decomposition.terms, strict=True):
-        for parts, mult in _group_diagram(e.small, top).items():
-            key = (parts, charges)
+    for top, (w, coeff) in zip(sorted(folded), decomposition.terms, strict=True):
+        for key, mult in _group_diagram(e.small, top).items():
             value = support.get(key, 0) - coeff * mult
             if value < 0:
                 raise NegativeMultiplicityError(
-                    f"{e.name}: subtracting {w} drove {_fractions(key, 2 * d)} negative"
+                    f"{e.name}: subtracting {w} drove {_fractions(e.small, key)} negative"
                 )
             if value == 0:
                 support.pop(key, None)

@@ -210,57 +210,52 @@ def freudenthal_total(rs: RootSystem, hw: Vector) -> int:
     return total
 
 
-#: A weight of a product group in doubled coordinates: one vector per
-#: simple factor, then the circle charges (integers in the caller's unit).
-FlatKey = tuple[tuple[Doubled, ...], tuple[int, ...]]
+#: A weight of a product group as one flat doubled tuple: twice its
+#: ``Weight.sort_key()``, factor parts (``GroupSpec.slices``) then circle
+#: charges.  Doubling scales every coordinate by the same positive
+#: constant, so these keys sort in ``sort_key`` order.
+IntKey = tuple[int, ...]
 
 
-def chamber_fold(gs: GroupSpec, support: Mapping[FlatKey, int]) -> dict[FlatKey, int]:
+def chamber_fold(gs: GroupSpec, support: Mapping[IntKey, int]) -> dict[IntKey, int]:
     """Signed Weyl-chamber fold (Racah-Speiser, Klimyk; Fulton-Harris 25).
 
-    Keys are doubled.  Each (mu, charges) moves to (d - rho, charges), d the
-    dominant conjugate of mu + rho per factor, with the product of the
+    Each factor part mu of a key moves to d - rho, normalized, d the
+    dominant conjugate of mu + rho, and the key takes the product of the
     factor signs; weights on a wall drop out, and so do zero coefficients.
     Charges pass through untouched."""
-    rhos = [doubled(rs.weyl_vector) for rs in gs.factors]
-    out: dict[FlatKey, int] = {}
-    for (parts, charges), m in support.items():
-        folded = []
+    factors = [(rs, part, doubled(rs.weyl_vector)) for rs, part in zip(gs.factors, gs.slices)]
+    width = gs.width
+    out: dict[IntKey, int] = {}
+    for key, m in support.items():
+        folded: list[int] = []
         sign = 1
-        for rs, rho, part in zip(gs.factors, rhos, parts, strict=True):
-            d, s = dominant_conjugate(rs, vadd(part, rho))
+        for rs, part, rho in factors:
+            d, s = dominant_conjugate(rs, vadd(key[part], rho))
             sign *= s
             if sign == 0:
                 break
-            folded.append(normalize_vector(rs, vsub(d, rho)))
+            folded += normalize_vector(rs, vsub(d, rho))
         if sign:
-            key = (tuple(folded), charges)
-            out[key] = out.get(key, 0) + sign * m
+            folded += key[width:]
+            image = tuple(folded)
+            out[image] = out.get(image, 0) + sign * m
     return {k: v for k, v in out.items() if v != 0}
 
 
 @functools.lru_cache(maxsize=None)
-def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[Doubled, int]:
+def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[IntKey, int]:
     """Shifted-orbit (Racah) decomposition of V_hw1 (x) V_hw2, doubled."""
     _require_dominant(rs, hw1)
     _require_dominant(rs, hw2)
     if dimension(rs, hw2) > dimension(rs, hw1):
         hw1, hw2 = hw2, hw1
     top = doubled(hw1)
-    shifted = {
-        ((vadd(top, mu),), ()): m for mu, m in _full_multiplicities(rs, doubled(hw2)).items()
-    }
+    shifted = {vadd(top, mu): m for mu, m in _full_multiplicities(rs, doubled(hw2)).items()}
     folded = chamber_fold(GroupSpec((rs,)), shifted)
     if any(v < 0 for v in folded.values()):
         raise InvariantError(f"negative tensor multiplicity in {hw1} x {hw2}")
-    return MappingProxyType({parts[0]: m for (parts, _), m in folded.items()})
-
-
-#: A weight of a product group as one flat doubled tuple: twice its
-#: ``Weight.sort_key()``, factor parts then circle charges.  Doubling scales
-#: every coordinate by the same positive constant, so these keys sort in
-#: ``sort_key`` order.
-IntKey = tuple[int, ...]
+    return MappingProxyType(folded)
 
 
 def _key_weight(gs: GroupSpec, key: IntKey) -> Weight:

@@ -20,7 +20,6 @@ from . import branching, minrep, theta
 from .branching import (
     BudgetExceededError,
     Check,
-    DEFAULT_BUDGET,
     NegativeMultiplicityError,
     Report,
     Rule,
@@ -43,21 +42,6 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NEGATIVE = 3
 EXIT_BUDGET = 4
-
-
-def resolve_budget(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("LIEDUAL_BUDGET")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise InvalidWeightError(f"LIEDUAL_BUDGET={env!r} is not an integer")
-        if value < 1:
-            raise InvalidWeightError("LIEDUAL_BUDGET must be at least 1")
-        return value
-    return DEFAULT_BUDGET
 
 
 def _int_in(low: int, high: int | None = None):
@@ -196,7 +180,6 @@ def _terms_repr(char: FormalCharacter) -> str:
 
 
 def cmd_branch(args: argparse.Namespace) -> int:
-    budget = resolve_budget(args.budget)
     checks: list[Check] = []
     params: list = []
     rule = branching.RULES.get(args.target)
@@ -218,7 +201,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
         if args.generic:
             e = branching.embedding(rule.embedding)
             generic = branching.restrict_generic(
-                e, rule.source(*params), budget
+                e, rule.source(*params), args.budget
             ).decomposition
             if rule.charged:
                 generic = _charge_block(generic, charge)
@@ -238,7 +221,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
         if args.charge is not None:
             raise InvalidWeightError("embeddings take no --charge")
         hw = parse_weight(e.big, args.params[0])
-        char = branching.restrict_generic(e, hw, budget).decomposition
+        char = branching.restrict_generic(e, hw, args.budget).decomposition
     else:
         raise InvalidWeightError(f"unknown rule or embedding {args.target!r}")
     payload = {
@@ -268,8 +251,7 @@ def _run_rule_sweep(task: tuple[str, int | None, int]) -> tuple[Check, ...]:
 
 
 def _suite_rules(args) -> list[Check]:
-    budget = resolve_budget(args.budget)
-    tasks = [(rule_id, args.max_level, budget) for rule_id in RULE_IDS]
+    tasks = [(rule_id, args.max_level, args.budget) for rule_id in RULE_IDS]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             blocks = list(pool.map(_run_rule_sweep, tasks))
@@ -389,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "exit codes: 0 ok, 1 verification failure, 2 input error, "
-            "3 negative multiplicity, 4 budget exceeded. "
-            "LIEDUAL_BUDGET overrides the generic-restriction dimension budget."
+            "3 negative multiplicity, 4 budget exceeded."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -479,6 +479,18 @@ class GroupSpec:
     factors: tuple[RootSystem, ...]
     circles: int = 0
 
+    @functools.cached_property
+    def slices(self) -> tuple[slice, ...]:
+        """Where each factor's part sits in a flat coordinate tuple: the
+        parts in order, then the circle charges from ``width`` on."""
+        ends = tuple(itertools.accumulate(rs.ambient_dim for rs in self.factors))
+        return tuple(slice(a, b) for a, b in zip((0,) + ends, ends))
+
+    @functools.cached_property
+    def width(self) -> int:
+        """The number of factor coordinates, summed over the factors."""
+        return sum(rs.ambient_dim for rs in self.factors)
+
     def __repr__(self) -> str:
         labels = "x".join(rs.label for rs in self.factors)
         if self.circles:
@@ -530,12 +542,9 @@ def make_weight(
 def split_by_factor(gs: GroupSpec, flat: Sequence) -> tuple[tuple, ...] | None:
     """Cut a flat coordinate list into one slice per factor of ``gs``, or
     None when its length is not the sum of the factors' ambient dimensions."""
-    parts = []
-    pos = 0
-    for rs in gs.factors:
-        parts.append(tuple(flat[pos : pos + rs.ambient_dim]))
-        pos += rs.ambient_dim
-    return tuple(parts) if pos == len(flat) else None
+    if len(flat) != gs.width:
+        return None
+    return tuple(tuple(flat[s]) for s in gs.slices)
 
 
 def weight_is_dominant(gs: GroupSpec, w: Weight) -> bool:

@@ -1,6 +1,7 @@
 """Embedding catalog, generic restriction oracle, and closed-form rules."""
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
@@ -30,7 +31,14 @@ from liedual.branching import (
     verify_rule,
 )
 from liedual.charalg import dimension, weight_dimension
-from liedual.lattice import InvalidWeightError, build_root_system, group, make_weight
+from liedual.lattice import (
+    InvalidWeightError,
+    build_root_system,
+    group,
+    in_weight_lattice,
+    is_dominant_vector,
+    make_weight,
+)
 
 PUBLIC_NAMES = {
     "sp2xsp2_in_sp4",
@@ -146,6 +154,34 @@ def test_third_integral_charge_is_rejected():
     assert str(raised.value) == "circle charges must be integers or half-integers"
 
 
+def _dominant_weights_up_to_two(gs):
+    """The dominant weights of a simple ``gs`` with first coordinate <= 2."""
+    rs = gs.factors[0]
+    steps = [Q(k, 2) for k in range(4, -5, -1)]
+    found = set()
+    for v in itertools.combinations_with_replacement(steps, rs.ambient_dim):
+        if in_weight_lattice(rs, v) and is_dominant_vector(rs, v):
+            w = make_weight(gs, (v,))  # A5 weights shift to minimum 0
+            if w.parts[0][0] <= 2:
+                found.add(w)
+    return sorted(found, key=lambda w: w.sort_key())
+
+
+@pytest.mark.parametrize("label", ["A1", "B2", "C2", "C3", "D4", "A5"])
+def test_identity_map_restricts_each_weight_to_itself(label):
+    # The certificate subtracts each term's diagram from the projected
+    # support; both must be A5-normalized the same way, or the zero weight
+    # (1,..,1) of V_(2,1,1,1,1,0) is left over.
+    gs = group(label)
+    dim = gs.factors[0].ambient_dim
+    rows = tuple(tuple(Q(int(i == j)) for j in range(dim)) for i in range(dim))
+    identity = EmbeddingMap(f"id_{label}", gs, gs, (rows,), ())
+    weights = _dominant_weights_up_to_two(gs)
+    assert weights
+    for hw in weights:
+        assert restrict_generic(identity, hw).decomposition.terms == ((hw, 1),)
+
+
 def test_non_integral_factor_row_rejected_at_construction():
     # Factor rows must map doubled weights to doubled weights.
     right = embedding("sp1so2_in_sp2")
@@ -177,15 +213,15 @@ def test_embedding_map_shape_checked_at_construction(changes, message):
 
 
 def test_charge_units_per_embedding():
-    # Charges are integers in the unit 1/(2d) inside the oracle.
+    # d is the least common denominator of an embedding's charge rows.
     units = {name: e.charge_denominator for name, e in CATALOG.items()}
     assert units.pop("sp2su2u1_in_su6") == 3
     assert units.pop("sp1so2_in_sp2") == 2
     assert set(units.values()) == {1}
     e = embedding("sp2su2u1_in_su6")
     # Twice the SU(6) weight (1,1,1,0,0,0) goes to twice (1,0) x 0 at
-    # charge 6/6 = 1.
-    assert e._apply((2, 2, 2, 0, 0, 0)) == (((2, 0), (0,)), (6,))
+    # charge 1: the flat key (2, 0, 0, 2).
+    assert e._apply((2, 2, 2, 0, 0, 0)) == (2, 0, 0, 2)
 
 
 def test_branch_sp4_to_sp2sp2_examples():

@@ -11,10 +11,7 @@ from liedual import branching
 from liedual.cli import main
 
 
-def run(capsys, *argv, env=None, monkeypatch=None):
-    if env:
-        for k, v in env.items():
-            monkeypatch.setenv(k, v)
+def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
@@ -61,16 +58,8 @@ def test_branch_embedding_by_name(capsys):
     assert code == 0 and "dim 14" in out
 
 
-def test_branch_budget_exit_code(capsys, monkeypatch):
-    code, _, err = run(
-        capsys,
-        "branch",
-        "sp4_to_sp2sp2",
-        "2",
-        "--generic",
-        env={"LIEDUAL_BUDGET": "10"},
-        monkeypatch=monkeypatch,
-    )
+def test_branch_budget_exit_code(capsys):
+    code, _, err = run(capsys, "branch", "sp4_to_sp2sp2", "2", "--generic", "--budget", "10")
     assert code == 4 and "budget" in err
 
 
@@ -244,6 +233,17 @@ def test_verify_all_golden(capsys):
     assert json.loads(out)["summary"] == "PASS 904/904"
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "0e25be4251f9d2ef56ae32c0e019c4b2f835f6af13f2d9641a75b21561d94e17"
+    )
+
+
+def test_verify_rules_level_six_golden(capsys):
+    # Oracle levels 5 and 6, and the one case over the default budget
+    # (sp4_to_sp2sp2 6, dim 395,352), byte for byte.
+    code, out, _ = run(capsys, "verify", "rules", "--max-level", "6", "--format", "tsv")
+    assert code == 4
+    assert "sp4_to_sp2sp2 6\tBUDGET" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "77be4dbdf3967495e77a67da3e7697983f9ec120ad19476b963c94ff32190471"
     )
 
 
