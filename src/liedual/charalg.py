@@ -102,16 +102,6 @@ class WeightFunction:
         return sum(self.support.values())
 
 
-def is_weight_of(rs: RootSystem, hw: Vector, v: Vector) -> bool:
-    """Whether v is a weight of V_hw: the dominant conjugate of v must sit
-    under hw in the root cone; classical saturation of weight sets."""
-    d, _ = dominant_conjugate(rs, v)
-    coords = root_coordinates(rs, vsub(hw, d))
-    if coords is None:
-        return False
-    return all(c.denominator == 1 and c >= 0 for c in coords)
-
-
 @functools.lru_cache(maxsize=None)
 def _dominant_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, int]:
     """Freudenthal recursion over the dominant weights of V_hw, doubled.
@@ -159,8 +149,6 @@ def _dominant_weights(rs: RootSystem, hw: Doubled) -> list[Doubled]:
     hw, in order of depth below hw (the sum of the simple-root coordinates
     of hw - mu).  So hw comes first, and the dominant conjugate of any
     mu + k alpha (alpha positive, k >= 1) comes before mu."""
-    if rs.label == "A1":
-        return [(x,) for x in range(hw[0], -1, -4)]
     depth: dict[Doubled, Q] = {}
     def keep(mu: Doubled) -> None:
         coords = root_coordinates(rs, vsub(hw, mu))
@@ -171,17 +159,13 @@ def _dominant_weights(rs: RootSystem, hw: Doubled) -> list[Doubled]:
     # stepping by 1 (2 doubled) within the congruence class.
     low = hw[-1] if rs.series == "A" else hw[0] % 2
     values = range(hw[0], low - 1, -2)
-    if rs.series in ("A", "B", "C"):
-        for mu in itertools.combinations_with_replacement(values, rs.ambient_dim):
-            keep(mu)
-    else:
-        # D series: the last coordinate may be negative down to -x_{rank-1}.
-        for head in itertools.combinations_with_replacement(values, rs.rank - 1):
-            for g in values:
-                if g > head[-1]:
-                    continue
-                for s in ((1,) if g == 0 else (1, -1)):
-                    keep(head + (s * g,))
+    for mu in itertools.combinations_with_replacement(values, rs.ambient_dim):
+        keep(mu)
+        # D series: the last coordinate of a dominant weight may be
+        # negative, down to minus the one before it, so a nonzero last
+        # entry is also kept negated.
+        if rs.series == "D" and mu[-1]:
+            keep(mu[:-1] + (-mu[-1],))
     return sorted(depth, key=depth.__getitem__)
 
 

@@ -1,18 +1,21 @@
 """Root systems in classical epsilon coordinates, with exact arithmetic.
 
-Supported simple types: A1 (one-dimensional realization, simple root 2*eps),
-A5 (in R^6, weights taken modulo the all-ones vector and normalized so the
-minimum coordinate is 0), B2, C2, C3, C4, D4, D5.  At the API, vectors are
-tuples of ``fractions.Fraction``; all weight-lattice coordinates have
-denominator 1 or 2, so twice a weight is an integer tuple; ``doubled`` and
-``halved`` convert between the two.  The character oracle (``charalg``,
-``branching``) runs on those doubled ``int`` tuples inside:
-``dominant_conjugate``, ``weyl_orbit`` and ``normalize_vector`` only
-sort, negate, subtract and compare entries, so they are exact on ``int``
-tuples too and commute with doubling.  ``root_coordinates`` is a closed
-form per series, so nothing here solves a linear system: the Freudenthal
-order and the stabilizer classification both read simple-root coordinates.
-Everything here is immutable and pure.
+Supported simple types: A1, A5, B2, C2, C3, C4, D4, D5.  Each is built from
+its series and rank by one rule per series (Bourbaki's Plates I-IV): A_n in
+R^(n+1), with weights taken modulo the all-ones vector and normalized so the
+minimum coordinate is 0; B_n, C_n and D_n in R^n.  A1 is the one-coordinate
+realization with simple root 2*eps, which is C1, so its ``series`` is "C";
+only ``dominant_conjugate`` still reads the A1 label, for a fast path on
+this hot call.  At the API, vectors are tuples of ``fractions.Fraction``;
+all weight-lattice coordinates have denominator 1 or 2, so twice a weight is
+an integer tuple; ``doubled`` and ``halved`` convert between the two.  The
+character oracle (``charalg``, ``branching``) runs on those doubled ``int``
+tuples inside: ``dominant_conjugate``, ``weyl_orbit`` and
+``normalize_vector`` only sort, negate, subtract and compare entries, so
+they are exact on ``int`` tuples too and commute with doubling.
+``root_coordinates`` is a closed form per series, so nothing here solves a
+linear system: the Freudenthal order and the stabilizer classification both
+read simple-root coordinates.  Everything here is immutable and pure.
 
 Cartan-matrix convention: ``a[i][j] = <alpha_i, alpha_j^vee>``.
 """
@@ -79,10 +82,6 @@ def vsub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vneg(u: Vector) -> Vector:
-    return tuple(-a for a in u)
-
-
 def vscale(c: Q | int, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 
@@ -123,45 +122,31 @@ def _half_sum(vectors: Iterable[Vector], dim: int) -> Vector:
 
 @functools.lru_cache(maxsize=None)
 def build_root_system(label: str) -> RootSystem:
-    """Return the standard-coordinate root system for a supported type."""
+    """Return the standard-coordinate root system for a supported type.
+
+    One rule per series: the roots e_i - e_j, plus e_i + e_j for B, C and
+    D, plus e_i for B and 2e_i for C; the simple roots e_i - e_(i+1), then
+    e_n for B, 2e_n for C and e_(n-1) + e_n for D.
+    """
     if label not in SUPPORTED_TYPES:
         raise UnsupportedTypeError(f"unsupported type label {label!r}")
     series, rank = label[0], int(label[1:])
     if label == "A1":
-        dim = 1
-        simple = [qv(2)]
-        positive = [qv(2)]
-    elif label == "A5":
-        dim = 6
-        simple = [vsub(_unit(dim, i), _unit(dim, i + 1)) for i in range(5)]
-        positive = [
-            vsub(_unit(dim, i), _unit(dim, j))
-            for i in range(dim)
-            for j in range(i + 1, dim)
-        ]
-    elif label == "B2":
-        dim = 2
-        simple = [qv(1, -1), qv(0, 1)]
-        positive = [qv(1, -1), qv(0, 1), qv(1, 0), qv(1, 1)]
-    elif series == "C":
-        dim = rank
-        simple = [vsub(_unit(dim, i), _unit(dim, i + 1)) for i in range(rank - 1)]
-        simple.append(_unit(dim, rank - 1, 2))
-        positive = []
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                positive.append(vsub(_unit(dim, i), _unit(dim, j)))
+        series = "C"  # one coordinate, simple root 2*eps: the C1 realization
+    dim = rank + 1 if series == "A" else rank
+    simple = [vsub(_unit(dim, i), _unit(dim, i + 1)) for i in range(dim - 1)]
+    positive = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            positive.append(vsub(_unit(dim, i), _unit(dim, j)))
+            if series != "A":
                 positive.append(vadd(_unit(dim, i), _unit(dim, j)))
-        positive.extend(_unit(dim, i, 2) for i in range(rank))
-    else:  # D series
-        dim = rank
-        simple = [vsub(_unit(dim, i), _unit(dim, i + 1)) for i in range(rank - 1)]
+    if series in ("B", "C"):
+        length = 1 if series == "B" else 2
+        simple.append(_unit(dim, rank - 1, length))
+        positive.extend(_unit(dim, i, length) for i in range(rank))
+    elif series == "D":
         simple.append(vadd(_unit(dim, rank - 2), _unit(dim, rank - 1)))
-        positive = []
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                positive.append(vsub(_unit(dim, i), _unit(dim, j)))
-                positive.append(vadd(_unit(dim, i), _unit(dim, j)))
     rs = RootSystem(
         label=label,
         series=series,
@@ -244,7 +229,7 @@ def dominant_conjugate(rs: RootSystem, v: Vector) -> tuple[Vector, int]:
     sign changes; ``dominant_conjugate_by_reflections`` is the generic
     oracle the closed forms are tested against.  Exact on ``int`` tuples.
     """
-    if rs.label == "A1":
+    if rs.label == "A1":  # C1 below gives the same; this is a hot call
         x = v[0]
         if x == 0:
             return v, 0
@@ -312,8 +297,6 @@ def _signed_spreads(base: Vector, parity: int | None) -> Iterable[Vector]:
 
 def weyl_orbit(rs: RootSystem, v: Vector) -> frozenset[Vector]:
     """Full Weyl-group orbit of ``v``; exact on ``int`` tuples."""
-    if rs.label == "A1":
-        return frozenset({v, (-v[0],)})
     if rs.series == "A":
         return frozenset(itertools.permutations(v))
     base = tuple(abs(x) for x in v)
@@ -405,22 +388,20 @@ def _component_weyl_order(rs: RootSystem, component: list[int]) -> int:
 def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Q, ...] | None:
     """Coefficients of ``v`` in the simple-root basis, or None if off-span.
 
-    Closed partial-sum forms per series; only A5 has vectors off the span.
-    Their sum orders the Freudenthal recursion (depth below the highest
-    weight) and their support classifies the stabilizers in
+    Closed partial-sum forms per series; only the A series has vectors off
+    the span.  Their sum orders the Freudenthal recursion (depth below the
+    highest weight) and their support classifies the stabilizers in
     ``weyl_orbit_size``.  Halves are ``Fraction`` halves, so ``int`` input
     gives exact coordinates too.
     """
     half = Q(1, 2)
-    if rs.label == "A1":
-        return (v[0] * half,)
     sums = list(itertools.accumulate(v))
     if rs.series == "A":
         if sums[-1] != 0:
             return None
         return tuple(sums[:-1])
-    if rs.label == "B2":
-        return (sums[0], sums[1])
+    if rs.series == "B":
+        return tuple(sums)
     if rs.series == "C":
         return tuple(sums[:-1]) + (sums[-1] * half,)
     # D series
@@ -462,11 +443,12 @@ def halved(v: Doubled) -> Vector:
 
 
 def normalize_vector(rs: RootSystem, v: Vector) -> Vector:
-    """Canonical coset representative; only A5 weights live modulo (1,..,1).
+    """Canonical coset representative; only A-series weights live modulo
+    (1,..,1).
 
     Exact on ``int`` tuples and commutes with doubling.
     """
-    if rs.label == "A5":
+    if rs.series == "A":
         low = min(v)
         return tuple(x - low for x in v)
     return v

@@ -25,8 +25,8 @@ from liedual.lattice import (
     reflect,
     root_coordinates,
     vadd,
-    vneg,
     vscale,
+    vsub,
     weyl_group_order,
     weyl_orbit,
     weyl_orbit_size,
@@ -67,8 +67,22 @@ def test_all_roots_sum_to_zero(label):
     total = tuple(Q(0) for _ in range(rs.ambient_dim))
     for r in rs.positive_roots:
         total = vadd(total, r)
-        total = vadd(total, vneg(r))
+        total = vsub(total, r)
     assert all(x == 0 for x in total)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_roots_form_a_root_system(label):
+    rs = build_root_system(label)
+    positive = set(rs.positive_roots)
+    assert set(rs.simple_roots) <= positive
+    roots = positive | {vscale(-1, r) for r in positive}
+    for a in rs.simple_roots:
+        assert {reflect(r, a) for r in roots} == roots
+    for r in rs.positive_roots:
+        coords = root_coordinates(rs, r)
+        assert coords is not None
+        assert all(c.denominator == 1 and c >= 0 for c in coords)
 
 
 def test_d4_simple_roots_standard_coordinates():
@@ -150,7 +164,7 @@ def test_dominant_conjugate_matches_reflection_walk(data, label):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data(), label=st.sampled_from(["A1", "B2", "C2", "D4"]))
+@given(data=st.data(), label=st.sampled_from(SUPPORTED_TYPES))
 def test_orbit_closed_under_reflections(data, label):
     rs = build_root_system(label)
     v = _random_vector(data.draw, rs)
