@@ -313,19 +313,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _VERDICT_EXIT[report.verdict]
 
 
-_MINREP_GROUPS = {
-    "splitJ-splitE": group("A1", "A1", "A1", "A1"),
-    "splitJ-mixedE": group("C2", "A1"),
-    "hermJ-mixedE": group("C2", "A1"),
-}
-
-
 def cmd_minrep(args: argparse.Namespace) -> int:
     case = args.case
-    if case not in _MINREP_GROUPS:
+    if case not in minrep.TYPE_GROUPS:
         raise InvalidWeightError(f"unsupported case {case!r} for series output")
-    gs = _MINREP_GROUPS[case]
-    ktype = parse_weight(gs, args.type)
+    ktype = parse_weight(minrep.TYPE_GROUPS[case], args.type)
     series = minrep.multiplicity_series(case, ktype, args.max_level, args.charge)
     tag = None
     try:

@@ -8,6 +8,11 @@ Level characters are assembled from the closed-form branching rules, which
 keeps every level cheap; the rules themselves are certified against the
 generic restriction oracle elsewhere.  ``minrep_levels`` and
 ``dualpair_graded`` share one loop over ``_LEVELS``, one entry per case.
+
+``TYPE_GROUPS`` holds the series cases' type groups, for ``cli`` and
+``theta`` too.  ``sign_first_appearance`` checks first appearance once,
+through ``ktype_multiplicity``; ``SignAssignment.side`` derives from
+``sign``.  ``verify_series`` serves criteria 5 and 7 alike.
 """
 
 from __future__ import annotations
@@ -223,23 +228,40 @@ def dualpair_graded(case: str, truncation: int) -> GradedCharacter:
     return _graded(case, truncation)
 
 
-def _split_type(w: Weight) -> tuple[int, int, int, int]:
+# Each series case's type group: its level group without the circle.
+TYPE_GROUPS: dict[str, GroupSpec] = {
+    case: GroupSpec(_LEVELS[case][0].factors)
+    for case in ("splitJ-splitE", "splitJ-mixedE", "hermJ-mixedE")
+}
+
+
+def _int_coords(w: Weight) -> tuple[int, ...]:
+    """The coordinates of ``w`` as ints; it must be uncharged and integral."""
+    if w.charges:
+        raise InvalidTypeError(f"{w} carries a charge; pass it as m")
+    coords = w.sort_key()
+    vals = tuple(map(int, coords))
+    if vals != coords:
+        raise InvalidTypeError(f"{w} has a non-integral coordinate")
+    return vals
+
+
+def _split_type(w: Weight) -> tuple[int, ...]:
     if len(w.parts) != 4 or any(len(p) != 1 for p in w.parts):
         raise InvalidTypeError(f"{w} is not an SU2^4 type")
-    vals = tuple(int(p[0]) for p in w.parts)
+    vals = _int_coords(w)
     if any(v < 0 for v in vals):
         raise InvalidTypeError("negative SU2 weight")
     return vals
 
 
-def _pair_type(w: Weight) -> tuple[int, int, int]:
+def _pair_type(w: Weight) -> tuple[int, ...]:
     if len(w.parts) != 2 or len(w.parts[0]) != 2 or len(w.parts[1]) != 1:
         raise InvalidTypeError(f"{w} is not an Sp(2) x SU2 type")
-    x, y = int(w.parts[0][0]), int(w.parts[0][1])
-    z = int(w.parts[1][0])
+    x, y, z = vals = _int_coords(w)
     if not (x >= y >= 0 and z >= 0):
         raise InvalidTypeError("non-dominant Sp(2) x SU2 type")
-    return x, y, z
+    return vals
 
 
 def ktype_multiplicity(
@@ -335,6 +357,8 @@ class MultiplicitySeries:
 def multiplicity_series(
     case: str, ktype: Weight, truncation: int, m: int | None = None
 ) -> MultiplicitySeries:
+    if truncation < 0:
+        raise ValueError("truncation must be non-negative")
     values = tuple(
         ktype_multiplicity(case, ktype, n, m) for n in range(truncation + 1)
     )
@@ -410,24 +434,14 @@ def verify_series(
 
 @dataclass(frozen=True)
 class SignAssignment:
-    side: str  # "rho1" or "epsilon"
     witness_level: int
     sign: int
 
-
-def _side_of(sign: int) -> str:
-    # +1 at first appearance lands on the trivial extension, -1 on the sign
-    # extension of the order-two component.
-    return "rho1" if sign == 1 else "epsilon"
-
-
-def _require_first_appearance(
-    case: str, level_multiplicity: Callable[[int], int], witness: int
-) -> None:
-    if level_multiplicity(witness) != 1 or (
-        witness > 0 and level_multiplicity(witness - 1) != 0
-    ):
-        raise InvariantError(f"{case}: level {witness} is not a first appearance")
+    @property
+    def side(self) -> str:
+        """"rho1" or "epsilon": +1 at first appearance lands on the trivial
+        extension, -1 on the sign extension of the order-two component."""
+        return "rho1" if self.sign == 1 else "epsilon"
 
 
 def sign_first_appearance(case: str, ktype: Weight) -> SignAssignment:
@@ -436,7 +450,8 @@ def sign_first_appearance(case: str, ktype: Weight) -> SignAssignment:
     splitJ-splitE covers all-even types with a zero coordinate whose other
     entries satisfy the triangle condition; splitJ-mixedE covers
     V_(2k,0) (x) V_0; hermJ-mixedE covers the Sp(2)-trivial types
-    V_(0,0) (x) V_(2k) with k >= 1.  e62-spin8 has no sign grading.
+    V_(0,0) (x) V_(2k) with k >= 1.  e62-spin8 has no sign grading.  The
+    type must occur once at the witness level and not at the level before.
     """
     if case not in DUALPAIR_CASES:
         raise KeyError(f"unknown case {case!r}")
@@ -452,31 +467,23 @@ def sign_first_appearance(case: str, ktype: Weight) -> SignAssignment:
         if not so3_cone_ok(a, b, c, 0):
             raise NotCoveredError("triangle condition fails")
         witness = (a + b + c) // 2
-        _require_first_appearance(
-            case, lambda n: ktype_multiplicity(case, ktype, n), witness
-        )
-        sign = (-1) ** witness
-        return SignAssignment(_side_of(sign), witness, sign)
-    if case == "splitJ-mixedE":
+        sign, charge = (-1) ** witness, None
+    elif case == "splitJ-mixedE":
         x, y, z = _pair_type(ktype)
         if y != 0 or z != 0 or x % 2:
             raise NotCoveredError("family is V_(2k,0) (x) V_0")
-        k = x // 2
-        witness = 2 * k
-        _require_first_appearance(
-            case, lambda n: ktype_multiplicity(case, ktype, n, m=0), witness
-        )
-        sign = (-1) ** k
-        return SignAssignment(_side_of(sign), witness, sign)
-    if case == "hermJ-mixedE":
+        witness, sign, charge = x, (-1) ** (x // 2), 0
+    elif case == "hermJ-mixedE":
         x, y, z = _pair_type(ktype)
         if x != 0 or y != 0 or z == 0 or z % 2:
             raise NotCoveredError("family is V_(0,0) (x) V_(2k), k >= 1")
-        k = z // 2
-        witness = k - 1
-        _require_first_appearance(
-            case, lambda n: quasisplit_level_multiplicity(0, 0, z, 0, n), witness
-        )
-        sign = (-1) ** witness
-        return SignAssignment(_side_of(sign), witness, sign)
-    raise NotCoveredError(f"no sign grading in case {case}")
+        witness = z // 2 - 1
+        sign, charge = (-1) ** witness, 0
+    else:
+        raise NotCoveredError(f"no sign grading in case {case}")
+    if (
+        ktype_multiplicity(case, ktype, witness, charge) != 1
+        or ktype_multiplicity(case, ktype, witness - 1, charge) != 0
+    ):
+        raise InvariantError(f"{case}: level {witness} is not a first appearance")
+    return SignAssignment(witness, sign)

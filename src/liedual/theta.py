@@ -5,6 +5,8 @@ principal-series type counts, their comparison with the stabilized graded
 multiplicities, and dimension verification of the lowest-type tables.
 All infinitesimal-character comparisons are exact orbit equalities of
 dominant representatives; there is no numeric tolerance anywhere.
+Type groups come from ``minrep.TYPE_GROUPS``; criterion 5 accepts a series
+through ``minrep.verify_series``, the criterion-7 verifier.
 """
 
 from __future__ import annotations
@@ -25,13 +27,19 @@ from .lattice import (
     InvariantError,
     Vector,
     build_root_system,
-    group,
     make_weight,
     split_by_factor,
     vadd,
     vscale,
 )
-from .minrep import dualpair_graded, quasisplit_level_multiplicity, so3_invariants
+from .minrep import (
+    TYPE_GROUPS,
+    MultiplicitySeries,
+    dualpair_graded,
+    quasisplit_level_multiplicity,
+    so3_invariants,
+    verify_series,
+)
 
 _TORUS_CASES = {
     # (E, K) labels: split/hermitian Jordan algebra x split/complex torus part.
@@ -210,34 +218,30 @@ def compare_ps_vs_stabilized(
 
     For every type x >= y >= 0, z >= 0 with x+y+z <= max_type_sum and
     0 <= m <= max_charge: the series count must equal the stabilized graded
-    count, the graded series must be non-decreasing, and stabilization must
-    begin exactly at the predicted onset.
+    count, and ``verify_series`` must find the graded series, up to two
+    levels past the predicted onset, eventually constant at that count from
+    exactly that onset.
     """
+    gs = TYPE_GROUPS["hermJ-mixedE"]
     checks = []
     for x in range(max_type_sum + 1):
         for y in range(x + 1):
             for z in range(max_type_sum - x - y + 1):
                 if (x + y + z) % 2:
                     continue
+                ktype = make_weight(gs, ((x, y), (z,)))
                 for m in range(max_charge + 1):
                     ps = ps_multiplicity_quasisplit(x, y, z, m)
                     stab = quasisplit_stabilized_count(x, y, z, m)
                     onset = quasisplit_stabilization_onset(x, y, z, m)
-                    horizon = max(onset + 2, 2)
                     series = [
                         quasisplit_level_multiplicity(x, y, z, m, n)
-                        for n in range(horizon + 1)
+                        for n in range(max(onset + 2, 2) + 1)
                     ]
-                    ok = (
-                        ps == stab
-                        and series[onset] == stab
-                        and (onset == 0 or series[onset - 1] != stab or stab == 0)
-                        and all(
-                            series[i] <= series[i + 1]
-                            for i in range(len(series) - 1)
-                        )
-                        and series[-1] == stab
+                    verdict = verify_series(
+                        MultiplicitySeries("hermJ-mixedE", ktype, m, tuple(series)), onset, stab
                     )
+                    ok = ps == stab and verdict.accepted and verdict.kind == "value"
                     checks.append(
                         Check(
                             f"type ({x},{y},{z}) m={m}",
@@ -253,8 +257,8 @@ def compare_ps_vs_stabilized(
 # Lowest-type table fixtures.
 
 _TABLES = {
-    "split": ("split_table.tsv", group("A1", "A1", "A1", "A1"), 25),
-    "quasisplit": ("quasisplit_table.tsv", group("C2", "A1"), 11),
+    "split": ("split_table.tsv", TYPE_GROUPS["splitJ-splitE"], 25),
+    "quasisplit": ("quasisplit_table.tsv", TYPE_GROUPS["hermJ-mixedE"], 11),
 }
 
 
@@ -264,18 +268,6 @@ def default_fixture_dir() -> Path:
     if not path.is_dir():
         raise FixtureError(f"no fixtures directory at {path}")
     return path
-
-
-@dataclass(frozen=True)
-class TableRow:
-    row_id: int
-    weight_csv: str
-    expected_dim: int
-    actual_dim: int
-
-    @property
-    def ok(self) -> bool:
-        return self.expected_dim == self.actual_dim
 
 
 def _parse_table(path: Path) -> list[tuple[int, tuple[int, ...], int]]:
@@ -312,29 +304,28 @@ def verify_table(which: str, fixtures_dir: Path | None = None) -> Report:
     filename, gs, expected_rows = _TABLES[which]
     directory = fixtures_dir if fixtures_dir is not None else default_fixture_dir()
     entries = _parse_table(directory / filename)
-    by_row: dict[int, list[TableRow]] = {}
+    # row id -> its printed and its computed "[weight] -> dim" entries
+    expected: dict[int, list[str]] = {}
+    actual: dict[int, list[str]] = {}
     for row_id, coords, dim in entries:
-        actual = weight_dimension(gs, _table_weight(gs, coords))
-        by_row.setdefault(row_id, []).append(
-            TableRow(row_id, ",".join(str(c) for c in coords), dim, actual)
-        )
-    if sorted(by_row) != list(range(expected_rows)):
+        label = ",".join(str(c) for c in coords)
+        computed = weight_dimension(gs, _table_weight(gs, coords))
+        expected.setdefault(row_id, []).append(f"[{label}] -> {dim}")
+        actual.setdefault(row_id, []).append(f"[{label}] -> {computed}")
+    if sorted(expected) != list(range(expected_rows)):
         raise FixtureError(
             f"{filename}: row ids must be exactly 0..{expected_rows - 1}"
         )
-    checks = []
-    for row_id in range(expected_rows):
-        rows = by_row[row_id]
-        ok = all(r.ok for r in rows)
-        checks.append(
-            Check(
-                f"{which} row {row_id}",
-                "PASS" if ok else "FAIL",
-                "; ".join(f"[{r.weight_csv}] -> {r.expected_dim}" for r in rows),
-                "; ".join(f"[{r.weight_csv}] -> {r.actual_dim}" for r in rows),
-            )
+    checks = tuple(
+        Check(
+            f"{which} row {row_id}",
+            "PASS" if expected[row_id] == actual[row_id] else "FAIL",
+            "; ".join(expected[row_id]),
+            "; ".join(actual[row_id]),
         )
-    return Report(f"{which} lowest-type table", tuple(checks))
+        for row_id in range(expected_rows)
+    )
+    return Report(f"{which} lowest-type table", checks)
 
 
 def verify_tables(fixtures_dir: Path | None = None) -> Report:

@@ -373,6 +373,30 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_has_no_unused_imports():
+    # An import that nothing reads is left over from a deleted caller.
+    package = Path(liedual.__file__).resolve().parent
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    assert sources
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_dimension_conservation_on_all_catalog_entries():
     samples = {
         "sp2xsp2_in_sp4": sp4_omega4_weight(1),

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from liedual.branching import embedding, restrict_generic, sp4_omega4_weight
 from liedual.charalg import dimension
-from liedual.lattice import Weight, build_root_system, group, make_weight
+from liedual import minrep
+from liedual.lattice import InvariantError, Weight, build_root_system, group, make_weight
 from liedual.minrep import (
     DUALPAIR_CASES,
     _hermJ_level,
@@ -411,3 +412,70 @@ def test_ktype_multiplicity_checks_the_case_before_the_level():
     for case, w in types.items():
         assert ktype_multiplicity(case, w, -1) == 0
         assert ktype_multiplicity(case, w, 0) == 1
+
+
+_H = Q(1, 2)
+
+
+@pytest.mark.parametrize(
+    "case, w",
+    [
+        ("splitJ-splitE", Weight(((_H,), (_H,), (Q(0),), (Q(0),)))),
+        ("splitJ-splitE", Weight(((2,), (2,), (0,), (0,)), (Q(0),))),
+        ("splitJ-mixedE", Weight(((Q(5, 2), _H), (_H,)))),
+        ("splitJ-mixedE", Weight(((2, 0), (0,)), (Q(0),))),
+        ("hermJ-mixedE", Weight(((0, 0), (Q(9, 2),)))),
+        ("hermJ-mixedE", Weight(((0, 0), (4,)), (Q(0),))),
+    ],
+    ids=[
+        "splitJ-splitE-half",
+        "splitJ-splitE-charged",
+        "splitJ-mixedE-half",
+        "splitJ-mixedE-charged",
+        "hermJ-mixedE-half",
+        "hermJ-mixedE-charged",
+    ],
+)
+def test_types_must_be_integral_and_uncharged(case, w):
+    # int() would truncate 1/2 to 0 and read another type's series; a
+    # charge on the type would be ignored in favour of the m argument.
+    with pytest.raises(InvalidTypeError):
+        ktype_multiplicity(case, w, 3)
+    with pytest.raises(InvalidTypeError):
+        sign_first_appearance(case, w)
+
+
+_ANY_TYPE = {
+    "splitJ-splitE": w4(0, 0, 0, 0),
+    "splitJ-mixedE": wp(0, 0, 0),
+    "hermJ-mixedE": wp(0, 0, 2),
+    "e62-spin8": dualpair_graded("e62-spin8", 0).levels[0].terms[0][0],
+}
+
+
+@pytest.mark.parametrize("case", DUALPAIR_CASES)
+def test_multiplicity_series_rejects_negative_truncation(case):
+    with pytest.raises(ValueError, match="truncation must be non-negative"):
+        multiplicity_series(case, _ANY_TYPE[case], -1)
+
+
+@pytest.mark.parametrize(
+    "case, w",
+    [
+        ("splitJ-splitE", w4(2, 2, 0, 0)),
+        ("splitJ-mixedE", wp(2, 0, 0)),
+        ("hermJ-mixedE", wp(0, 0, 4)),
+    ],
+    ids=["splitJ-splitE", "splitJ-mixedE", "hermJ-mixedE"],
+)
+def test_first_appearance_reads_ktype_multiplicity(monkeypatch, case, w):
+    # Every family checks its witness through ktype_multiplicity alone, so
+    # shifting that one reader by a level breaks each first appearance.
+    real = minrep.ktype_multiplicity
+
+    def shifted(case, ktype, n, m=None):
+        return real(case, ktype, n - 1, m)
+
+    monkeypatch.setattr(minrep, "ktype_multiplicity", shifted)
+    with pytest.raises(InvariantError, match="not a first appearance"):
+        sign_first_appearance(case, w)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liedual import theta
 from liedual.charalg import infinitesimal_character
 from liedual.lattice import build_root_system, qv
 from liedual.minrep import sign_first_appearance, so3_cone_ok
@@ -131,6 +132,38 @@ def test_compare_ps_vs_stabilized_small():
     report = compare_ps_vs_stabilized(8, 2)
     assert report.ok
     assert report.summary.startswith("PASS")
+
+
+_REAL_LEVEL = theta.quasisplit_level_multiplicity
+
+
+def _growing(x, y, z, m, n):
+    # keeps growing by the stabilized value after the onset
+    onset = quasisplit_stabilization_onset(x, y, z, m)
+    stab = quasisplit_stabilized_count(x, y, z, m)
+    return _REAL_LEVEL(x, y, z, m, n) + max(0, n - onset) * stab
+
+
+def _late(x, y, z, m, n):
+    # reaches the stabilized value one level after the onset
+    return _REAL_LEVEL(x, y, z, m, n - 1)
+
+
+def _dip(x, y, z, m, n):
+    # drops to zero one level after the onset, then recovers
+    onset = quasisplit_stabilization_onset(x, y, z, m)
+    stab = quasisplit_stabilized_count(x, y, z, m)
+    return _REAL_LEVEL(x, y, z, m, n) - (n == onset + 1) * stab
+
+
+@pytest.mark.parametrize(
+    "bad", [_growing, _late, _dip], ids=["growing", "late", "dip"]
+)
+def test_quasisplit_report_rejects_bad_series(monkeypatch, bad):
+    # Each corruption touches exactly the 23 types of non-zero stabilized
+    # count; a growing series must fail too, not pass as an increment.
+    monkeypatch.setattr(theta, "quasisplit_level_multiplicity", bad)
+    assert compare_ps_vs_stabilized(8, 2).summary == "FAIL 142/165"
 
 
 def test_ps_quasisplit_against_ladder_counting_oracle():
