@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 negative multiplicity (wrong embedding), 4 budget exceeded.
+
+Each command imports only what it runs: ``minrep`` is imported by the
+``minrep`` command, ``theta`` by the verify suites that read it, and the
+process pool only for ``verify --jobs`` above 1, so ``dim`` and ``branch``
+load ``lattice``, ``charalg`` and ``branching`` alone.
 """
 
 from __future__ import annotations
@@ -9,14 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from fractions import Fraction as Q
 from pathlib import Path
 
-from . import branching, minrep, theta
+from . import branching
 from .branching import (
     BudgetExceededError,
     Check,
@@ -25,11 +28,10 @@ from .branching import (
     Rule,
     RULE_IDS,
 )
-from .charalg import FormalCharacter, NonDominantError, weight_dimension
+from .charalg import FormalCharacter, weight_dimension
 from .lattice import (
     GroupSpec,
     InvalidWeightError,
-    UnsupportedTypeError,
     Weight,
     group,
     make_weight,
@@ -253,6 +255,8 @@ def _run_rule_sweep(task: tuple[str, int | None, int]) -> tuple[Check, ...]:
 def _suite_rules(args) -> list[Check]:
     tasks = [(rule_id, args.max_level, args.budget) for rule_id in RULE_IDS]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             blocks = list(pool.map(_run_rule_sweep, tasks))
     else:
@@ -261,6 +265,10 @@ def _suite_rules(args) -> list[Check]:
 
 
 def _suite_infchar(args) -> list[Check]:
+    import random
+
+    from . import theta
+
     checks = list(theta.lemma_infchar_consistency(args.max_n).checks)
     rng = random.Random(2024)
     mismatches = 0
@@ -282,10 +290,14 @@ def _suite_infchar(args) -> list[Check]:
 
 
 def _suite_quasisplit(args) -> tuple[Check, ...]:
+    from . import theta
+
     return theta.compare_ps_vs_stabilized().checks
 
 
 def _suite_tables(args) -> tuple[Check, ...]:
+    from . import theta
+
     directory = Path(args.fixtures) if args.fixtures else None
     return theta.verify_tables(directory).checks
 
@@ -314,6 +326,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_minrep(args: argparse.Namespace) -> int:
+    from . import minrep
+
     case = args.case
     if case not in minrep.TYPE_GROUPS:
         raise InvalidWeightError(f"unsupported case {case!r} for series output")
@@ -346,7 +360,10 @@ def cmd_minrep(args: argparse.Namespace) -> int:
         for n, v in enumerate(series.values):
             print(f"{n}\t{v}")
         print(f"first_level\t{series.first_level}")
-        print(f"stabilized\t{series.stabilized_value} ({series.stabilized_kind})")
+        if series.stabilized_kind is None:
+            print(f"stabilized\tnot reached by level {args.max_level}")
+        else:
+            print(f"stabilized\t{series.stabilized_value} ({series.stabilized_kind})")
         if tag:
             print(f"tag\t{tag}")
     else:
@@ -417,16 +434,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (
-        InvalidWeightError,
-        UnsupportedTypeError,
-        NonDominantError,
-        minrep.InvalidTypeError,
-        minrep.NotCoveredError,
-        theta.FixtureError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (KeyError, ValueError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -30,6 +30,9 @@ from typing import Iterable, Sequence
 
 Vector = tuple[Q, ...]
 
+#: A vector in doubled coordinates: 2v as integers.
+Doubled = tuple[int, ...]
+
 SUPPORTED_TYPES = ("A1", "A5", "B2", "C2", "C3", "C4", "D4", "D5")
 
 #: Expected Cartan matrices, row i = <alpha_i, alpha_j^vee>.
@@ -86,12 +89,6 @@ def vscale(c: Q | int, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 
 
-def _unit(dim: int, i: int, value: int = 1) -> Vector:
-    v = [Q(0)] * dim
-    v[i] = Q(value)
-    return tuple(v)
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """A simple root system realized in rational ambient coordinates."""
@@ -113,20 +110,14 @@ class RootSystem:
         return hash(self.label)
 
 
-def _half_sum(vectors: Iterable[Vector], dim: int) -> Vector:
-    total = tuple(Q(0) for _ in range(dim))
-    for v in vectors:
-        total = vadd(total, v)
-    return vscale(Q(1, 2), total)
-
-
 @functools.lru_cache(maxsize=None)
 def build_root_system(label: str) -> RootSystem:
     """Return the standard-coordinate root system for a supported type.
 
     One rule per series: the roots e_i - e_j, plus e_i + e_j for B, C and
     D, plus e_i for B and 2e_i for C; the simple roots e_i - e_(i+1), then
-    e_n for B, 2e_n for C and e_(n-1) + e_n for D.
+    e_n for B, 2e_n for C and e_(n-1) + e_n for D.  The roots and 2*rho
+    are built as ``int`` tuples and converted to ``Fraction`` once.
     """
     if label not in SUPPORTED_TYPES:
         raise UnsupportedTypeError(f"unsupported type label {label!r}")
@@ -134,51 +125,69 @@ def build_root_system(label: str) -> RootSystem:
     if label == "A1":
         series = "C"  # one coordinate, simple root 2*eps: the C1 realization
     dim = rank + 1 if series == "A" else rank
-    simple = [vsub(_unit(dim, i), _unit(dim, i + 1)) for i in range(dim - 1)]
+
+    def root(*entries: tuple[int, int]) -> tuple[int, ...]:
+        """The integer vector with the given (index, value) entries."""
+        v = [0] * dim
+        for i, value in entries:
+            v[i] = value
+        return tuple(v)
+
+    simple = [root((i, 1), (i + 1, -1)) for i in range(dim - 1)]
     positive = []
     for i in range(dim):
         for j in range(i + 1, dim):
-            positive.append(vsub(_unit(dim, i), _unit(dim, j)))
+            positive.append(root((i, 1), (j, -1)))
             if series != "A":
-                positive.append(vadd(_unit(dim, i), _unit(dim, j)))
+                positive.append(root((i, 1), (j, 1)))
     if series in ("B", "C"):
         length = 1 if series == "B" else 2
-        simple.append(_unit(dim, rank - 1, length))
-        positive.extend(_unit(dim, i, length) for i in range(rank))
+        simple.append(root((rank - 1, length)))
+        positive.extend(root((i, length)) for i in range(rank))
     elif series == "D":
-        simple.append(vadd(_unit(dim, rank - 2), _unit(dim, rank - 1)))
+        simple.append(root((rank - 2, 1), (rank - 1, 1)))
+    two_rho = tuple(map(sum, zip(*positive)))
     rs = RootSystem(
         label=label,
         series=series,
         rank=rank,
         ambient_dim=dim,
-        simple_roots=tuple(simple),
-        positive_roots=tuple(positive),
-        weyl_vector=_half_sum(positive, dim),
+        simple_roots=tuple(tuple(map(Q, a)) for a in simple),
+        positive_roots=tuple(tuple(map(Q, a)) for a in positive),
+        weyl_vector=halved(two_rho),
     )
     _check_invariants(rs)
     return rs
 
 
+def _int_dot(u: Doubled, v: Doubled) -> int:
+    return sum(a * b for a, b in zip(u, v, strict=True))
+
+
 def cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix a[i][j] = <alpha_i, alpha_j^vee> from the stored roots."""
+    """Cartan matrix a[i][j] = <alpha_i, alpha_j^vee> from the stored roots,
+    on doubled integers: 2 (2a, 2b) / (2b, 2b)."""
+    roots = [doubled(a) for a in rs.simple_roots]
     rows = []
-    for a in rs.simple_roots:
+    for a in roots:
         row = []
-        for b in rs.simple_roots:
-            entry = pairing(a, b)
-            if entry.denominator != 1:
+        for b in roots:
+            entry, remainder = divmod(2 * _int_dot(a, b), _int_dot(b, b))
+            if remainder:
                 raise ValueError(f"non-integral Cartan entry for {rs.label}")
-            row.append(int(entry))
+            row.append(entry)
         rows.append(tuple(row))
     return tuple(rows)
 
 
 def _check_invariants(rs: RootSystem) -> None:
+    """Cartan matrix, <rho, alpha^vee> = 1 and the positive-root count, on
+    doubled integers: the rho check reads 2 (2rho, 2a) == (2a, 2a)."""
     if cartan_matrix(rs) != _STANDARD_CARTAN[rs.label]:
         raise ValueError(f"Cartan matrix mismatch for {rs.label}")
-    for a in rs.simple_roots:
-        if pairing(rs.weyl_vector, a) != 1:
+    two_rho = doubled(rs.weyl_vector)
+    for a in map(doubled, rs.simple_roots):
+        if 2 * _int_dot(two_rho, a) != _int_dot(a, a):
             raise ValueError(f"Weyl vector pairing defect for {rs.label}")
     expected = {"A": rank_count_a, "B": rank_count_bc, "C": rank_count_bc, "D": rank_count_d}
     if len(rs.positive_roots) != expected[rs.series](rs.rank):
@@ -425,16 +434,15 @@ def in_weight_lattice(rs: RootSystem, v: Vector) -> bool:
     return denominators == {1} or denominators == {2}
 
 
-#: A vector in doubled coordinates: 2v as integers.
-Doubled = tuple[int, ...]
-
-
 def doubled(v: Vector) -> Doubled:
     """2v as an ``int`` tuple; exact because coordinates have denominator 1 or 2."""
-    twice = tuple(2 * x for x in v)
-    if any(t.denominator != 1 for t in twice):
-        raise InvalidWeightError(f"{v} is not a weight-lattice vector")
-    return tuple(int(t) for t in twice)
+    out = []
+    for x in v:
+        twice, rest = divmod(2 * x.numerator, x.denominator)
+        if rest:
+            raise InvalidWeightError(f"{v} is not a weight-lattice vector")
+        out.append(twice)
+    return tuple(out)
 
 
 def halved(v: Doubled) -> Vector:

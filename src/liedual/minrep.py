@@ -337,7 +337,11 @@ def so3_cone_ok(a: int, b: int, c: int, d: int) -> bool:
 
 @dataclass(frozen=True)
 class MultiplicitySeries:
-    """Graded multiplicities of one compact type, levels 0..N."""
+    """Graded multiplicities of one compact type, levels 0..N.
+
+    The stabilized fields are None when the type appears only after level
+    N; a type that never appears stabilizes at 0.
+    """
 
     case: str
     ktype: Weight
@@ -370,7 +374,26 @@ def multiplicity_series(
     elif case == "splitJ-splitE":
         kind = "increment"
         stabilized = values[-1] - values[-2] if len(values) > 1 else values[-1]
+    if kind is not None and not any(values):
+        horizon = _appearance_horizon(case, ktype)
+        if horizon > truncation and ktype_multiplicity(case, ktype, horizon, m):
+            stabilized = kind = None  # the type first appears after the truncation
     return MultiplicitySeries(case, ktype, m, values, stabilized, kind)
+
+
+def _appearance_horizon(case: str, ktype: Weight) -> int:
+    """A level by which a series case's type has appeared, if it ever does.
+
+    splitJ-mixedE types appear exactly at level x.  A hermJ-mixedE type
+    that appears stabilizes by level (x+y+z)/2 - 1, by the onset closed
+    form in ``theta``.  A splitJ-splitE type needs V_a (x) V_b and
+    V_c (x) V_d in one Sp(2) irreducible, which the first (a+b+c+d)/2
+    levels hold if any level does (criterion 3 for d = 0).
+    """
+    if case == "splitJ-splitE":
+        return sum(_split_type(ktype)) // 2
+    x, y, z = _pair_type(ktype)
+    return x if case == "splitJ-mixedE" else (x + y + z) // 2
 
 
 @dataclass(frozen=True)

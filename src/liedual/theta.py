@@ -50,7 +50,7 @@ _TORUS_CASES = {
 }
 
 
-class FixtureError(RuntimeError):
+class FixtureError(ValueError):
     """A table fixture is missing or malformed."""
 
 

@@ -8,7 +8,11 @@ from fractions import Fraction as Q
 import pytest
 
 from liedual import branching
+from liedual.charalg import NonDominantError
 from liedual.cli import main
+from liedual.lattice import InvalidWeightError, UnsupportedTypeError
+from liedual.minrep import InvalidTypeError, NotCoveredError
+from liedual.theta import FixtureError
 
 
 def run(capsys, *argv):
@@ -77,6 +81,19 @@ def test_verify_tables(capsys):
 def test_verify_missing_fixtures(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "tables", "--fixtures", str(tmp_path))
     assert code == 2 and "fixture" in err
+
+
+def test_input_errors_are_value_errors():
+    # main() maps every input error to exit 2 through one except clause.
+    for error in (
+        InvalidWeightError,
+        UnsupportedTypeError,
+        NonDominantError,
+        InvalidTypeError,
+        NotCoveredError,
+        FixtureError,
+    ):
+        assert issubclass(error, ValueError), error
 
 
 def test_verify_infchar(capsys):
@@ -269,6 +286,19 @@ def test_minrep_golden(capsys, argv, digest):
     code, out, _ = run(capsys, "minrep", *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("max_level", ["0", "1"])
+def test_minrep_before_first_appearance_is_not_stabilized(capsys, max_level):
+    # V_2 x V_2 x V_0 x V_0 first appears at level 2.
+    argv = ("minrep", "splitJ-splitE", "--type", "2,2,0,0", "--max-level", max_level)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert f"stabilized\tnot reached by level {max_level}\n" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert payload["first_level"] is None
+    assert payload["stabilized_value"] is None and payload["stabilized_kind"] is None
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Root-system construction, Weyl moves, and weight plumbing."""
 
+import dataclasses
 import itertools
 from fractions import Fraction as Q
 
@@ -11,6 +12,7 @@ from liedual.lattice import (
     SUPPORTED_TYPES,
     InvalidWeightError,
     UnsupportedTypeError,
+    _check_invariants,
     build_root_system,
     cartan_matrix,
     dominant_conjugate,
@@ -42,6 +44,72 @@ EXPECTED_POSITIVE_COUNTS = {
     "D4": 12,
     "D5": 20,
 }
+
+
+def _fraction_root_system(label):
+    """The ``Fraction`` construction ``build_root_system`` replaced: unit
+    vectors added and subtracted as ``Fraction``s, rho half their sum."""
+    series, rank = label[0], int(label[1:])
+    if label == "A1":
+        series = "C"
+    dim = rank + 1 if series == "A" else rank
+
+    def unit(i, value=1):
+        v = [Q(0)] * dim
+        v[i] = Q(value)
+        return tuple(v)
+
+    simple = [vsub(unit(i), unit(i + 1)) for i in range(dim - 1)]
+    positive = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            positive.append(vsub(unit(i), unit(j)))
+            if series != "A":
+                positive.append(vadd(unit(i), unit(j)))
+    if series in ("B", "C"):
+        length = 1 if series == "B" else 2
+        simple.append(unit(rank - 1, length))
+        positive.extend(unit(i, length) for i in range(rank))
+    elif series == "D":
+        simple.append(vadd(unit(rank - 2), unit(rank - 1)))
+    total = tuple(Q(0) for _ in range(dim))
+    for v in positive:
+        total = vadd(total, v)
+    return {
+        "label": label,
+        "series": series,
+        "rank": rank,
+        "ambient_dim": dim,
+        "simple_roots": tuple(simple),
+        "positive_roots": tuple(positive),
+        "weyl_vector": vscale(Q(1, 2), total),
+    }
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_integer_construction_matches_fraction_reference(label):
+    rs = build_root_system(label)
+    reference = _fraction_root_system(label)
+    assert {f.name for f in dataclasses.fields(rs)} == set(reference)
+    for name, expected in reference.items():
+        assert getattr(rs, name) == expected, name  # tuples compare in order
+    vectors = (*rs.simple_roots, *rs.positive_roots, rs.weyl_vector)
+    assert all(type(x) is Q for v in vectors for x in v)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_invariant_checks_reject_a_broken_root_system(label):
+    rs = build_root_system(label)
+    _check_invariants(rs)
+    wrong_root = (vscale(2, rs.simple_roots[0]),) + rs.simple_roots[1:]
+    # A rank-one Cartan matrix is (2) for any root; only rho catches A1.
+    with pytest.raises(ValueError, match="Cartan" if rs.rank > 1 else "Weyl vector"):
+        _check_invariants(dataclasses.replace(rs, simple_roots=wrong_root))
+    shifted = (rs.weyl_vector[0] + 1,) + rs.weyl_vector[1:]
+    with pytest.raises(ValueError, match="Weyl vector"):
+        _check_invariants(dataclasses.replace(rs, weyl_vector=shifted))
+    with pytest.raises(ValueError, match="root count"):
+        _check_invariants(dataclasses.replace(rs, positive_roots=rs.positive_roots[1:]))
 
 
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)

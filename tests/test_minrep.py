@@ -1,5 +1,6 @@
 """Graded models, multiplicity series, invariant counts, sign assignments."""
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -227,6 +228,56 @@ def test_multiplicity_series_and_verifier_increment_kind():
     assert series.stabilized_value == 1 and series.stabilized_kind == "increment"
     check = verify_series(series, expected_onset=2, expected_bound=1)
     assert check.accepted and check.kind == "increment" and check.bound == 1
+
+
+@pytest.mark.parametrize(
+    "case, ktype, m, first",
+    [
+        ("splitJ-splitE", (2, 2, 0, 0), None, 2),
+        ("splitJ-mixedE", (4, 0, 0), 0, 4),
+        ("hermJ-mixedE", (0, 0, 6), 0, 2),
+    ],
+)
+def test_series_cut_before_first_appearance_has_not_stabilized(case, ktype, m, first):
+    w = w4(*ktype) if len(ktype) == 4 else wp(*ktype)
+    for truncation in range(first):
+        series = multiplicity_series(case, w, truncation, m)
+        assert series.first_level is None
+        assert (series.stabilized_value, series.stabilized_kind) == (None, None)
+    series = multiplicity_series(case, w, first, m)
+    assert series.first_level == first
+    assert series.stabilized_value == 1 and series.stabilized_kind is not None
+
+
+def test_type_that_never_appears_stabilizes_at_zero():
+    increment = multiplicity_series("splitJ-splitE", w4(0, 0, 0, 2), 1)
+    assert (increment.stabilized_value, increment.stabilized_kind) == (0, "increment")
+    value = multiplicity_series("hermJ-mixedE", wp(1, 1, 0), 1, m=0)
+    assert (value.stabilized_value, value.stabilized_kind) == (0, "value")
+
+
+def _series_types():
+    for a, b, c, d in itertools.product(range(5), repeat=4):
+        if (a + b + c + d) % 2 == 0:
+            yield "splitJ-splitE", w4(a, b, c, d), None
+    for x in range(6):
+        for y in range(x + 1):
+            for z in range(7):
+                if (x + y + z) % 2 == 0:
+                    for m in (None, 0, 1, 2):
+                        yield "splitJ-mixedE", wp(x, y, z), m
+                        yield "hermJ-mixedE", wp(x, y, z), m
+
+
+def test_stabilized_is_unknown_exactly_until_first_appearance():
+    # Every type here appears by level 12 if it ever does, so the long
+    # series tells which short truncations end before the first appearance.
+    for case, w, m in _series_types():
+        first = multiplicity_series(case, w, 12, m).first_level
+        for truncation in range(4):
+            series = multiplicity_series(case, w, truncation, m)
+            unknown = first is not None and first > truncation
+            assert (series.stabilized_kind is None) == unknown, (case, w, m, truncation)
 
 
 def test_verifier_rejects_corrupted_series():
