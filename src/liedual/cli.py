@@ -70,9 +70,11 @@ def _parse_fraction(text: str) -> Q:
 
 
 def parse_group(text: str) -> GroupSpec:
-    labels = [t.strip() for t in text.split("x") if t.strip()]
-    if not labels:
+    labels = [t.strip() for t in text.split("x")]
+    if not any(labels):
         raise InvalidWeightError("empty group")
+    if not all(labels):
+        raise InvalidWeightError(f"empty factor in group {text!r}")
     return group(*labels)
 
 
@@ -302,18 +304,19 @@ def _suite_tables(args) -> tuple[Check, ...]:
     return theta.verify_tables(directory).checks
 
 
+_SUITES = {
+    "rules": _suite_rules,
+    "infchar": _suite_infchar,
+    "quasisplit-mult": _suite_quasisplit,
+    "tables": _suite_tables,
+}
+
 _VERDICT_EXIT = {"PASS": EXIT_OK, "FAIL": EXIT_FAIL, "BUDGET": EXIT_BUDGET}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = {
-        "rules": _suite_rules,
-        "infchar": _suite_infchar,
-        "quasisplit-mult": _suite_quasisplit,
-        "tables": _suite_tables,
-    }
-    names = list(suites) if args.suite == "all" else [args.suite]
-    report = Report(args.suite, tuple(c for name in names for c in suites[name](args)))
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    report = Report(args.suite, tuple(c for name in names for c in _SUITES[name](args)))
     payload = {
         "command": "verify",
         "inputs": {"suite": args.suite},
@@ -401,9 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_branch.set_defaults(func=cmd_branch)
 
     p_verify = sub.add_parser("verify", help="verification sweeps")
-    p_verify.add_argument(
-        "suite", choices=("rules", "infchar", "quasisplit-mult", "tables", "all")
-    )
+    p_verify.add_argument("suite", choices=(*_SUITES, "all"))
     p_verify.add_argument("--max-level", type=_int_in(0), default=None)
     p_verify.add_argument("--max-n", type=_int_in(0), default=10)
     p_verify.add_argument("--fixtures", default=None)

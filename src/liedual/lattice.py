@@ -4,18 +4,18 @@ Supported simple types: A1, A5, B2, C2, C3, C4, D4, D5.  Each is built from
 its series and rank by one rule per series (Bourbaki's Plates I-IV): A_n in
 R^(n+1), with weights taken modulo the all-ones vector and normalized so the
 minimum coordinate is 0; B_n, C_n and D_n in R^n.  A1 is the one-coordinate
-realization with simple root 2*eps, which is C1, so its ``series`` is "C";
-only ``dominant_conjugate`` still reads the A1 label, for a fast path on
-this hot call.  At the API, vectors are tuples of ``fractions.Fraction``;
-all weight-lattice coordinates have denominator 1 or 2, so twice a weight is
-an integer tuple; ``doubled`` and ``halved`` convert between the two.  The
-character oracle (``charalg``, ``branching``) runs on those doubled ``int``
-tuples inside: ``dominant_conjugate``, ``weyl_orbit`` and
-``normalize_vector`` only sort, negate, subtract and compare entries, so
-they are exact on ``int`` tuples too and commute with doubling.
-``root_coordinates`` is a closed form per series, so nothing here solves a
-linear system: the Freudenthal order and the stabilizer classification both
-read simple-root coordinates.  Everything here is immutable and pure.
+realization with simple root 2*eps, which is C1, so its ``series`` is "C"
+and every rule here dispatches on the series alone.  At the API,
+vectors are tuples of ``fractions.Fraction``; all weight-lattice
+coordinates have denominator 1 or 2, so twice a weight is an integer tuple;
+``doubled`` and ``halved`` convert between the two.  The character oracle
+(``charalg``, ``branching``) runs on those doubled ``int`` tuples inside:
+``dominant_conjugate``, ``weyl_orbit`` and ``normalize_vector`` only sort,
+negate, subtract and compare entries, so they are exact on ``int`` tuples
+too and commute with doubling.  ``weyl_group_order``, ``weyl_orbit_size``
+and ``root_coordinates`` are closed forms per series, so nothing here
+solves a linear system or classifies a sub-diagram.  Everything here is
+immutable and pure.
 
 Cartan-matrix convention: ``a[i][j] = <alpha_i, alpha_j^vee>``.
 """
@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Iterable, Sequence
@@ -189,21 +191,10 @@ def _check_invariants(rs: RootSystem) -> None:
     for a in map(doubled, rs.simple_roots):
         if 2 * _int_dot(two_rho, a) != _int_dot(a, a):
             raise ValueError(f"Weyl vector pairing defect for {rs.label}")
-    expected = {"A": rank_count_a, "B": rank_count_bc, "C": rank_count_bc, "D": rank_count_d}
-    if len(rs.positive_roots) != expected[rs.series](rs.rank):
+    n = rs.rank
+    expected = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}
+    if len(rs.positive_roots) != expected[rs.series]:
         raise ValueError(f"positive root count defect for {rs.label}")
-
-
-def rank_count_a(rank: int) -> int:
-    return rank * (rank + 1) // 2
-
-
-def rank_count_bc(rank: int) -> int:
-    return rank * rank
-
-
-def rank_count_d(rank: int) -> int:
-    return rank * (rank - 1)
 
 
 def pairing(v: Vector, root: Vector) -> Q:
@@ -238,11 +229,6 @@ def dominant_conjugate(rs: RootSystem, v: Vector) -> tuple[Vector, int]:
     sign changes; ``dominant_conjugate_by_reflections`` is the generic
     oracle the closed forms are tested against.  Exact on ``int`` tuples.
     """
-    if rs.label == "A1":  # C1 below gives the same; this is a hot call
-        x = v[0]
-        if x == 0:
-            return v, 0
-        return (abs(x),), 1 if x > 0 else -1
     if rs.series == "A":
         order = sorted(range(len(v)), key=lambda i: v[i], reverse=True)
         w = tuple(v[i] for i in order)
@@ -320,78 +306,38 @@ def weyl_orbit(rs: RootSystem, v: Vector) -> frozenset[Vector]:
 
 
 def weyl_group_order(rs: RootSystem) -> int:
-    return _weyl_order(rs.series, rs.rank)
-
-
-def _weyl_order(series: str, rank: int) -> int:
-    fact = 1
-    for k in range(2, rank + 1):
-        fact *= k
-    if series == "A":
-        return fact * (rank + 1)
-    if series in ("B", "C"):
-        return (2**rank) * fact
-    if series == "D":
-        return (2 ** (rank - 1)) * fact
-    raise UnsupportedTypeError(series)
+    """|W|: (n+1)! for A_n, 2^n n! for B_n and C_n, 2^(n-1) n! for D_n."""
+    n = rs.rank
+    if rs.series == "A":
+        return math.factorial(n + 1)
+    if rs.series == "D":
+        return 2 ** (n - 1) * math.factorial(n)
+    return 2**n * math.factorial(n)
 
 
 def weyl_orbit_size(rs: RootSystem, v: Vector) -> int:
-    """Orbit size |W| / |Stab(v)| for a dominant vector.
-
-    The stabilizer of a dominant vector is the parabolic subgroup generated
-    by the simple reflections fixing it, so its order is a product of Weyl
-    orders of the connected sub-diagrams on those nodes.
+    """Size of the Weyl orbit of a dominant vector, counted as ``weyl_orbit``
+    builds it: the distinct arrangements of the entries (A) or of their
+    absolute values (B, C, D), times a sign on each nonzero entry (B, C, D),
+    halved for D when no entry is zero (the negative count keeps its parity).
     """
     if not is_dominant_vector(rs, v):
         raise ValueError("weyl_orbit_size requires a dominant vector")
-    fixed = [i for i, a in enumerate(rs.simple_roots) if pairing(v, a) == 0]
-    order = weyl_group_order(rs)
-    stab = 1
-    for component in _diagram_components(rs, fixed):
-        stab *= _component_weyl_order(rs, component)
-    if order % stab:
-        raise InvariantError(f"stabilizer order {stab} does not divide {order}")
-    return order // stab
+    if rs.series == "A":
+        return _arrangements(v)
+    nonzero = sum(1 for x in v if x != 0)
+    size = _arrangements(tuple(abs(x) for x in v)) * 2**nonzero
+    if rs.series == "D" and nonzero == len(v):
+        size //= 2
+    return size
 
 
-def _diagram_components(rs: RootSystem, nodes: list[int]) -> list[list[int]]:
-    remaining = set(nodes)
-    components = []
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop()
-            for j in list(remaining):
-                if dot(rs.simple_roots[i], rs.simple_roots[j]) != 0:
-                    remaining.discard(j)
-                    comp.add(j)
-                    frontier.append(j)
-        components.append(sorted(comp))
-    return components
-
-
-def _component_weyl_order(rs: RootSystem, component: list[int]) -> int:
-    # Classify the sub-root-system spanned by these simple roots through its
-    # rank and positive-root count; the (A3, D3) coincidence is harmless
-    # because the Weyl orders agree.  A positive root lies in the span when
-    # its simple-root coordinates vanish off the component.
-    off = [i for i in range(rs.rank) if i not in component]
-    count = 0
-    for root in rs.positive_roots:
-        coords = root_coordinates(rs, root)
-        if all(coords[i] == 0 for i in off):
-            count += 1
-    rank = len(component)
-    if count == rank_count_a(rank):
-        return _weyl_order("A", rank)
-    if count == rank_count_bc(rank):
-        return _weyl_order("B", rank)
-    if count == rank_count_d(rank):
-        return _weyl_order("D", rank)
-    raise ValueError(f"unrecognized sub-diagram of {rs.label}")
+def _arrangements(v: Vector) -> int:
+    """Distinct permutations of ``v``: len(v)! / prod(run length)!."""
+    count = math.factorial(len(v))
+    for run in Counter(v).values():
+        count //= math.factorial(run)
+    return count
 
 
 def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Q, ...] | None:
@@ -399,8 +345,7 @@ def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Q, ...] | None:
 
     Closed partial-sum forms per series; only the A series has vectors off
     the span.  Their sum orders the Freudenthal recursion (depth below the
-    highest weight) and their support classifies the stabilizers in
-    ``weyl_orbit_size``.  Halves are ``Fraction`` halves, so ``int`` input
+    highest weight).  Halves are ``Fraction`` halves, so ``int`` input
     gives exact coordinates too.
     """
     half = Q(1, 2)

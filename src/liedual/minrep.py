@@ -306,8 +306,10 @@ def ktype_multiplicity(
                 for mm in range(-n, n + 1)
             )
         return quasisplit_level_multiplicity(x, y, z, m, n)
-    if (len(ktype.parts), len(ktype.charges)) != (1, 3):  # e62-spin8
-        return 0
+    if len(ktype.parts) != 1 or len(ktype.parts[0]) != 4 or len(ktype.charges) != 3:
+        raise InvalidTypeError(f"{ktype} is not a Spin(8) x T^3 type")  # e62-spin8
+    if m is not None:
+        raise InvalidTypeError("e62-spin8 types carry their charges; m is not taken")
     data: dict[IntKey, int] = {}
     _e62_spin8(data, n)  # level n's int keys, read at the type's doubled key
     return data.get(tuple(2 * x for x in ktype.sort_key()), 0)

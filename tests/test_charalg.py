@@ -26,6 +26,7 @@ from liedual.lattice import (
     doubled,
     group,
     halved,
+    is_dominant_vector,
     make_weight,
     qv,
     reflect,
@@ -210,20 +211,36 @@ def test_weight_function_reflection_invariant(label, hw):
             assert support.get(reflect(v, alpha)) == m
 
 
-def test_orbit_size_consistent_with_multiplicity_totals():
-    support = weight_multiplicities(C2, qv(2, 0)).support
-    # each dominant weight contributes multiplicity x orbit size
-    total = 0
-    seen = set()
-    for v in support:
-        from liedual.lattice import dominant_conjugate
+_H = Q(1, 2)
 
-        d, _ = dominant_conjugate(C2, v)
-        if d in seen:
-            continue
-        seen.add(d)
-        total += support[d] * weyl_orbit_size(C2, d)
-    assert total == dimension(C2, qv(2, 0))
+# One highest weight per type and the D spin weights, which have no zero
+# entry, so their orbits are the halved ones.
+_ORBIT_CASES = [
+    ("A1", (3,)),
+    ("A5", (2, 1, 0, 0, 0, 0)),
+    ("B2", (Q(3, 2), _H)),
+    ("C2", (2, 0)),
+    ("C3", (2, 1, 0)),
+    ("C4", (1, 1, 1, 1)),
+    ("D4", (_H, _H, _H, -_H)),
+    ("D4", (Q(3, 2), _H, _H, _H)),
+    ("D5", (_H, _H, _H, _H, _H)),
+    ("D5", (Q(3, 2), _H, _H, _H, -_H)),
+    ("D5", (1, 1, 0, 0, 0)),
+]
+
+
+def test_orbit_size_consistent_with_multiplicity_totals():
+    # Each dominant weight contributes multiplicity x orbit size, and the
+    # Weyl dimension formula does not count orbits.
+    for label, hw in _ORBIT_CASES:
+        rs = build_root_system(label)
+        hw = tuple(Q(x) for x in hw)
+        support = weight_multiplicities(rs, hw).support
+        total = sum(
+            m * weyl_orbit_size(rs, v) for v, m in support.items() if is_dominant_vector(rs, v)
+        )
+        assert total == dimension(rs, hw), (label, hw)
 
 
 def test_tensor_examples():

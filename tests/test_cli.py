@@ -318,6 +318,9 @@ def test_minrep_before_first_appearance_is_not_stabilized(capsys, max_level):
         ("verify", "rules", "--jobs", str((os.cpu_count() or 1) + 1)),
         ("verify", "rules", "--max-level", "-1"),
         ("minrep", "splitJ-splitE", "--type", "0,0,0,0", "--max-level", "-1"),
+        ("dim", "C4x", "1,1,1,1"),
+        ("dim", "xC4", "1,1,1,1"),
+        ("dim", "C2xxA1", "(1,0)x(1)"),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):

@@ -265,6 +265,11 @@ def test_weyl_orbit_size_examples():
     assert weyl_orbit_size(c2, qv(1, 1)) == 4
     d4 = build_root_system("D4")
     assert weyl_orbit_size(d4, qv(1, 1, 0, 0)) == 24
+    h = Q(1, 2)
+    assert weyl_orbit_size(d4, (h, h, h, h)) == 8
+    assert weyl_orbit_size(d4, (h, h, h, -h)) == 8
+    assert weyl_orbit_size(build_root_system("B2"), (h, h)) == 4
+    assert weyl_orbit_size(build_root_system("A5"), qv(1, 0, 0, 0, 0, 0)) == 6
     with pytest.raises(ValueError):
         weyl_orbit_size(c2, qv(1, 2))
 
@@ -318,6 +323,10 @@ def test_weyl_group_orders():
     assert weyl_group_order(build_root_system("C4")) == 384
     assert weyl_group_order(build_root_system("D4")) == 192
     assert weyl_group_order(build_root_system("D5")) == 1920
+    # W acts simply transitively on the orbit of the regular vector rho.
+    for label in SUPPORTED_TYPES:
+        rs = build_root_system(label)
+        assert weyl_group_order(rs) == len(weyl_orbit(rs, rs.weyl_vector)), label
 
 
 def test_weight_lattice_membership():

@@ -496,6 +496,28 @@ def test_types_must_be_integral_and_uncharged(case, w):
         sign_first_appearance(case, w)
 
 
+_E62 = dualpair_graded("e62-spin8", 1).levels[1].terms[0][0]
+
+
+@pytest.mark.parametrize(
+    "w, m",
+    [
+        (w4(0, 0, 0, 0), None),
+        (Weight(((1, 1, 1),), _E62.charges), None),
+        (Weight(_E62.parts, _E62.charges[:2]), None),
+        (Weight(_E62.parts + ((0,),), _E62.charges), None),
+        (_E62, 0),
+    ],
+    ids=["su2-4-type", "three-coordinates", "two-charges", "two-parts", "with-m"],
+)
+def test_e62_types_must_be_spin8_with_three_charges(w, m):
+    # Each of these used to read 0 at every level, and m was ignored.
+    with pytest.raises(InvalidTypeError):
+        ktype_multiplicity("e62-spin8", w, 1, m)
+    with pytest.raises(InvalidTypeError):
+        multiplicity_series("e62-spin8", w, 3, m)
+
+
 _ANY_TYPE = {
     "splitJ-splitE": w4(0, 0, 0, 0),
     "splitJ-mixedE": wp(0, 0, 0),
