@@ -40,7 +40,6 @@ from .lattice import (
     halved,
     make_weight,
     normalize_vector,
-    weight_is_dominant,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -314,11 +313,10 @@ def restrict_generic(
     projected support, which must stay non-negative and end empty: a wrong
     map can fold to a non-negative, dimension-conserving answer.  The
     projection, fold and certificate run on integer keys (see the module
-    docstring); messages show ``Fraction`` weights.
+    docstring); messages show ``Fraction`` weights.  ``hw`` is checked for
+    dominance once, by ``charalg.dimension``, before the budget.
     """
     limit = DEFAULT_BUDGET if budget is None else budget
-    if not weight_is_dominant(e.big, hw):
-        raise ValueError(f"{hw} is not dominant for {e.big}")
     source_dim = weight_dimension(e.big, hw)
     if source_dim > limit:
         raise BudgetExceededError(

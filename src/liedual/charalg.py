@@ -43,7 +43,7 @@ from .lattice import (
     make_weight,
     normalize_vector,
     root_coordinates,
-    split_by_factor,
+    spell,
     vadd,
     vsub,
     weyl_orbit,
@@ -56,7 +56,7 @@ class NonDominantError(ValueError):
 
 def _require_dominant(rs: RootSystem, hw: Vector) -> None:
     if not is_dominant_vector(rs, hw):
-        raise NonDominantError(f"{hw} is not dominant for {rs.label}")
+        raise NonDominantError(f"{spell(hw)} is not dominant for {rs.label}")
 
 
 def _integral_roots(rs: RootSystem) -> list[Doubled]:
@@ -73,9 +73,10 @@ def _idot(u: Doubled, v: Doubled) -> int:
 @functools.lru_cache(maxsize=None)
 def dimension(rs: RootSystem, hw: Vector) -> int:
     """Weyl dimension formula, exact: the product of (2hw + 2rho, alpha)
-    over the product of (2rho, alpha), alpha positive, as integers."""
+    over the product of (2rho, alpha), alpha positive, as integers.  The one
+    dominance check of an incoming weight (``dim``, ``restrict_generic``)."""
     if not in_weight_lattice(rs, hw):
-        raise InvalidWeightError(f"{hw} is not a {rs.label} weight")
+        raise InvalidWeightError(f"{spell(hw)} is not a {rs.label} weight")
     _require_dominant(rs, hw)
     rho = doubled(rs.weyl_vector)
     shifted = vadd(doubled(hw), rho)
@@ -247,11 +248,9 @@ def _key_weight(gs: GroupSpec, key: IntKey) -> Weight:
     leave it unchanged (so the key is canonical, e.g. A5-normalized)."""
     # make_weight turns every entry into a Fraction; ints take its fast path.
     flat = tuple(x // 2 if x % 2 == 0 else Q(x, 2) for x in key)
-    cut = len(flat) - gs.circles
-    parts = split_by_factor(gs, flat[:cut])
-    if parts is None:
+    if len(flat) != gs.width + gs.circles:
         raise InvalidWeightError(f"{key} is not a flat key of {gs}")
-    w = make_weight(gs, parts, flat[cut:])
+    w = make_weight(gs, (flat[s] for s in gs.slices), flat[gs.width :])
     if w.sort_key() != flat:
         raise InvalidWeightError(f"{key} is not the canonical key of {w}")
     return w

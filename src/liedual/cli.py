@@ -7,6 +7,9 @@ Each command imports only what it runs: ``minrep`` is imported by the
 ``minrep`` command, ``theta`` by the verify suites that read it, and the
 process pool only for ``verify --jobs`` above 1, so ``dim`` and ``branch``
 load ``lattice``, ``charalg`` and ``branching`` alone.
+
+``parse_weight`` reads a weight argument; a flat one is cut by factor in
+``lattice.read_flat_weight``, and ``charalg.dimension`` checks dominance.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from .lattice import (
     Weight,
     group,
     make_weight,
-    split_by_factor,
-    weight_is_dominant,
+    read_flat_weight,
+    spell,
 )
 
 EXIT_OK = 0
@@ -78,23 +81,30 @@ def parse_group(text: str) -> GroupSpec:
     return group(*labels)
 
 
-def parse_weight(gs: GroupSpec, text: str, charges: tuple[Q, ...] = ()) -> Weight:
-    """Parse "(x,y)x(z)" block form or a flat comma list split by factor."""
-    blocks = [b.strip().strip("()") for b in text.split("x")]
-    if len(blocks) != len(gs.factors):
-        flat = [_parse_fraction(c) for c in text.replace("(", "").replace(")", "").split(",")]
-        parts = split_by_factor(gs, flat)
-        if parts is not None:
-            return make_weight(gs, parts, charges)
-        raise InvalidWeightError(
-            f"expected {len(gs.factors)} x-separated blocks, got {len(blocks)}"
-        )
-    parts = [[_parse_fraction(c) for c in block.split(",")] for block in blocks]
-    return make_weight(gs, parts, charges)
+def _read_block(text: str) -> list[Q]:
+    """Comma-separated rationals, bare or inside one pair of parentheses."""
+    body = text.strip()
+    inner = body[1:-1] if body[:1] + body[-1:] == "()" else body
+    if "(" in inner or ")" in inner:
+        raise InvalidWeightError(f"unbalanced parentheses in {body!r}")
+    return [_parse_fraction(c) for c in inner.split(",")]
+
+
+def parse_weight(gs: GroupSpec, text: str) -> Weight:
+    """Read one x-separated block per factor of ``gs``, e.g. "(1,0)x(2)", or
+    a single block of all the coordinates, cut by ``read_flat_weight``."""
+    blocks = text.split("x")
+    if len(blocks) == len(gs.factors):
+        return make_weight(gs, map(_read_block, blocks))
+    if len(blocks) == 1:
+        return read_flat_weight(gs, _read_block(text))
+    raise InvalidWeightError(
+        f"expected {len(gs.factors)} x-separated blocks or one flat list, got {len(blocks)}"
+    )
 
 
 def format_weight(w: Weight) -> str:
-    body = "x".join("(" + ",".join(str(x) for x in p) + ")" for p in w.parts)
+    body = "x".join(map(spell, w.parts))
     if w.charges:
         body += "@" + ",".join(str(c) for c in w.charges)
     return body
@@ -136,8 +146,6 @@ def _emit(payload: dict, fmt: str) -> None:
 def cmd_dim(args: argparse.Namespace) -> int:
     gs = parse_group(args.group)
     w = parse_weight(gs, args.weight)
-    if not weight_is_dominant(gs, w):
-        raise InvalidWeightError(f"{args.weight} is not dominant for {args.group}")
     value = weight_dimension(gs, w)
     if args.format == "pretty":
         print(value)

@@ -14,8 +14,9 @@ coordinates have denominator 1 or 2, so twice a weight is an integer tuple;
 negate, subtract and compare entries, so they are exact on ``int`` tuples
 too and commute with doubling.  ``weyl_group_order``, ``weyl_orbit_size``
 and ``root_coordinates`` are closed forms per series, so nothing here
-solves a linear system or classifies a sub-diagram.  Everything here is
-immutable and pure.
+solves a linear system or classifies a sub-diagram.  ``read_flat_weight``
+is the one reader of a flat coordinate list, and messages write vectors as
+the command line does (``spell``).  Everything here is immutable and pure.
 
 Cartan-matrix convention: ``a[i][j] = <alpha_i, alpha_j^vee>``.
 """
@@ -34,8 +35,6 @@ Vector = tuple[Q, ...]
 
 #: A vector in doubled coordinates: 2v as integers.
 Doubled = tuple[int, ...]
-
-SUPPORTED_TYPES = ("A1", "A5", "B2", "C2", "C3", "C4", "D4", "D5")
 
 #: Expected Cartan matrices, row i = <alpha_i, alpha_j^vee>.
 _STANDARD_CARTAN: dict[str, tuple[tuple[int, ...], ...]] = {
@@ -61,6 +60,9 @@ _STANDARD_CARTAN: dict[str, tuple[tuple[int, ...], ...]] = {
     ),
 }
 
+#: The supported type labels, in ``_STANDARD_CARTAN`` order.
+SUPPORTED_TYPES = tuple(_STANDARD_CARTAN)
+
 
 class UnsupportedTypeError(ValueError):
     """Raised for a Cartan type label outside the supported list."""
@@ -73,6 +75,11 @@ class InvariantError(RuntimeError):
 def qv(*entries: int | str | Q) -> Vector:
     """Build an exact coordinate vector."""
     return tuple(Q(e) for e in entries)
+
+
+def spell(v: Vector) -> str:
+    """``v`` as the command line writes it, e.g. ``(1/2,0)``."""
+    return "(" + ",".join(map(str, v)) + ")"
 
 
 def dot(u: Vector, v: Vector) -> Q:
@@ -467,23 +474,16 @@ def make_weight(
     normalized = []
     for rs, vec in zip(gs.factors, vecs, strict=True):
         if not in_weight_lattice(rs, vec):
-            raise InvalidWeightError(f"{vec} is not a {rs.label} weight")
+            raise InvalidWeightError(f"{spell(vec)} is not a {rs.label} weight")
         normalized.append(normalize_vector(rs, vec))
     if any(c.denominator not in (1, 2) for c in chg):
         raise InvalidWeightError("circle charges must be integers or half-integers")
     return Weight(tuple(normalized), chg)
 
 
-def split_by_factor(gs: GroupSpec, flat: Sequence) -> tuple[tuple, ...] | None:
-    """Cut a flat coordinate list into one slice per factor of ``gs``, or
-    None when its length is not the sum of the factors' ambient dimensions."""
+def read_flat_weight(gs: GroupSpec, flat: Sequence[Q | int | str]) -> Weight:
+    """The uncharged weight of ``gs`` whose factor parts, in order, make up
+    ``flat``: the one reader of a flat coordinate list, cut by ``gs.slices``."""
     if len(flat) != gs.width:
-        return None
-    return tuple(tuple(flat[s]) for s in gs.slices)
-
-
-def weight_is_dominant(gs: GroupSpec, w: Weight) -> bool:
-    return all(
-        is_dominant_vector(rs, vec)
-        for rs, vec in zip(gs.factors, w.parts, strict=True)
-    )
+        raise InvalidWeightError(f"expected {gs.width} coordinates, got {len(flat)}")
+    return make_weight(gs, (flat[s] for s in gs.slices))

@@ -21,7 +21,7 @@ import functools
 import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .branching import (
     _so5_to_so3so2_core,
@@ -407,6 +407,14 @@ class SeriesCheck:
     reason: str
 
 
+def _tail_onset(seq: Sequence[int]) -> int:
+    """The index where the constant tail of ``seq`` starts."""
+    onset = len(seq)
+    while onset > 0 and seq[onset - 1] == seq[-1]:
+        onset -= 1
+    return onset
+
+
 def verify_series(
     series: MultiplicitySeries,
     expected_onset: int | None = None,
@@ -427,25 +435,14 @@ def verify_series(
         return SeriesCheck(False, None, None, None, "negative multiplicity")
     if any(v[i + 1] < v[i] for i in range(len(v) - 1)):
         return SeriesCheck(False, None, None, None, "decreasing step")
-    kind: str
-    bound: int
-    if all(x == v[-1] for x in v[-2:]):
-        tail = v[-1]
-        onset = len(v)
-        while onset > 0 and v[onset - 1] == tail:
-            onset -= 1
-        kind, bound = "value", tail
+    if v[-2] == v[-1]:
+        kind, tail = "value", v
     else:
-        diffs = [v[0]] + [v[i] - v[i - 1] for i in range(1, len(v))]
-        tail = diffs[-1]
-        onset = len(diffs)
-        while onset > 0 and diffs[onset - 1] == tail:
-            onset -= 1
-        if onset > len(v) - 2:
-            return SeriesCheck(
-                False, None, None, None, "increments not eventually constant"
-            )
-        kind, bound = "increment", tail
+        kind, tail = "increment", [v[0]] + [v[i] - v[i - 1] for i in range(1, len(v))]
+    bound, onset = tail[-1], _tail_onset(tail)
+    # A constant value tail holds at least v[-2:]; an increment tail must too.
+    if onset > len(v) - 2:
+        return SeriesCheck(False, None, None, None, "increments not eventually constant")
     if expected_onset is not None and onset != expected_onset:
         return SeriesCheck(
             False, kind, bound, onset, f"onset {onset} != predicted {expected_onset}"

@@ -6,7 +6,9 @@ multiplicities, and dimension verification of the lowest-type tables.
 All infinitesimal-character comparisons are exact orbit equalities of
 dominant representatives; there is no numeric tolerance anywhere.
 Type groups come from ``minrep.TYPE_GROUPS``; criterion 5 accepts a series
-through ``minrep.verify_series``, the criterion-7 verifier.
+through ``minrep.verify_series``, the criterion-7 verifier.  A table row's
+flat coordinates are cut by ``lattice.read_flat_weight``; a row it rejects
+is a ``FixtureError`` naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from .lattice import (
     GroupSpec,
     InvariantError,
     Vector,
+    Weight,
     build_root_system,
     make_weight,
-    split_by_factor,
+    read_flat_weight,
     vadd,
     vscale,
 )
@@ -270,7 +273,7 @@ def default_fixture_dir() -> Path:
     return path
 
 
-def _parse_table(path: Path) -> list[tuple[int, tuple[int, ...], int]]:
+def _parse_table(path: Path, gs: GroupSpec) -> list[tuple[int, Weight, int]]:
     if not path.is_file():
         raise FixtureError(f"missing fixture {path}")
     rows = []
@@ -282,19 +285,12 @@ def _parse_table(path: Path) -> list[tuple[int, tuple[int, ...], int]]:
             raise FixtureError(f"{path}:{lineno}: expected 3 tab-separated fields")
         try:
             row_id = int(fields[0])
-            weight = tuple(int(x) for x in fields[1].split(","))
+            weight = read_flat_weight(gs, [int(x) for x in fields[1].split(",")])
             dim = int(fields[2])
         except ValueError as exc:
             raise FixtureError(f"{path}:{lineno}: {exc}") from exc
         rows.append((row_id, weight, dim))
     return rows
-
-
-def _table_weight(gs: GroupSpec, coords: tuple[int, ...]):
-    parts = split_by_factor(gs, coords)
-    if parts is None:
-        raise FixtureError(f"weight {coords} has wrong length for {gs}")
-    return make_weight(gs, parts)
 
 
 def verify_table(which: str, fixtures_dir: Path | None = None) -> Report:
@@ -303,13 +299,13 @@ def verify_table(which: str, fixtures_dir: Path | None = None) -> Report:
         raise KeyError(f"unknown table {which!r}")
     filename, gs, expected_rows = _TABLES[which]
     directory = fixtures_dir if fixtures_dir is not None else default_fixture_dir()
-    entries = _parse_table(directory / filename)
+    entries = _parse_table(directory / filename, gs)
     # row id -> its printed and its computed "[weight] -> dim" entries
     expected: dict[int, list[str]] = {}
     actual: dict[int, list[str]] = {}
-    for row_id, coords, dim in entries:
-        label = ",".join(str(c) for c in coords)
-        computed = weight_dimension(gs, _table_weight(gs, coords))
+    for row_id, weight, dim in entries:
+        label = ",".join(map(str, weight.sort_key()))
+        computed = weight_dimension(gs, weight)
         expected.setdefault(row_id, []).append(f"[{label}] -> {dim}")
         actual.setdefault(row_id, []).append(f"[{label}] -> {computed}")
     if sorted(expected) != list(range(expected_rows)):

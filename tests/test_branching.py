@@ -145,6 +145,12 @@ def test_charge_row_typo_fails_the_certificate():
     )
 
 
+def test_non_dominant_weight_is_rejected_before_the_budget():
+    hw = make_weight(group("C4"), ((0, 1, 0, 0),))
+    with pytest.raises(ValueError, match=r"^\(0,1,0,0\) is not dominant for C4$"):
+        restrict_generic(embedding("sp2xsp2_in_sp4"), hw, budget=1)
+
+
 def test_third_integral_charge_is_rejected():
     # sp2su2u1_in_su6 gives the fundamental (1,0,0,0,0,0) the charge 1/3,
     # which no circle character carries.
@@ -394,6 +400,33 @@ def test_package_has_no_unused_imports():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read:
                         found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_package_has_no_unread_private_helpers():
+    # A private module-level function or class that nothing in the package
+    # reads is left over from a deleted caller.
+    package = Path(liedual.__file__).resolve().parent
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = [
+        (name, node)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in defined
+        if node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in read
+    ]
     assert found == []
 
 

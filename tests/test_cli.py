@@ -6,12 +6,14 @@ import os
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liedual import branching
 from liedual.charalg import NonDominantError
-from liedual.cli import main
-from liedual.lattice import InvalidWeightError, UnsupportedTypeError
-from liedual.minrep import InvalidTypeError, NotCoveredError
+from liedual.cli import format_weight, main, parse_weight
+from liedual.lattice import InvalidWeightError, UnsupportedTypeError, group, make_weight
+from liedual.minrep import TYPE_GROUPS, InvalidTypeError, NotCoveredError
 from liedual.theta import FixtureError
 
 
@@ -321,6 +323,11 @@ def test_minrep_before_first_appearance_is_not_stabilized(capsys, max_level):
         ("dim", "C4x", "1,1,1,1"),
         ("dim", "xC4", "1,1,1,1"),
         ("dim", "C2xxA1", "(1,0)x(1)"),
+        ("dim", "C2", "1,0)"),
+        ("dim", "C2", "((1,0))"),
+        ("dim", "C2", "(1,0"),
+        ("dim", "C2xA1", "(1,0),(1)"),
+        ("dim", "C2xA1", "(1,0)x(1)x"),
     ],
 )
 def test_bad_input_exits_2(capsys, argv):
@@ -376,3 +383,69 @@ def test_wrong_embedding_exits_3(capsys, monkeypatch, name, wrong_rows, weight):
     code, _, err = run(capsys, "branch", name, weight)
     assert code == 3
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("dim", "C2", "1/2,0"), "error: (1/2,0) is not a C2 weight\n"),
+        (("dim", "C2", "0,1"), "error: (0,1) is not dominant for C2\n"),
+        (
+            ("dim", "C2xA1", "(1,0)x(1)x"),
+            "error: expected 2 x-separated blocks or one flat list, got 3\n",
+        ),
+        (("branch", "sp3_in_su6", "1,1,1,0,0"), "error: (1,1,1,0,0) is not a A5 weight\n"),
+        (("branch", "sp2xsp2_in_sp4", "0,1,0,0"), "error: (0,1,0,0) is not dominant for C4\n"),
+        (("minrep", "splitJ-splitE", "--type", "1,1"), "error: expected 4 coordinates, got 2\n"),
+    ],
+)
+def test_weight_errors_spell_coordinates_as_the_cli_does(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == message and "Fraction(" not in err
+
+
+@pytest.mark.parametrize(
+    "labels, spellings, parts",
+    [
+        (("C2", "A1"), ["(1,0)x(1)", "1,0x1", "1,0,1", "(1,0,1)", " ( 1 , 0 ) x 1 "], ((1, 0), (1,))),
+        (("C2",), [" 1 , 0 ", "(1,0)", "1.0,0"], ((1, 0),)),
+        (("D5",), ["1/2,1/2,1/2,1/2,1/2", "0.5,0.5,0.5,0.5,0.5"], ((Q(1, 2),) * 5,)),
+        (("A5",), ["2,2,2,1,1,1", "(1,1,1,0,0,0)"], ((1, 1, 1, 0, 0, 0),)),
+    ],
+)
+def test_parse_weight_spellings(labels, spellings, parts):
+    gs = group(*labels)
+    for text in spellings:
+        assert parse_weight(gs, text) == make_weight(gs, parts), text
+
+
+#: Every uncharged group a weight argument is read for: both sides of the
+#: catalogued embeddings and the minrep type groups.
+_UNCHARGED = {
+    repr(gs): gs
+    for e in branching.CATALOG.values()
+    for gs in (e.big, e.small)
+    if not gs.circles
+} | {repr(gs): gs for gs in TYPE_GROUPS.values()}
+
+
+def _weights(gs):
+    """Lattice weights of ``gs``: integral parts, B/D parts possibly all
+    half-odd."""
+
+    def vectors(rs):
+        ints = st.tuples(*[st.integers(-5, 5)] * rs.ambient_dim)
+        shift = st.sampled_from([Q(0), Q(1, 2)] if rs.series in ("B", "D") else [Q(0)])
+        return st.builds(lambda v, s: tuple(x + s for x in v), ints, shift)
+
+    return st.builds(lambda p: make_weight(gs, p), st.tuples(*map(vectors, gs.factors)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(_UNCHARGED)))
+def test_parse_weight_reads_what_format_weight_writes(data, name):
+    gs = _UNCHARGED[name]
+    w = data.draw(_weights(gs))
+    assert parse_weight(gs, format_weight(w)) == w
+    assert parse_weight(gs, ",".join(map(str, w.sort_key()))) == w

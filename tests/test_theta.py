@@ -222,6 +222,14 @@ def test_verify_table_fixture_errors(tmp_path):
         verify_table("split", tmp_path)
 
 
+def test_fixture_weight_of_wrong_length_names_its_line(tmp_path):
+    lines = (default_fixture_dir() / "split_table.tsv").read_text().splitlines()
+    lines[2] = "1\t0,0,2\t3"  # an A1^4 type needs four coordinates
+    (tmp_path / "split_table.tsv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FixtureError, match=r"split_table\.tsv:3: expected 4 coordinates, got 3"):
+        verify_table("split", tmp_path)
+
+
 def test_table_mismatch_reported_as_fail(tmp_path):
     lines = (default_fixture_dir() / "quasisplit_table.tsv").read_text().splitlines()
     lines[0] = "0\t0,0,2\t4"  # wrong dimension
