@@ -12,7 +12,11 @@ exact because every weight coordinate has denominator 1 or 2): the
 ``_full_multiplicities`` take and return doubled vectors, and
 ``weight_multiplicities`` and ``freudenthal_total`` convert where a weight
 enters or leaves, with ``lattice.doubled`` and ``lattice.halved``; every
-``FormalCharacter`` is built from ``IntKey``s.  The Weyl dimension formula,
+``FormalCharacter`` is built from ``IntKey``s.  Each distinct key is
+validated once by the integer rule ``lattice.check_int_key``, and its
+``Weight`` is built from ``_half``, the one cached x -> x/2, so a term's
+``Fraction`` coordinates are made only where the term leaves the package
+and equal coordinates share one object.  The Weyl dimension formula,
 the independent second path, takes integer products over the positive
 roots in doubled coordinates and divides once; it shares only the list of
 positive roots (``_integral_roots``) with the recursion.
@@ -30,17 +34,18 @@ from typing import Mapping
 from .lattice import (
     Doubled,
     GroupSpec,
+    IntKey,
     InvalidWeightError,
     InvariantError,
     RootSystem,
     Vector,
     Weight,
+    check_int_key,
     dominant_conjugate,
     doubled,
     halved,
     in_weight_lattice,
     is_dominant_vector,
-    make_weight,
     normalize_vector,
     root_coordinates,
     spell,
@@ -195,13 +200,6 @@ def freudenthal_total(rs: RootSystem, hw: Vector) -> int:
     return total
 
 
-#: A weight of a product group as one flat doubled tuple: twice its
-#: ``Weight.sort_key()``, factor parts (``GroupSpec.slices``) then circle
-#: charges.  Doubling scales every coordinate by the same positive
-#: constant, so these keys sort in ``sort_key`` order.
-IntKey = tuple[int, ...]
-
-
 def chamber_fold(gs: GroupSpec, support: Mapping[IntKey, int]) -> dict[IntKey, int]:
     """Signed Weyl-chamber fold (Racah-Speiser, Klimyk; Fulton-Harris 25).
 
@@ -243,17 +241,18 @@ def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[IntKey, int
     return MappingProxyType(folded)
 
 
+@functools.lru_cache(maxsize=None)
+def _half(x: int) -> Q:
+    """x/2 as a ``Fraction``: one object per doubled coordinate value."""
+    return Q(x, 2)
+
+
 def _key_weight(gs: GroupSpec, key: IntKey) -> Weight:
-    """The ``Weight`` of ``key``, validated by ``make_weight``, which must
-    leave it unchanged (so the key is canonical, e.g. A5-normalized)."""
-    # make_weight turns every entry into a Fraction; ints take its fast path.
-    flat = tuple(x // 2 if x % 2 == 0 else Q(x, 2) for x in key)
-    if len(flat) != gs.width + gs.circles:
-        raise InvalidWeightError(f"{key} is not a flat key of {gs}")
-    w = make_weight(gs, (flat[s] for s in gs.slices), flat[gs.width :])
-    if w.sort_key() != flat:
-        raise InvalidWeightError(f"{key} is not the canonical key of {w}")
-    return w
+    """The ``Weight`` of ``key``, validated by ``check_int_key`` (so the key
+    is canonical, e.g. A5-normalized), with ``_half`` coordinates."""
+    check_int_key(gs, key)
+    parts = tuple(tuple(map(_half, key[s])) for s in gs.slices)
+    return Weight(parts, tuple(map(_half, key[gs.width :])))
 
 
 @dataclass(frozen=True)
@@ -281,9 +280,10 @@ class FormalCharacter:
     ) -> "FormalCharacter":
         """A character from ``IntKey``s: drops zeros, rejects negatives,
         sorts the int keys and turns each distinct one into a ``Weight``
-        through ``make_weight`` once.  Pass one ``weights`` dict (for one
-        group) to several calls, e.g. the levels of a graded character, to
-        reuse those ``Weight``s."""
+        once: ``lattice.check_int_key`` validates it on integers, and the
+        coordinates are the shared ``Fraction`` halves of ``_half``.  Pass
+        one ``weights`` dict (for one group) to several calls, e.g. the
+        levels of a graded character, to reuse those ``Weight``s."""
         keys = sorted(k for k, m in data.items() if m != 0)
         if any(data[k] < 0 for k in keys):
             raise ValueError("formal characters carry non-negative multiplicities")
@@ -343,10 +343,4 @@ class InfChar:
 def infinitesimal_character(rs: RootSystem, hw: Vector) -> InfChar:
     _require_dominant(rs, hw)
     d, _ = dominant_conjugate(rs, vadd(hw, rs.weyl_vector))
-    return InfChar(rs.label, d)
-
-
-def infchar_of_vector(rs: RootSystem, v: Vector) -> InfChar:
-    """InfChar determined by an arbitrary orbit representative."""
-    d, _ = dominant_conjugate(rs, v)
     return InfChar(rs.label, d)

@@ -14,9 +14,14 @@ coordinates have denominator 1 or 2, so twice a weight is an integer tuple;
 negate, subtract and compare entries, so they are exact on ``int`` tuples
 too and commute with doubling.  ``weyl_group_order``, ``weyl_orbit_size``
 and ``root_coordinates`` are closed forms per series, so nothing here
-solves a linear system or classifies a sub-diagram.  ``read_flat_weight``
-is the one reader of a flat coordinate list, and messages write vectors as
-the command line does (``spell``).  Everything here is immutable and pure.
+solves a linear system or classifies a sub-diagram.  The weight lattice has
+one rule, on doubled coordinates (``_on_lattice``): all even for A and C,
+all even or all odd for B and D.  ``check_int_key`` applies it to a flat
+doubled key (an ``IntKey``) with no ``Fraction`` built, and also requires
+the canonical A form; ``make_weight`` and ``in_weight_lattice`` double
+their input and read the same rule.  ``read_flat_weight`` is the one
+reader of a flat coordinate list, and messages write vectors as the
+command line does (``spell``).  Everything here is immutable and pure.
 
 Cartan-matrix convention: ``a[i][j] = <alpha_i, alpha_j^vee>``.
 """
@@ -35,6 +40,12 @@ Vector = tuple[Q, ...]
 
 #: A vector in doubled coordinates: 2v as integers.
 Doubled = tuple[int, ...]
+
+#: A weight of a product group as one flat doubled tuple: twice its
+#: ``Weight.sort_key()``, factor parts (``GroupSpec.slices``) then circle
+#: charges.  Doubling scales every coordinate by the same positive
+#: constant, so these keys sort in ``sort_key`` order.
+IntKey = tuple[int, ...]
 
 #: Expected Cartan matrices, row i = <alpha_i, alpha_j^vee>.
 _STANDARD_CARTAN: dict[str, tuple[tuple[int, ...], ...]] = {
@@ -370,20 +381,24 @@ def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Q, ...] | None:
     return tuple(sums[:-2]) + (sums[-2] - last, last)
 
 
-def in_weight_lattice(rs: RootSystem, v: Vector) -> bool:
-    """Weight-lattice membership in the stored coordinates.
+def _on_lattice(rs: RootSystem, part: Doubled) -> bool:
+    """The weight-lattice rule on doubled coordinates, length included.
 
-    B and D types admit spin weights: either all coordinates integral or
-    all half-odd-integral.  A and C types require integers.
+    B and D types admit spin weights: all doubled coordinates even or all
+    odd.  A and C types require them all even (integral weights).
     """
-    if len(v) != rs.ambient_dim:
+    if len(part) != rs.ambient_dim:
         return False
+    parities = {x % 2 for x in part}
+    return parities == {0} or (rs.series in ("B", "D") and parities == {1})
+
+
+def in_weight_lattice(rs: RootSystem, v: Vector) -> bool:
+    """Weight-lattice membership in the stored coordinates: ``v`` doubled
+    must be integral and satisfy ``_on_lattice``."""
     if any(x.denominator not in (1, 2) for x in v):
         return False
-    if rs.series in ("A", "C"):
-        return all(x.denominator == 1 for x in v)
-    denominators = {x.denominator for x in v}
-    return denominators == {1} or denominators == {2}
+    return _on_lattice(rs, doubled(v))
 
 
 def doubled(v: Vector) -> Doubled:
@@ -479,6 +494,23 @@ def make_weight(
     if any(c.denominator not in (1, 2) for c in chg):
         raise InvalidWeightError("circle charges must be integers or half-integers")
     return Weight(tuple(normalized), chg)
+
+
+def check_int_key(gs: GroupSpec, key: IntKey) -> None:
+    """Validate a flat doubled key of ``gs`` on integers alone: its length
+    (width plus circles), ``_on_lattice`` per factor part, and the canonical
+    A form (minimum 0), which ``make_weight`` would otherwise normalize to.
+    The charges need no check: half of any integer is a half-integer, all
+    that ``make_weight`` asks of a charge."""
+    if len(key) != gs.width + gs.circles:
+        raise InvalidWeightError(f"{key} is not a flat key of {gs}")
+    parts = [key[s] for s in gs.slices]
+    for rs, part in zip(gs.factors, parts):
+        if not _on_lattice(rs, part):
+            raise InvalidWeightError(f"{spell(halved(part))} is not a {rs.label} weight")
+    if any(rs.series == "A" and min(part) for rs, part in zip(gs.factors, parts)):
+        w = make_weight(gs, map(halved, parts), halved(key[gs.width :]))
+        raise InvalidWeightError(f"{key} is not the canonical key of {w}")
 
 
 def read_flat_weight(gs: GroupSpec, flat: Sequence[Q | int | str]) -> Weight:

@@ -30,7 +30,7 @@ from .branching import (
     su2su2_coefficient,
 )
 from .charalg import FormalCharacter, IntKey, su2_tensor
-from .lattice import GroupSpec, InvariantError, Weight, group
+from .lattice import GroupSpec, InvariantError, Weight, group, spell
 
 MINREP_CASES = ("split-E6", "hermitian-E6", "e62-compact")
 DUALPAIR_CASES = ("splitJ-splitE", "splitJ-mixedE", "hermJ-mixedE", "e62-spin8")
@@ -246,12 +246,17 @@ def _int_coords(w: Weight) -> tuple[int, ...]:
     return vals
 
 
+def _spell_type(w: Weight) -> str:
+    """An uncharged type as the command line writes it, e.g. ``(0,1)x(0)``."""
+    return "x".join(map(spell, w.parts))
+
+
 def _split_type(w: Weight) -> tuple[int, ...]:
     if len(w.parts) != 4 or any(len(p) != 1 for p in w.parts):
         raise InvalidTypeError(f"{w} is not an SU2^4 type")
     vals = _int_coords(w)
     if any(v < 0 for v in vals):
-        raise InvalidTypeError("negative SU2 weight")
+        raise InvalidTypeError(f"negative SU2 weight in type {_spell_type(w)}")
     return vals
 
 
@@ -260,7 +265,7 @@ def _pair_type(w: Weight) -> tuple[int, ...]:
         raise InvalidTypeError(f"{w} is not an Sp(2) x SU2 type")
     x, y, z = vals = _int_coords(w)
     if not (x >= y >= 0 and z >= 0):
-        raise InvalidTypeError("non-dominant Sp(2) x SU2 type")
+        raise InvalidTypeError(f"non-dominant Sp(2) x SU2 type {_spell_type(w)}")
     return vals
 
 

@@ -4,36 +4,35 @@ Infinitesimal-character transfer to the Spin(8) side, degenerate
 principal-series type counts, their comparison with the stabilized graded
 multiplicities, and dimension verification of the lowest-type tables.
 All infinitesimal-character comparisons are exact orbit equalities of
-dominant representatives; there is no numeric tolerance anywhere.
+dominant representatives; there is no numeric tolerance anywhere.  The two
+transfers of a torus triple scale it to integers (``_scaled_triple``),
+compute and conjugate their raw vectors on ``int`` tuples, and build the
+``InfChar`` coordinates as ``Fraction``s once.
 Type groups come from ``minrep.TYPE_GROUPS``; criterion 5 accepts a series
 through ``minrep.verify_series``, the criterion-7 verifier.  A table row's
-flat coordinates are cut by ``lattice.read_flat_weight``; a row it rejects
-is a ``FixtureError`` naming ``path:line``.
+flat coordinates are cut by ``lattice.read_flat_weight`` and its dimension
+is computed as the row is read, so a row with a malformed or non-dominant
+weight is a ``FixtureError`` naming ``path:line``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from pathlib import Path
 
 from .branching import Check, Report
-from .charalg import (
-    InfChar,
-    infchar_of_vector,
-    infinitesimal_character,
-    weight_dimension,
-)
+from .charalg import InfChar, infinitesimal_character, weight_dimension
 from .lattice import (
     GroupSpec,
     InvariantError,
-    Vector,
+    RootSystem,
     Weight,
     build_root_system,
+    dominant_conjugate,
     make_weight,
     read_flat_weight,
-    vadd,
-    vscale,
 )
 from .minrep import (
     TYPE_GROUPS,
@@ -82,6 +81,19 @@ def torus_character(a, b, c, case: str | None = None) -> TorusCharacterData:
     return TorusCharacterData((Q(a), Q(b), Q(c)), case)
 
 
+def _scaled_triple(nu: TorusCharacterData) -> tuple[int, tuple[int, ...]]:
+    """``(s, s * nu)`` for s = 2 lcm(denominators of nu): even integers."""
+    s = 2 * math.lcm(*(x.denominator for x in nu.nu))
+    return s, tuple(x.numerator * (s // x.denominator) for x in nu.nu)
+
+
+def _infchar_of_scaled(rs: RootSystem, v: tuple[int, ...], s: int) -> InfChar:
+    """The ``InfChar`` of v/s: ``dominant_conjugate`` is exact on ints and
+    commutes with positive scaling, so conjugate v and divide once."""
+    d, _ = dominant_conjugate(rs, v)
+    return InfChar(rs.label, tuple(Q(x, s) for x in d))
+
+
 def infchar_lift(nu: TorusCharacterData) -> InfChar:
     """Transfer of a sum-zero triple to a Spin(8) infinitesimal character.
 
@@ -90,14 +102,9 @@ def infchar_lift(nu: TorusCharacterData) -> InfChar:
     graded decomposition: the level-n charge triple must land on the
     infinitesimal character of the level-n Spin(8) type.
     """
-    a, b, c = nu.nu
-    raw = (
-        (a + 2) / 2,
-        (-a + 2) / 2,
-        (b + c) / 2,
-        (c - b) / 2,
-    )
-    return infchar_of_vector(build_root_system("D4"), raw)
+    s, (a, b, c) = _scaled_triple(nu)
+    raw = ((a + 2 * s) // 2, (-a + 2 * s) // 2, (b + c) // 2, (c - b) // 2)  # s * raw
+    return _infchar_of_scaled(build_root_system("D4"), raw, s)
 
 
 def infchar_symmetric_form(nu: TorusCharacterData) -> InfChar:
@@ -108,12 +115,12 @@ def infchar_symmetric_form(nu: TorusCharacterData) -> InfChar:
     diagram symmetries.  Must agree with infchar_lift identically.
     """
     rs = build_root_system("D4")
-    beta: Vector = (Q(1), Q(1), Q(0), Q(0))
+    s, coeffs = _scaled_triple(nu)
     outer = (rs.simple_roots[0], rs.simple_roots[2], rs.simple_roots[3])
-    v = beta
-    for coeff, alpha in zip(nu.nu, outer, strict=True):
-        v = vadd(v, vscale(coeff / 2, alpha))
-    return infchar_of_vector(rs, v)
+    v = (s, s, 0, 0)  # s * beta
+    for coeff, alpha in zip(coeffs, outer, strict=True):
+        v = tuple(x + coeff // 2 * int(y) for x, y in zip(v, alpha))
+    return _infchar_of_scaled(rs, v, s)
 
 
 def lemma_infchar_consistency(max_level: int) -> Report:
@@ -273,7 +280,8 @@ def default_fixture_dir() -> Path:
     return path
 
 
-def _parse_table(path: Path, gs: GroupSpec) -> list[tuple[int, Weight, int]]:
+def _parse_table(path: Path, gs: GroupSpec) -> list[tuple[int, Weight, int, int]]:
+    """Each row's id, weight, printed dimension and computed dimension."""
     if not path.is_file():
         raise FixtureError(f"missing fixture {path}")
     rows = []
@@ -287,9 +295,10 @@ def _parse_table(path: Path, gs: GroupSpec) -> list[tuple[int, Weight, int]]:
             row_id = int(fields[0])
             weight = read_flat_weight(gs, [int(x) for x in fields[1].split(",")])
             dim = int(fields[2])
+            computed = weight_dimension(gs, weight)
         except ValueError as exc:
             raise FixtureError(f"{path}:{lineno}: {exc}") from exc
-        rows.append((row_id, weight, dim))
+        rows.append((row_id, weight, dim, computed))
     return rows
 
 
@@ -303,9 +312,8 @@ def verify_table(which: str, fixtures_dir: Path | None = None) -> Report:
     # row id -> its printed and its computed "[weight] -> dim" entries
     expected: dict[int, list[str]] = {}
     actual: dict[int, list[str]] = {}
-    for row_id, weight, dim in entries:
+    for row_id, weight, dim, computed in entries:
         label = ",".join(map(str, weight.sort_key()))
-        computed = weight_dimension(gs, weight)
         expected.setdefault(row_id, []).append(f"[{label}] -> {dim}")
         actual.setdefault(row_id, []).append(f"[{label}] -> {computed}")
     if sorted(expected) != list(range(expected_rows)):

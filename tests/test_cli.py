@@ -397,6 +397,14 @@ def test_wrong_embedding_exits_3(capsys, monkeypatch, name, wrong_rows, weight):
         (("branch", "sp3_in_su6", "1,1,1,0,0"), "error: (1,1,1,0,0) is not a A5 weight\n"),
         (("branch", "sp2xsp2_in_sp4", "0,1,0,0"), "error: (0,1,0,0) is not dominant for C4\n"),
         (("minrep", "splitJ-splitE", "--type", "1,1"), "error: expected 4 coordinates, got 2\n"),
+        (
+            ("minrep", "splitJ-mixedE", "--type", "(0,1)x0"),
+            "error: non-dominant Sp(2) x SU2 type (0,1)x(0)\n",
+        ),
+        (
+            ("minrep", "splitJ-splitE", "--type=-1,0,0,0"),
+            "error: negative SU2 weight in type (-1)x(0)x(0)x(0)\n",
+        ),
     ],
 )
 def test_weight_errors_spell_coordinates_as_the_cli_does(capsys, argv, message):

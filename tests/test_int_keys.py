@@ -31,13 +31,16 @@ from liedual.charalg import (
     weight_multiplicities,
 )
 from liedual.lattice import (
+    SUPPORTED_TYPES,
     GroupSpec,
     InvalidWeightError,
     Weight,
     build_root_system,
+    check_int_key,
     dominant_conjugate,
     doubled,
     group,
+    halved,
     make_weight,
     normalize_vector,
     vadd,
@@ -404,14 +407,98 @@ def test_from_int_keys_rejects_bad_keys():
 def test_graded_levels_validate_each_distinct_term_once(monkeypatch):
     calls = []
 
-    def counting(gs, parts, charges=()):
+    def counting(gs, key):
         calls.append(1)
-        return make_weight(gs, parts, charges)
+        return check_int_key(gs, key)
 
-    monkeypatch.setattr(charalg, "make_weight", counting)
+    monkeypatch.setattr(charalg, "check_int_key", counting)
     graded = dualpair_graded("splitJ-mixedE", 5)
     distinct = {w for char in graded.levels.values() for w, _ in char.terms}
     assert len(calls) == len(distinct)
     # a term of level 4 is the very Weight of level 5
     level5 = {w: w for w, _ in graded.levels[5].terms}
     assert all(level5[w] is w for w, _ in graded.levels[4].terms)
+
+
+# --------------------------------------------------------------------------
+# lattice.check_int_key against make_weight.
+
+
+@st.composite
+def _flat_keys(draw, label):
+    """A group of ``label``, maybe one more factor, and 0..2 circles, with a
+    flat doubled key for it: canonical A parts, B and D parts all even or
+    all odd, other parts even; then maybe one defect: an entry's parity
+    flipped, the length off by one, or every A part moved off its
+    canonical form."""
+    more = draw(st.lists(st.sampled_from(SUPPORTED_TYPES), max_size=1))
+    gs = group(label, *more, circles=draw(st.integers(0, 2)))
+    key = []
+    for rs in gs.factors:
+        odd = draw(st.integers(0, 1)) if rs.series in ("B", "D") else 0
+        part = [2 * draw(st.integers(-3, 3)) + odd for _ in range(rs.ambient_dim)]
+        key += [x - min(part) for x in part] if rs.series == "A" else part
+    key += [draw(st.integers(-5, 5)) for _ in range(gs.circles)]
+    defect = draw(st.sampled_from(["none", "parity", "short", "long", "shift"]))
+    if defect == "parity":
+        key[draw(st.integers(0, gs.width - 1))] += 1
+    elif defect == "short":
+        key.pop()
+    elif defect == "long":
+        key.append(0)
+    elif defect == "shift":
+        for rs, s in zip(gs.factors, gs.slices):
+            if rs.series == "A":
+                key[s] = [x + 2 for x in key[s]]
+    return gs, tuple(key)
+
+
+def _make_weight_of_key(gs, key):
+    """The ``Weight`` ``make_weight`` reads from the halves of ``key``, which
+    must leave it unchanged, or None where either rejects it."""
+    flat = halved(key)
+    try:
+        w = make_weight(gs, (flat[s] for s in gs.slices), flat[gs.width :])
+    except InvalidWeightError:
+        return None
+    return w if w.sort_key() == flat else None
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_check_int_key_agrees_with_make_weight(label, data):
+    gs, key = data.draw(_flat_keys(label))
+    want = _make_weight_of_key(gs, key)
+    try:
+        check_int_key(gs, key)
+    except InvalidWeightError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == (want is not None), (gs, key)
+    if accepted:
+        (got, _), = FormalCharacter.from_int_keys(gs, {key: 1}).terms
+        assert got == want, (gs, key)
+        assert all(type(x) is Q for x in got.sort_key()), (gs, key)
+
+
+@pytest.mark.parametrize(
+    "labels, circles, key, message",
+    [
+        (("C2",), 0, (1, 0), "(1/2,0) is not a C2 weight"),
+        (("B2",), 0, (1, 2), "(1/2,1) is not a B2 weight"),
+        (("D4",), 1, (1, 1, 1, 1), "(1, 1, 1, 1) is not a flat key of GroupSpec(D4+U1)"),
+        (("A5", "C2"), 0, (2, 2, 2, 2, 2, 2, 1, 0), "(1/2,0) is not a C2 weight"),
+    ],
+)
+def test_check_int_key_messages(labels, circles, key, message):
+    with pytest.raises(InvalidWeightError) as info:
+        check_int_key(group(*labels, circles=circles), key)
+    assert str(info.value) == message
+
+
+def test_key_weights_share_their_halves():
+    a, b = FormalCharacter.from_int_keys(group("C2", "A1"), {(4, 2, 2): 1, (4, 0, 4): 1}).terms
+    assert a[0].parts[0][0] is b[0].parts[0][0]  # both 2, one object
+    assert charalg._half.cache_info().hits > 0

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from liedual import theta
 from liedual.charalg import infinitesimal_character
-from liedual.lattice import build_root_system, qv
+from liedual.cli import main
+from liedual.lattice import (
+    build_root_system,
+    dominant_conjugate_by_reflections,
+    qv,
+    vadd,
+    vscale,
+)
 from liedual.minrep import sign_first_appearance, so3_cone_ok
 from liedual.theta import (
     FixtureError,
@@ -72,6 +79,30 @@ def test_lift_equals_symmetric_form(a_num, b_num, den):
     a, b = Q(a_num, den), Q(b_num, den)
     nu = torus_character(a, b, -a - b)
     assert infchar_lift(nu) == infchar_symmetric_form(nu)
+
+
+_TRIPLE_ENTRIES = st.builds(Q, st.integers(-40, 40), st.sampled_from((1, 2, 4, 8)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(a=_TRIPLE_ENTRIES, b=_TRIPLE_ENTRIES)
+def test_scaled_int_infchars_match_reflection_walk(a, b):
+    # Both transfers run on scaled ints; the oracle walks the Fraction raw
+    # vectors to the dominant chamber by simple reflections.
+    nu = torus_character(a, b, -a - b)
+    c = -a - b
+    lift_raw = ((a + 2) / 2, (-a + 2) / 2, (b + c) / 2, (c - b) / 2)
+    outer = (D4.simple_roots[0], D4.simple_roots[2], D4.simple_roots[3])
+    symmetric_raw = qv(1, 1, 0, 0)
+    for coeff, alpha in zip((a, b, c), outer):
+        symmetric_raw = vadd(symmetric_raw, vscale(coeff / 2, alpha))
+    for got, raw in (
+        (infchar_lift(nu), lift_raw),
+        (infchar_symmetric_form(nu), symmetric_raw),
+    ):
+        want, _ = dominant_conjugate_by_reflections(D4, raw)
+        assert got.label == "D4" and got.rep == want, (a, b)
+        assert all(type(x) is Q for x in got.rep)
 
 
 def test_lift_distinguishes_fourth_coordinate_sign():
@@ -228,6 +259,21 @@ def test_fixture_weight_of_wrong_length_names_its_line(tmp_path):
     (tmp_path / "split_table.tsv").write_text("\n".join(lines) + "\n")
     with pytest.raises(FixtureError, match=r"split_table\.tsv:3: expected 4 coordinates, got 3"):
         verify_table("split", tmp_path)
+
+
+def test_non_dominant_fixture_row_names_its_line(tmp_path, capsys):
+    for name in ("split_table.tsv", "quasisplit_table.tsv"):
+        (tmp_path / name).write_text((default_fixture_dir() / name).read_text())
+    bad = tmp_path / "quasisplit_table.tsv"
+    lines = bad.read_text().splitlines()
+    lines[1] = "1\t0,1,0\t1"  # (0,1) is not dominant for C2
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FixtureError, match=r"quasisplit_table\.tsv:2: \(0,1\) is not dominant for C2$"):
+        verify_table("quasisplit", tmp_path)
+    assert main(["verify", "tables", "--fixtures", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {bad}:2: (0,1) is not dominant for C2\n"
 
 
 def test_table_mismatch_reported_as_fail(tmp_path):
