@@ -7,10 +7,10 @@ term's diagram.  Every closed-form rule below can be replayed against it
 term by term via ``verify_rule``.
 
 Weights enter and leave as ``Fraction`` ``Weight``s.  Inside, the oracle
-keys every weight as a ``charalg.IntKey``, one flat tuple of the doubled
-factor parts (2v, ``lattice.doubled``) and the doubled charges, from the
+keys every weight as an ``IntKey`` (``lattice.weight_key``), from the
 projection through the fold and the certificate to
 ``FormalCharacter.from_int_keys``; the closed forms build the same keys.
+Messages spell weights as the command line does (``lattice.format_weight``).
 """
 
 from __future__ import annotations
@@ -36,10 +36,12 @@ from .lattice import (
     Vector,
     Weight,
     doubled,
+    format_weight,
     group,
-    halved,
     make_weight,
     normalize_vector,
+    spell_key,
+    weight_key,
 )
 
 DEFAULT_BUDGET = 200_000
@@ -297,11 +299,6 @@ def _group_diagram(gs: GroupSpec, top: IntKey) -> dict[IntKey, int]:
     return out
 
 
-def _fractions(gs: GroupSpec, key: IntKey) -> tuple[tuple[Vector, ...], Vector]:
-    """An ``IntKey`` as ``Fraction`` parts and charges, for messages."""
-    return tuple(halved(key[part]) for part in gs.slices), halved(key[gs.width :])
-
-
 def restrict_generic(
     e: EmbeddingMap, hw: Weight, budget: int | None = None
 ) -> BranchResult:
@@ -313,25 +310,29 @@ def restrict_generic(
     projected support, which must stay non-negative and end empty: a wrong
     map can fold to a non-negative, dimension-conserving answer.  The
     projection, fold and certificate run on integer keys (see the module
-    docstring); messages show ``Fraction`` weights.  ``hw`` is checked for
+    docstring).  ``hw`` is keyed by ``lattice.weight_key`` and checked for
     dominance once, by ``charalg.dimension``, before the budget.
     """
     limit = DEFAULT_BUDGET if budget is None else budget
+    hw_key = weight_key(e.big, hw)
     source_dim = weight_dimension(e.big, hw)
     if source_dim > limit:
         raise BudgetExceededError(
             f"dim {source_dim} exceeds generic-restriction budget {limit}"
         )
     support: dict[IntKey, int] = {}
-    for flat, mult in _group_diagram(e.big, doubled(hw.sort_key())).items():
-        key = e._apply(flat)
-        support[key] = support.get(key, 0) + mult
+    try:
+        for flat, mult in _group_diagram(e.big, hw_key).items():
+            key = e._apply(flat)
+            support[key] = support.get(key, 0) + mult
+    except InvalidWeightError as exc:
+        raise InvalidWeightError(f"{e.name}: projecting {format_weight(hw)}: {exc}") from None
 
     folded = chamber_fold(e.small, support)
     for key, coeff in folded.items():
         if coeff < 0:
             raise NegativeMultiplicityError(
-                f"{e.name}: negative coefficient {coeff} at {_fractions(e.small, key)}"
+                f"{e.name}: negative coefficient {coeff} at {spell_key(e.small, key)}"
             )
     decomposition = FormalCharacter.from_int_keys(e.small, folded)
     target_dim = decomposition.total_dimension()
@@ -344,7 +345,8 @@ def restrict_generic(
             value = support.get(key, 0) - coeff * mult
             if value < 0:
                 raise NegativeMultiplicityError(
-                    f"{e.name}: subtracting {w} drove {_fractions(e.small, key)} negative"
+                    f"{e.name}: subtracting {format_weight(w)} drove "
+                    f"{spell_key(e.small, key)} negative"
                 )
             if value == 0:
                 support.pop(key, None)

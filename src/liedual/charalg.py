@@ -10,13 +10,12 @@ orbit expansion and the chamber fold run on doubled ``int`` tuples (2v,
 exact because every weight coordinate has denominator 1 or 2): the
 ``lru_cache`` internals ``_dominant_multiplicities`` and
 ``_full_multiplicities`` take and return doubled vectors, and
-``weight_multiplicities`` and ``freudenthal_total`` convert where a weight
+``weight_multiplicities`` and ``freudenthal_total`` convert where a vector
 enters or leaves, with ``lattice.doubled`` and ``lattice.halved``; every
-``FormalCharacter`` is built from ``IntKey``s.  Each distinct key is
-validated once by the integer rule ``lattice.check_int_key``, and its
-``Weight`` is built from ``_half``, the one cached x -> x/2, so a term's
-``Fraction`` coordinates are made only where the term leaves the package
-and equal coordinates share one object.  The Weyl dimension formula,
+``FormalCharacter`` is built from ``IntKey``s, and each distinct key becomes
+its ``Weight`` once, through ``lattice.key_weight``, the one way out of an
+``IntKey``.  So a term's ``Fraction`` coordinates are made only where the
+term leaves the package.  The Weyl dimension formula,
 the independent second path, takes integer products over the positive
 roots in doubled coordinates and divides once; it shares only the list of
 positive roots (``_integral_roots``) with the recursion.
@@ -40,12 +39,12 @@ from .lattice import (
     RootSystem,
     Vector,
     Weight,
-    check_int_key,
     dominant_conjugate,
     doubled,
     halved,
     in_weight_lattice,
     is_dominant_vector,
+    key_weight,
     normalize_vector,
     root_coordinates,
     spell,
@@ -92,7 +91,7 @@ def dimension(rs: RootSystem, hw: Vector) -> int:
     value, rest = divmod(numerator, denominator)
     if rest or value <= 0:
         raise InvariantError(
-            f"Weyl dimension {Q(numerator, denominator)} of {hw} is not a positive integer"
+            f"Weyl dimension {Q(numerator, denominator)} of {spell(hw)} is not a positive integer"
         )
     return value
 
@@ -117,7 +116,8 @@ def _dominant_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, in
     4 acc / (|hw + rho|^2 - |mu + rho|^2) with acc the sum of
     m(mu + k alpha) (mu + k alpha, alpha) over the strings above mu.
     """
-    _require_dominant(rs, halved(hw))
+    if not is_dominant_vector(rs, hw):  # scale-free: halved only to be named
+        _require_dominant(rs, halved(hw))
     roots = _integral_roots(rs)
     rho = doubled(rs.weyl_vector)
     top = vadd(hw, rho)
@@ -144,7 +144,7 @@ def _dominant_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, in
         if rest or value <= 0:
             raise InvariantError(
                 f"Freudenthal multiplicity {Q(4 * acc, denominator)} at "
-                f"{halved(mu)} under {halved(hw)}"
+                f"{spell(halved(mu))} under {spell(halved(hw))}"
             )
         mults[mu] = value
     return MappingProxyType(mults)
@@ -237,22 +237,8 @@ def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[IntKey, int
     shifted = {vadd(top, mu): m for mu, m in _full_multiplicities(rs, doubled(hw2)).items()}
     folded = chamber_fold(GroupSpec((rs,)), shifted)
     if any(v < 0 for v in folded.values()):
-        raise InvariantError(f"negative tensor multiplicity in {hw1} x {hw2}")
+        raise InvariantError(f"negative tensor multiplicity in {spell(hw1)} x {spell(hw2)}")
     return MappingProxyType(folded)
-
-
-@functools.lru_cache(maxsize=None)
-def _half(x: int) -> Q:
-    """x/2 as a ``Fraction``: one object per doubled coordinate value."""
-    return Q(x, 2)
-
-
-def _key_weight(gs: GroupSpec, key: IntKey) -> Weight:
-    """The ``Weight`` of ``key``, validated by ``check_int_key`` (so the key
-    is canonical, e.g. A5-normalized), with ``_half`` coordinates."""
-    check_int_key(gs, key)
-    parts = tuple(tuple(map(_half, key[s])) for s in gs.slices)
-    return Weight(parts, tuple(map(_half, key[gs.width :])))
 
 
 @dataclass(frozen=True)
@@ -280,8 +266,8 @@ class FormalCharacter:
     ) -> "FormalCharacter":
         """A character from ``IntKey``s: drops zeros, rejects negatives,
         sorts the int keys and turns each distinct one into a ``Weight``
-        once: ``lattice.check_int_key`` validates it on integers, and the
-        coordinates are the shared ``Fraction`` halves of ``_half``.  Pass
+        once, by ``lattice.key_weight``, which validates it on integers and
+        builds shared ``Fraction`` halves.  Pass
         one ``weights`` dict (for one group) to several calls, e.g. the
         levels of a graded character, to reuse those ``Weight``s."""
         keys = sorted(k for k, m in data.items() if m != 0)
@@ -293,7 +279,7 @@ class FormalCharacter:
         for k in keys:
             w = weights.get(k)
             if w is None:
-                w = weights[k] = _key_weight(gs, k)
+                w = weights[k] = key_weight(gs, k)
             terms.append((w, data[k]))
         return FormalCharacter(gs, tuple(terms))
 

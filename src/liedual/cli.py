@@ -36,10 +36,10 @@ from .lattice import (
     GroupSpec,
     InvalidWeightError,
     Weight,
+    format_weight,
     group,
     make_weight,
     read_flat_weight,
-    spell,
 )
 
 EXIT_OK = 0
@@ -101,13 +101,6 @@ def parse_weight(gs: GroupSpec, text: str) -> Weight:
     raise InvalidWeightError(
         f"expected {len(gs.factors)} x-separated blocks or one flat list, got {len(blocks)}"
     )
-
-
-def format_weight(w: Weight) -> str:
-    body = "x".join(map(spell, w.parts))
-    if w.charges:
-        body += "@" + ",".join(str(c) for c in w.charges)
-    return body
 
 
 def character_rows(char: FormalCharacter) -> list[list]:

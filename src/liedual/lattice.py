@@ -1,27 +1,24 @@
 """Root systems in classical epsilon coordinates, with exact arithmetic.
 
-Supported simple types: A1, A5, B2, C2, C3, C4, D4, D5.  Each is built from
-its series and rank by one rule per series (Bourbaki's Plates I-IV): A_n in
-R^(n+1), with weights taken modulo the all-ones vector and normalized so the
-minimum coordinate is 0; B_n, C_n and D_n in R^n.  A1 is the one-coordinate
-realization with simple root 2*eps, which is C1, so its ``series`` is "C"
-and every rule here dispatches on the series alone.  At the API,
-vectors are tuples of ``fractions.Fraction``; all weight-lattice
-coordinates have denominator 1 or 2, so twice a weight is an integer tuple;
-``doubled`` and ``halved`` convert between the two.  The character oracle
-(``charalg``, ``branching``) runs on those doubled ``int`` tuples inside:
-``dominant_conjugate``, ``weyl_orbit`` and ``normalize_vector`` only sort,
-negate, subtract and compare entries, so they are exact on ``int`` tuples
-too and commute with doubling.  ``weyl_group_order``, ``weyl_orbit_size``
-and ``root_coordinates`` are closed forms per series, so nothing here
-solves a linear system or classifies a sub-diagram.  The weight lattice has
-one rule, on doubled coordinates (``_on_lattice``): all even for A and C,
-all even or all odd for B and D.  ``check_int_key`` applies it to a flat
-doubled key (an ``IntKey``) with no ``Fraction`` built, and also requires
-the canonical A form; ``make_weight`` and ``in_weight_lattice`` double
-their input and read the same rule.  ``read_flat_weight`` is the one
-reader of a flat coordinate list, and messages write vectors as the
-command line does (``spell``).  Everything here is immutable and pure.
+Supported simple types: A1, A5, B2, C2, C3, C4, D4, D5, each built from its
+series and rank by one rule per series (Bourbaki's Plates I-IV): A_n in
+R^(n+1), modulo the all-ones vector with minimum coordinate 0; B_n, C_n and
+D_n in R^n.  A1 is the one-coordinate realization with simple root 2*eps,
+which is C1, so its ``series`` is "C" and every rule dispatches on the
+series alone.  Vectors are ``Fraction`` tuples with denominator 1 or 2 at
+the API and doubled ``int`` tuples inside (``doubled``, ``halved``); the
+Weyl moves only sort, negate, subtract and compare, so they are exact on
+both and commute with doubling.  The weight lattice has one rule, on
+doubled coordinates (``_on_lattice``): all even for A and C, all even or
+all odd for B and D.  ``check_int_key`` applies it to a flat doubled key
+(an ``IntKey``), with the canonical A form; ``make_weight``, the reader of
+text and ``Fraction`` input, doubles its input and reads the same rule.
+
+A ``Weight`` crosses to and from its ``IntKey`` here and nowhere else:
+``weight_key`` is the one way in, ``key_weight`` the one way out, and
+``format_weight`` the one speller, as the command line writes a weight
+(``spell`` writes one vector, ``spell_key`` an unvalidated key, so that
+building a message never raises).  Everything here is immutable and pure.
 
 Cartan-matrix convention: ``a[i][j] = <alpha_i, alpha_j^vee>``.
 """
@@ -407,7 +404,7 @@ def doubled(v: Vector) -> Doubled:
     for x in v:
         twice, rest = divmod(2 * x.numerator, x.denominator)
         if rest:
-            raise InvalidWeightError(f"{v} is not a weight-lattice vector")
+            raise InvalidWeightError(f"{spell(v)} is not a weight-lattice vector")
         out.append(twice)
     return tuple(out)
 
@@ -509,8 +506,52 @@ def check_int_key(gs: GroupSpec, key: IntKey) -> None:
         if not _on_lattice(rs, part):
             raise InvalidWeightError(f"{spell(halved(part))} is not a {rs.label} weight")
     if any(rs.series == "A" and min(part) for rs, part in zip(gs.factors, parts)):
-        w = make_weight(gs, map(halved, parts), halved(key[gs.width :]))
-        raise InvalidWeightError(f"{key} is not the canonical key of {w}")
+        raise InvalidWeightError(f"{key} is not the canonical key of {spell_key(gs, key)}")
+
+
+def weight_key(gs: GroupSpec, w: Weight) -> IntKey:
+    """The one way from a ``Weight`` of ``gs`` to its ``IntKey``: one part
+    per factor, of that factor's length, one charge per circle, and every
+    coordinate an integer or half-integer; then ``doubled`` and
+    ``check_int_key``.  Errors spell ``w`` as the command line does."""
+    flat = w.sort_key()
+    if (
+        [len(part) for part in w.parts] != [rs.ambient_dim for rs in gs.factors]
+        or len(w.charges) != gs.circles
+        or any(x.denominator not in (1, 2) for x in flat)
+    ):
+        raise InvalidWeightError(f"{format_weight(w)} is not a weight of {gs}")
+    key = doubled(flat)
+    check_int_key(gs, key)
+    return key
+
+
+@functools.lru_cache(maxsize=None)
+def _half(x: int) -> Q:
+    """x/2 as a ``Fraction``: one object per doubled coordinate value."""
+    return Q(x, 2)
+
+
+def key_weight(gs: GroupSpec, key: IntKey) -> Weight:
+    """The one way from an ``IntKey`` of ``gs`` back to its ``Weight``,
+    validated by ``check_int_key``, with shared ``_half`` coordinates."""
+    check_int_key(gs, key)
+    parts = tuple(tuple(map(_half, key[s])) for s in gs.slices)
+    return Weight(parts, tuple(map(_half, key[gs.width :])))
+
+
+def format_weight(w: Weight) -> str:
+    """``w`` as the command line writes it, e.g. ``(1,0)x(2)@-1``."""
+    body = "x".join(map(spell, w.parts))
+    if w.charges:
+        body += "@" + ",".join(map(str, w.charges))
+    return body
+
+
+def spell_key(gs: GroupSpec, key: IntKey) -> str:
+    """``key`` spelled as its weight, from unvalidated halves, so that a
+    message about a key never raises."""
+    return format_weight(Weight(tuple(halved(key[s]) for s in gs.slices), halved(key[gs.width :])))
 
 
 def read_flat_weight(gs: GroupSpec, flat: Sequence[Q | int | str]) -> Weight:

@@ -10,9 +10,9 @@ generic restriction oracle elsewhere.  ``minrep_levels`` and
 ``dualpair_graded`` share one loop over ``_LEVELS``, one entry per case.
 
 ``TYPE_GROUPS`` holds the series cases' type groups, for ``cli`` and
-``theta`` too.  ``sign_first_appearance`` checks first appearance once,
-through ``ktype_multiplicity``; ``SignAssignment.side`` derives from
-``sign``.  ``verify_series`` serves criteria 5 and 7 alike.
+``theta`` too.  ``_type_key``, the one K-type reader, runs once per public
+call.  ``sign_first_appearance`` checks first appearance through
+``ktype_multiplicity``; ``verify_series`` serves criteria 5 and 7 alike.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .branching import (
     _su6_omega3_to_sp2su2u1_core,
     su2su2_coefficient,
 )
-from .charalg import FormalCharacter, IntKey, su2_tensor
-from .lattice import GroupSpec, InvariantError, Weight, group, spell
+from .charalg import FormalCharacter, IntKey, su2_tensor, weight_dimension
+from .lattice import GroupSpec, InvariantError, Weight, format_weight, group, weight_key
 
 MINREP_CASES = ("split-E6", "hermitian-E6", "e62-compact")
 DUALPAIR_CASES = ("splitJ-splitE", "splitJ-mixedE", "hermJ-mixedE", "e62-spin8")
@@ -73,7 +73,7 @@ class GradedCharacter:
         signed = _SIGNED_TERMS.get(self.case)
         if n not in self.levels or signed is None or not signed(w):
             raise NotCoveredError(
-                f"no sign grading for level {n} term {w} in case {self.case}"
+                f"no sign grading for level {n} term {format_weight(w)} in case {self.case}"
             )
         return (-1) ** n
 
@@ -235,89 +235,64 @@ TYPE_GROUPS: dict[str, GroupSpec] = {
 }
 
 
-def _int_coords(w: Weight) -> tuple[int, ...]:
-    """The coordinates of ``w`` as ints; it must be uncharged and integral."""
-    if w.charges:
-        raise InvalidTypeError(f"{w} carries a charge; pass it as m")
-    coords = w.sort_key()
-    vals = tuple(map(int, coords))
-    if vals != coords:
-        raise InvalidTypeError(f"{w} has a non-integral coordinate")
-    return vals
+def _type_key(case: str, ktype: Weight) -> IntKey:
+    """The one K-type reader: ``ktype`` keyed by ``lattice.weight_key`` on
+    the case's type group (``TYPE_GROUPS``, or the level group for
+    e62-spin8) and checked for dominance by ``charalg.weight_dimension``.
+    Any fault is an ``InvalidTypeError``."""
+    if case not in DUALPAIR_CASES:
+        raise KeyError(f"unknown case {case!r}")
+    gs = TYPE_GROUPS.get(case, _LEVELS[case][0])
+    try:
+        key = weight_key(gs, ktype)
+        weight_dimension(gs, ktype)
+    except ValueError as exc:
+        raise InvalidTypeError(str(exc)) from None
+    return key
 
 
-def _spell_type(w: Weight) -> str:
-    """An uncharged type as the command line writes it, e.g. ``(0,1)x(0)``."""
-    return "x".join(map(spell, w.parts))
-
-
-def _split_type(w: Weight) -> tuple[int, ...]:
-    if len(w.parts) != 4 or any(len(p) != 1 for p in w.parts):
-        raise InvalidTypeError(f"{w} is not an SU2^4 type")
-    vals = _int_coords(w)
-    if any(v < 0 for v in vals):
-        raise InvalidTypeError(f"negative SU2 weight in type {_spell_type(w)}")
-    return vals
-
-
-def _pair_type(w: Weight) -> tuple[int, ...]:
-    if len(w.parts) != 2 or len(w.parts[0]) != 2 or len(w.parts[1]) != 1:
-        raise InvalidTypeError(f"{w} is not an Sp(2) x SU2 type")
-    x, y, z = vals = _int_coords(w)
-    if not (x >= y >= 0 and z >= 0):
-        raise InvalidTypeError(f"non-dominant Sp(2) x SU2 type {_spell_type(w)}")
-    return vals
+def _ints(key: IntKey) -> tuple[int, ...]:
+    """The coordinates of a series case's type key: A1 and C2 keys are even."""
+    return tuple(x // 2 for x in key)
 
 
 def ktype_multiplicity(
     case: str, ktype: Weight, n: int, m: int | None = None
 ) -> int:
     """Multiplicity of a compact type in level n, optionally at one charge."""
-    if case not in DUALPAIR_CASES:
-        raise KeyError(f"unknown case {case!r}")
+    return _key_multiplicity(case, _type_key(case, ktype), n, m)
+
+
+def _key_multiplicity(case: str, key: IntKey, n: int, m: int | None) -> int:
+    """``ktype_multiplicity`` of the type read as ``key`` by ``_type_key``."""
     if n < 0:
         return 0
+    if m is not None and case in ("splitJ-splitE", "e62-spin8"):
+        raise InvalidTypeError(f"{case} types take no charge m")
+    if case == "e62-spin8":
+        data: dict[IntKey, int] = {}
+        _e62_spin8(data, n)  # level n's int keys, read at the type's key
+        return data.get(key, 0)
     if case == "splitJ-splitE":
-        a, b, c, d = _split_type(ktype)
-        if m is not None:
-            raise InvalidTypeError("splitJ-splitE carries no circle charge")
+        a, b, c, d = _ints(key)
         if (a + b + c + d) % 2:
             return 0  # not a type of the mu2 quotient, never occurs
-        total = 0
-        for x in range(n + 1):
-            for y in range(x + 1):
-                total += su2su2_coefficient(x, y, a, b) * su2su2_coefficient(
-                    x, y, c, d
-                )
-        return total
-    if case == "splitJ-mixedE":
-        x, y, z = _pair_type(ktype)
-        if (x + y + z) % 2:
+        return sum(
+            su2su2_coefficient(x, y, a, b) * su2su2_coefficient(x, y, c, d)
+            for x in range(n + 1)
+            for y in range(x + 1)
+        )
+    x, y, z = _ints(key)
+    if (x + y + z) % 2:
+        return 0
+    if case == "splitJ-mixedE":  # a type appears at level x, at its full value
+        if n < x:
             return 0
         if m is None:
-            return sum(
-                mult
-                for (zz, _), mult in sp1so2_coefficients(x, y).items()
-                if zz == z
-            ) * (1 if n >= x else 0)
-        return sp1so2_coefficient(x, y, z, m) if n >= x else 0
-    if case == "hermJ-mixedE":
-        x, y, z = _pair_type(ktype)
-        if (x + y + z) % 2:
-            return 0
-        if m is None:
-            return sum(
-                quasisplit_level_multiplicity(x, y, z, mm, n)
-                for mm in range(-n, n + 1)
-            )
-        return quasisplit_level_multiplicity(x, y, z, m, n)
-    if len(ktype.parts) != 1 or len(ktype.parts[0]) != 4 or len(ktype.charges) != 3:
-        raise InvalidTypeError(f"{ktype} is not a Spin(8) x T^3 type")  # e62-spin8
-    if m is not None:
-        raise InvalidTypeError("e62-spin8 types carry their charges; m is not taken")
-    data: dict[IntKey, int] = {}
-    _e62_spin8(data, n)  # level n's int keys, read at the type's doubled key
-    return data.get(tuple(2 * x for x in ktype.sort_key()), 0)
+            return sum(v for (zz, _), v in sp1so2_coefficients(x, y).items() if zz == z)
+        return sp1so2_coefficient(x, y, z, m)
+    charges = range(-n, n + 1) if m is None else (m,)  # hermJ-mixedE
+    return sum(quasisplit_level_multiplicity(x, y, z, mm, n) for mm in charges)
 
 
 def so3_invariants(a: int, b: int, c: int, d: int) -> int:
@@ -370,9 +345,8 @@ def multiplicity_series(
 ) -> MultiplicitySeries:
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
-    values = tuple(
-        ktype_multiplicity(case, ktype, n, m) for n in range(truncation + 1)
-    )
+    key = _type_key(case, ktype)
+    values = tuple(_key_multiplicity(case, key, n, m) for n in range(truncation + 1))
     stabilized: int | None = None
     kind: str | None = None
     if case in ("splitJ-mixedE", "hermJ-mixedE"):
@@ -382,14 +356,14 @@ def multiplicity_series(
         kind = "increment"
         stabilized = values[-1] - values[-2] if len(values) > 1 else values[-1]
     if kind is not None and not any(values):
-        horizon = _appearance_horizon(case, ktype)
-        if horizon > truncation and ktype_multiplicity(case, ktype, horizon, m):
+        horizon = _appearance_horizon(case, key)
+        if horizon > truncation and _key_multiplicity(case, key, horizon, m):
             stabilized = kind = None  # the type first appears after the truncation
     return MultiplicitySeries(case, ktype, m, values, stabilized, kind)
 
 
-def _appearance_horizon(case: str, ktype: Weight) -> int:
-    """A level by which a series case's type has appeared, if it ever does.
+def _appearance_horizon(case: str, key: IntKey) -> int:
+    """A level by which a series case's type (its ``key``) has appeared, if ever.
 
     splitJ-mixedE types appear exactly at level x.  A hermJ-mixedE type
     that appears stabilizes by level (x+y+z)/2 - 1, by the onset closed
@@ -398,8 +372,8 @@ def _appearance_horizon(case: str, ktype: Weight) -> int:
     levels hold if any level does (criterion 3 for d = 0).
     """
     if case == "splitJ-splitE":
-        return sum(_split_type(ktype)) // 2
-    x, y, z = _pair_type(ktype)
+        return sum(_ints(key)) // 2
+    x, y, z = _ints(key)
     return x if case == "splitJ-mixedE" else (x + y + z) // 2
 
 
@@ -480,10 +454,9 @@ def sign_first_appearance(case: str, ktype: Weight) -> SignAssignment:
     V_(0,0) (x) V_(2k) with k >= 1.  e62-spin8 has no sign grading.  The
     type must occur once at the witness level and not at the level before.
     """
-    if case not in DUALPAIR_CASES:
-        raise KeyError(f"unknown case {case!r}")
+    key = _type_key(case, ktype)
     if case == "splitJ-splitE":
-        vals = _split_type(ktype)
+        vals = _ints(key)
         if 0 not in vals:
             raise NotCoveredError("need a zero coordinate")
         rest = list(vals)
@@ -496,12 +469,12 @@ def sign_first_appearance(case: str, ktype: Weight) -> SignAssignment:
         witness = (a + b + c) // 2
         sign, charge = (-1) ** witness, None
     elif case == "splitJ-mixedE":
-        x, y, z = _pair_type(ktype)
+        x, y, z = _ints(key)
         if y != 0 or z != 0 or x % 2:
             raise NotCoveredError("family is V_(2k,0) (x) V_0")
         witness, sign, charge = x, (-1) ** (x // 2), 0
     elif case == "hermJ-mixedE":
-        x, y, z = _pair_type(ktype)
+        x, y, z = _ints(key)
         if x != 0 or y != 0 or z == 0 or z % 2:
             raise NotCoveredError("family is V_(0,0) (x) V_(2k), k >= 1")
         witness = z // 2 - 1

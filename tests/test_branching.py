@@ -33,6 +33,7 @@ from liedual.branching import (
 from liedual.charalg import dimension, weight_dimension
 from liedual.lattice import (
     InvalidWeightError,
+    Weight,
     build_root_system,
     group,
     in_weight_lattice,
@@ -107,8 +108,7 @@ def test_budget_enforced():
 
 _WRONG_EMBEDDING_MESSAGES = {
     1: "bogus: dimension 126 restricted from 42",
-    2: "bogus: negative coefficient -1 at "
-    "(((Fraction(1, 1), Fraction(1, 1)), (Fraction(2, 1), Fraction(0, 1))), ())",
+    2: "bogus: negative coefficient -1 at (1,1)x(2,0)",
 }
 
 
@@ -116,8 +116,8 @@ _WRONG_EMBEDDING_MESSAGES = {
 def test_wrong_embedding_aborts_with_negative_multiplicity(n):
     # Doubling one coordinate row is not the weight map of any subgroup;
     # the oracle must abort rather than clamp.  At n=1 the fold conserves
-    # no dimension, at n=2 it has a negative coefficient.  Messages show
-    # Fraction weights, never the oracle's internal doubled integers.
+    # no dimension, at n=2 it has a negative coefficient.  Messages spell
+    # weights as the command line does, never the oracle's doubled integers.
     right = embedding("sp2xsp2_in_sp4")
     rows = (
         (tuple(2 * x for x in right.factor_rows[0][0]), right.factor_rows[0][1]),
@@ -139,10 +139,23 @@ def test_charge_row_typo_fails_the_certificate():
     )
     with pytest.raises(NegativeMultiplicityError) as raised:
         restrict_generic(typo, make_weight(group("C2"), ((1, 0),)))
-    assert str(raised.value) == (
-        "typo: subtracting Weight(parts=((Fraction(1, 1),),), charges=(Fraction(1, 2),)) "
-        "drove (((Fraction(-1, 1),),), (Fraction(1, 2),)) negative"
-    )
+    assert str(raised.value) == "typo: subtracting (1)@1/2 drove (-1)@1/2 negative"
+
+
+@pytest.mark.parametrize(
+    "hw, spelled",
+    [
+        (Weight(((1, 1, 0, 0),), (Q(1),)), "(1,1,0,0)@1"),
+        (Weight(((1, 1, 0, 0), (0,))), "(1,1,0,0)x(0)"),
+    ],
+    ids=["stray-charge", "extra-part"],
+)
+def test_weight_of_another_shape_is_rejected(hw, spelled):
+    # C4 has one factor and no circle: the stray charge used to be ignored,
+    # and the extra part to fail inside zip().
+    with pytest.raises(InvalidWeightError) as raised:
+        restrict_generic(embedding("sp2xsp2_in_sp4"), hw, budget=1)
+    assert str(raised.value) == f"{spelled} is not a weight of GroupSpec(C4)"
 
 
 def test_non_dominant_weight_is_rejected_before_the_budget():
@@ -157,7 +170,10 @@ def test_third_integral_charge_is_rejected():
     hw = make_weight(group("A5"), ((1, 0, 0, 0, 0, 0),))
     with pytest.raises(InvalidWeightError) as raised:
         restrict_generic(embedding("sp2su2u1_in_su6"), hw)
-    assert str(raised.value) == "circle charges must be integers or half-integers"
+    assert str(raised.value) == (
+        "sp2su2u1_in_su6: projecting (1,0,0,0,0,0): "
+        "circle charges must be integers or half-integers"
+    )
 
 
 def _dominant_weights_up_to_two(gs):

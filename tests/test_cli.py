@@ -12,8 +12,21 @@ from hypothesis import strategies as st
 from liedual import branching
 from liedual.charalg import NonDominantError
 from liedual.cli import format_weight, main, parse_weight
-from liedual.lattice import InvalidWeightError, UnsupportedTypeError, group, make_weight
-from liedual.minrep import TYPE_GROUPS, InvalidTypeError, NotCoveredError
+from liedual.lattice import (
+    InvalidWeightError,
+    UnsupportedTypeError,
+    Weight,
+    check_int_key,
+    group,
+    make_weight,
+)
+from liedual.minrep import (
+    TYPE_GROUPS,
+    InvalidTypeError,
+    NotCoveredError,
+    dualpair_graded,
+    ktype_multiplicity,
+)
 from liedual.theta import FixtureError
 
 
@@ -340,7 +353,10 @@ def test_third_integral_charge_exits_2(capsys):
     # The fundamental of SU(6) restricts to charge 1/3 along sp2su2u1_in_su6.
     code, out, err = run(capsys, "branch", "sp2su2u1_in_su6", "1,0,0,0,0,0")
     assert code == 2
-    assert err == "error: circle charges must be integers or half-integers\n"
+    assert err == (
+        "error: sp2su2u1_in_su6: projecting (1,0,0,0,0,0): "
+        "circle charges must be integers or half-integers\n"
+    )
     assert out == ""
 
 
@@ -399,11 +415,11 @@ def test_wrong_embedding_exits_3(capsys, monkeypatch, name, wrong_rows, weight):
         (("minrep", "splitJ-splitE", "--type", "1,1"), "error: expected 4 coordinates, got 2\n"),
         (
             ("minrep", "splitJ-mixedE", "--type", "(0,1)x0"),
-            "error: non-dominant Sp(2) x SU2 type (0,1)x(0)\n",
+            "error: (0,1) is not dominant for C2\n",
         ),
         (
             ("minrep", "splitJ-splitE", "--type=-1,0,0,0"),
-            "error: negative SU2 weight in type (-1)x(0)x(0)x(0)\n",
+            "error: (-1) is not dominant for A1\n",
         ),
     ],
 )
@@ -411,6 +427,81 @@ def test_weight_errors_spell_coordinates_as_the_cli_does(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == message and "Fraction(" not in err
+
+
+def _wrong_map(name, wrong_rows, weight):
+    """A call restricting ``weight`` along a mistyped copy of ``name``."""
+    e = branching.CATALOG[name]
+    wrong = branching.EmbeddingMap(name, e.big, e.small, *wrong_rows(e))
+    return lambda: branching.restrict_generic(wrong, parse_weight(e.big, weight))
+
+
+_H = Q(1, 2)
+_E62_CHARGES = (Q(4), Q(-2), Q(-2))  # the level-0 torus character
+
+#: One faulty type per dual-pair case and fault.
+_BAD_TYPES = {
+    "splitJ-splitE": {
+        "half-integral": Weight(((_H,), (_H,), (Q(0),), (Q(0),))),
+        "charged": Weight(((Q(2),), (Q(2),), (Q(0),), (Q(0),)), (Q(1),)),
+        "wrong-shape": Weight(((Q(1), Q(1)), (Q(0),), (Q(0),), (Q(0),))),
+        "non-dominant": Weight(((Q(-1),), (Q(1),), (Q(0),), (Q(0),))),
+    },
+    **{
+        case: {
+            "half-integral": Weight(((Q(5, 2), _H), (_H,))),
+            "charged": Weight(((Q(2), Q(0)), (Q(0),)), (Q(1),)),
+            "wrong-shape": Weight(((Q(1), Q(0), Q(0)), (Q(0),))),
+            "non-dominant": Weight(((Q(0), Q(1)), (Q(0),))),
+        }
+        for case in ("splitJ-mixedE", "hermJ-mixedE")
+    },
+    "e62-spin8": {
+        "half-integral": Weight(((_H, Q(0), Q(0), Q(0)),), _E62_CHARGES),
+        "charged": Weight(((Q(0),) * 4,), _E62_CHARGES + (Q(1),)),
+        "wrong-shape": Weight(((Q(0),) * 3,), _E62_CHARGES),
+        "non-dominant": Weight(((Q(0), Q(1), Q(0), Q(0)),), _E62_CHARGES),
+    },
+}
+#: Each faulty call, with the error it raises.
+_ERRORS = {
+    "oracle-bogus-1": (
+        branching.NegativeMultiplicityError,
+        _wrong_map("sp2xsp2_in_sp4", _doubled_row, "(1,1,1,1)"),
+    ),
+    "oracle-bogus-2": (
+        branching.NegativeMultiplicityError,
+        _wrong_map("sp2xsp2_in_sp4", _doubled_row, "(2,2,2,2)"),
+    ),
+    "oracle-typo": (
+        branching.NegativeMultiplicityError,
+        _wrong_map("sp1so2_in_sp2", _typo_charge_row, "(1,0)"),
+    ),
+    "check-int-key-canonical": (
+        InvalidWeightError,
+        lambda: check_int_key(group("A5"), (4, 4, 4, 2, 2, 2)),
+    ),
+    "sign-of-unsigned-term": (
+        NotCoveredError,
+        lambda: dualpair_graded("e62-spin8", 0).sign_of(0, Weight(((Q(0),) * 4,), _E62_CHARGES)),
+    ),
+    **{
+        f"{case}-{fault}": (
+            InvalidTypeError,
+            lambda case=case, w=w: ktype_multiplicity(case, w, 3),
+        )
+        for case, faults in _BAD_TYPES.items()
+        for fault, w in faults.items()
+    },
+}
+
+
+@pytest.mark.parametrize("error, call", list(_ERRORS.values()), ids=list(_ERRORS))
+def test_no_message_spells_a_fraction_or_weight_repr(error, call):
+    with pytest.raises(error) as raised:
+        call()
+    message = str(raised.value)
+    assert message and "Fraction(" not in message and "Weight(" not in message
 
 
 @pytest.mark.parametrize(

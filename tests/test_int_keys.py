@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liedual.charalg as charalg
+import liedual.lattice as lattice
 from liedual.branching import (
     RULES,
     branch_so5_to_so3so2,
@@ -39,12 +40,15 @@ from liedual.lattice import (
     check_int_key,
     dominant_conjugate,
     doubled,
+    format_weight,
     group,
     halved,
+    key_weight,
     make_weight,
     normalize_vector,
     vadd,
     vsub,
+    weight_key,
 )
 from liedual.minrep import (
     DUALPAIR_CASES,
@@ -409,9 +413,9 @@ def test_graded_levels_validate_each_distinct_term_once(monkeypatch):
 
     def counting(gs, key):
         calls.append(1)
-        return check_int_key(gs, key)
+        return lattice.key_weight(gs, key)
 
-    monkeypatch.setattr(charalg, "check_int_key", counting)
+    monkeypatch.setattr(charalg, "key_weight", counting)
     graded = dualpair_graded("splitJ-mixedE", 5)
     distinct = {w for char in graded.levels.values() for w, _ in char.terms}
     assert len(calls) == len(distinct)
@@ -424,12 +428,15 @@ def test_graded_levels_validate_each_distinct_term_once(monkeypatch):
 # lattice.check_int_key against make_weight.
 
 
+_DEFECTS = ("none", "parity", "short", "long", "shift")
+
+
 @st.composite
-def _flat_keys(draw, label):
+def _flat_keys(draw, label, defects=_DEFECTS):
     """A group of ``label``, maybe one more factor, and 0..2 circles, with a
     flat doubled key for it: canonical A parts, B and D parts all even or
-    all odd, other parts even; then maybe one defect: an entry's parity
-    flipped, the length off by one, or every A part moved off its
+    all odd, other parts even; then maybe one of ``defects``: an entry's
+    parity flipped, the length off by one, or every A part moved off its
     canonical form."""
     more = draw(st.lists(st.sampled_from(SUPPORTED_TYPES), max_size=1))
     gs = group(label, *more, circles=draw(st.integers(0, 2)))
@@ -439,7 +446,7 @@ def _flat_keys(draw, label):
         part = [2 * draw(st.integers(-3, 3)) + odd for _ in range(rs.ambient_dim)]
         key += [x - min(part) for x in part] if rs.series == "A" else part
     key += [draw(st.integers(-5, 5)) for _ in range(gs.circles)]
-    defect = draw(st.sampled_from(["none", "parity", "short", "long", "shift"]))
+    defect = draw(st.sampled_from(defects))
     if defect == "parity":
         key[draw(st.integers(0, gs.width - 1))] += 1
     elif defect == "short":
@@ -490,6 +497,12 @@ def test_check_int_key_agrees_with_make_weight(label, data):
         (("B2",), 0, (1, 2), "(1/2,1) is not a B2 weight"),
         (("D4",), 1, (1, 1, 1, 1), "(1, 1, 1, 1) is not a flat key of GroupSpec(D4+U1)"),
         (("A5", "C2"), 0, (2, 2, 2, 2, 2, 2, 1, 0), "(1/2,0) is not a C2 weight"),
+        (
+            ("A5",),
+            1,
+            (4, 4, 4, 2, 2, 2, 1),
+            "(4, 4, 4, 2, 2, 2, 1) is not the canonical key of (2,2,2,1,1,1)@1/2",
+        ),
     ],
 )
 def test_check_int_key_messages(labels, circles, key, message):
@@ -501,4 +514,53 @@ def test_check_int_key_messages(labels, circles, key, message):
 def test_key_weights_share_their_halves():
     a, b = FormalCharacter.from_int_keys(group("C2", "A1"), {(4, 2, 2): 1, (4, 0, 4): 1}).terms
     assert a[0].parts[0][0] is b[0].parts[0][0]  # both 2, one object
-    assert charalg._half.cache_info().hits > 0
+    assert lattice._half.cache_info().hits > 0
+
+
+# --------------------------------------------------------------------------
+# lattice.weight_key and key_weight: the one crossing in and out.
+
+
+@st.composite
+def _weights(draw, label):
+    """A group of ``label`` with 0..2 circles, and a weight of it from
+    ``make_weight``: B and D parts maybe all half-odd, charges in Z/2."""
+    gs = group(label, circles=draw(st.integers(0, 2)))
+    rs = gs.factors[0]
+    odd = draw(st.integers(0, 1)) if rs.series in ("B", "D") else 0
+    part = [Q(2 * draw(st.integers(-3, 3)) + odd, 2) for _ in range(rs.ambient_dim)]
+    charges = [Q(draw(st.integers(-5, 5)), 2) for _ in range(gs.circles)]
+    return gs, make_weight(gs, (part,), charges)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_weight_key_and_key_weight_invert_each_other(label, data):
+    gs, w = data.draw(_weights(label))
+    back = key_weight(gs, weight_key(gs, w))
+    assert back == w and all(type(x) is Q for x in back.sort_key()), (gs, w)
+    gs, key = data.draw(_flat_keys(label, ("none",)))
+    assert weight_key(gs, key_weight(gs, key)) == key, (gs, key)
+
+
+_C2A1U1 = group("C2", "A1", circles=1)
+
+
+@pytest.mark.parametrize(
+    "w, spelled",
+    [
+        (Weight(((Q(1), Q(0)),), (Q(1),)), "(1,0)@1"),
+        (Weight(((Q(1), Q(0)), (Q(1),), (Q(0),)), (Q(1),)), "(1,0)x(1)x(0)@1"),
+        (Weight(((Q(1), Q(0), Q(0)), (Q(1),)), (Q(1),)), "(1,0,0)x(1)@1"),
+        (Weight(((Q(1), Q(0)), (Q(1),)), (Q(1), Q(1, 2))), "(1,0)x(1)@1,1/2"),
+        (Weight(((Q(1), Q(0)), (Q(1),))), "(1,0)x(1)"),
+        (Weight(((Q(1), Q(0)), (Q(1),)), (Q(1, 3),)), "(1,0)x(1)@1/3"),
+    ],
+    ids=["missing-part", "extra-part", "part-length", "stray-charge", "missing-charge", "third"],
+)
+def test_weight_key_names_a_misshapen_weight(w, spelled):
+    assert format_weight(w) == spelled
+    with pytest.raises(InvalidWeightError) as info:
+        weight_key(_C2A1U1, w)
+    assert str(info.value) == f"{spelled} is not a weight of GroupSpec(C2xA1+U1)"
