@@ -1,10 +1,13 @@
 """Restriction along catalogued embeddings, plus closed-form branching rules.
 
-``restrict_generic`` is the oracle: it pushes the full weight diagram of an
-irreducible through the embedding's coordinate map, folds it into the
-dominant chamber (Racah-Speiser) and certifies the fold by subtracting each
-term's diagram.  Every closed-form rule below can be replayed against it
-term by term via ``verify_rule``.
+``restrict_generic`` is the oracle.  It streams the weights of an
+irreducible, each dominant weight's Weyl orbit in turn, through the
+embedding's coordinate map, and checks that the projected multiset is
+Weyl-invariant for the small group.  Such a multiset is fixed by its
+dominant weights, so only that slice is kept: it is folded into the
+dominant chamber orbit by orbit (Racah-Speiser) and the fold is certified
+by subtracting each term's dominant multiplicities.  Every closed-form rule
+below can be replayed against it term by term via ``verify_rule``.
 
 Weights enter and leave as ``Fraction`` ``Weight``s.  Inside, the oracle
 keys every weight as an ``IntKey`` (``lattice.weight_key``), from the
@@ -20,13 +23,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .charalg import (
     FormalCharacter,
     IntKey,
-    _full_multiplicities,
-    chamber_fold,
+    _dominant_multiplicities,
+    orbit_fold,
     weight_dimension,
 )
 from .lattice import (
@@ -35,6 +38,7 @@ from .lattice import (
     InvariantError,
     Vector,
     Weight,
+    dominant_conjugate,
     doubled,
     format_weight,
     group,
@@ -42,13 +46,16 @@ from .lattice import (
     normalize_vector,
     spell_key,
     weight_key,
+    weyl_orbit,
+    weyl_orbit_size,
 )
 
 DEFAULT_BUDGET = 200_000
 
 
 class NegativeMultiplicityError(RuntimeError):
-    """A negative, lost or left-over multiplicity: the embedding map is wrong."""
+    """A negative, lost or left-over multiplicity, or a projection that is not
+    Weyl-invariant: the embedding map is wrong."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -280,23 +287,78 @@ class BranchResult:
     decomposition: FormalCharacter
 
 
-def _group_diagram(gs: GroupSpec, top: IntKey) -> dict[IntKey, int]:
-    """Weight diagram of the irreducible with key ``top``, as ``IntKey``s:
-    each part normalized as ``EmbeddingMap._apply`` does, and the charges
-    of ``top``."""
-    diagrams = [
-        [(normalize_vector(rs, v), m) for v, m in _full_multiplicities(rs, top[part]).items()]
+def _dominant_parts(gs: GroupSpec, top: IntKey) -> Iterator[tuple[tuple[IntKey, ...], int]]:
+    """The dominant weights of the irreducible of ``gs`` with key ``top``,
+    one normalized part per factor, with their multiplicities: products of
+    the factors' cached ``_dominant_multiplicities``."""
+    per_factor = [
+        [(normalize_vector(rs, mu), m) for mu, m in _dominant_multiplicities(rs, top[part]).items()]
         for rs, part in zip(gs.factors, gs.slices)
     ]
-    charges = top[gs.width :]
+    for combo in itertools.product(*per_factor):
+        yield tuple(mu for mu, _ in combo), math.prod(m for _, m in combo)
+
+
+def _project(e: EmbeddingMap, hw_key: IntKey) -> dict[IntKey, int]:
+    """The projected weight diagram of the source, streamed: every weight of
+    every dominant weight's Weyl orbit goes through ``EmbeddingMap._apply``
+    once, and no diagram of ``e.big`` is stored.  The rows read only the
+    factor coordinates, so the source's charges are never appended."""
+    support: dict[IntKey, int] = {}
+    for parts, mult in _dominant_parts(e.big, hw_key):
+        for orbit_parts in itertools.product(*map(weyl_orbit, e.big.factors, parts)):
+            key = e._apply(sum(orbit_parts, ()))
+            support[key] = support.get(key, 0) + mult
+    return support
+
+
+def _dominant_slice(e: EmbeddingMap, support: Mapping[IntKey, int]) -> dict[IntKey, int]:
+    """The dominant keys of ``support`` with their multiplicities, once
+    ``support`` is shown Weyl-invariant under ``e.small``: every key carries
+    its dominant conjugate's multiplicity, and each dominant key has exactly
+    its orbit's size of keys.  A projection that fails either is not the
+    weight map of a subgroup."""
+    gs = e.small
+    factors = [(rs, part, {}) for rs, part in zip(gs.factors, gs.slices)]
+    width = gs.width
+    counts: dict[IntKey, int] = {}
+    for key, mult in support.items():
+        dominant: list[int] = []
+        for rs, part, memo in factors:
+            vec = key[part]
+            d = memo.get(vec)
+            if d is None:
+                d = memo[vec] = dominant_conjugate(rs, vec)[0]
+            dominant += d
+        top = tuple(dominant) + key[width:]
+        if support.get(top) != mult:
+            raise NegativeMultiplicityError(
+                f"{e.name}: projected weight {spell_key(gs, key)} has multiplicity {mult} "
+                f"but its dominant conjugate {spell_key(gs, top)} has {support.get(top, 0)}"
+            )
+        counts[top] = counts.get(top, 0) + 1
+    for top, count in counts.items():
+        size = math.prod(weyl_orbit_size(rs, top[part]) for rs, part, _ in factors)
+        if count != size:
+            raise NegativeMultiplicityError(
+                f"{e.name}: {count} projected weights are conjugate to "
+                f"{spell_key(gs, top)}, whose orbit has {size}"
+            )
+    return {top: support[top] for top in counts}
+
+
+def _fold(gs: GroupSpec, dominant: Mapping[IntKey, int]) -> dict[IntKey, int]:
+    """The signed chamber fold of the Weyl-invariant multiset with these
+    dominant multiplicities: per key, the product of its parts'
+    ``orbit_fold``s, charges untouched; zero coefficients dropped."""
     out: dict[IntKey, int] = {}
-    for combo in itertools.product(*diagrams):
-        key = sum([vec for vec, _ in combo], ()) + charges
-        mult = 1
-        for _, m in combo:
-            mult *= m
-        out[key] = out.get(key, 0) + mult
-    return out
+    for top, mult in dominant.items():
+        charges = top[gs.width :]
+        folds = [orbit_fold(rs, top[part]).items() for rs, part in zip(gs.factors, gs.slices)]
+        for combo in itertools.product(*folds):
+            image = sum([vec for vec, _ in combo], ()) + charges
+            out[image] = out.get(image, 0) + mult * math.prod(s for _, s in combo)
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def restrict_generic(
@@ -304,14 +366,20 @@ def restrict_generic(
 ) -> BranchResult:
     """Restrict one irreducible of ``e.big`` along the embedding.
 
-    The projected weight diagram is folded (``charalg.chamber_fold``); a
-    negative coefficient or a lost dimension aborts, nothing is clamped.
-    As a certificate, every term's diagram is then subtracted from the
-    projected support, which must stay non-negative and end empty: a wrong
-    map can fold to a non-negative, dimension-conserving answer.  The
-    projection, fold and certificate run on integer keys (see the module
-    docstring).  ``hw`` is keyed by ``lattice.weight_key`` and checked for
-    dominance once, by ``charalg.dimension``, before the budget.
+    The source is streamed: each dominant weight of ``hw`` (cached
+    Freudenthal multiplicities) is spread over its Weyl orbit and every
+    weight projected once.  The projected support must be Weyl-invariant
+    under ``e.small`` (each key with its dominant conjugate's multiplicity,
+    each dominant key with a full orbit), so its dominant slice fixes it.
+    The slice is folded orbit by orbit (``charalg.orbit_fold``); a negative
+    coefficient or a lost dimension aborts, nothing is clamped.  As a
+    certificate, every term's dominant multiplicities are then subtracted
+    from the slice, which must stay non-negative and end empty: a wrong map
+    can fold to a non-negative, dimension-conserving answer.  Every failure
+    is a ``NegativeMultiplicityError``.  The projection, fold and
+    certificate run on integer keys (see the module docstring).  ``hw`` is
+    keyed by ``lattice.weight_key`` and checked for dominance once, by
+    ``charalg.dimension``, before the budget.
     """
     limit = DEFAULT_BUDGET if budget is None else budget
     hw_key = weight_key(e.big, hw)
@@ -320,15 +388,13 @@ def restrict_generic(
         raise BudgetExceededError(
             f"dim {source_dim} exceeds generic-restriction budget {limit}"
         )
-    support: dict[IntKey, int] = {}
     try:
-        for flat, mult in _group_diagram(e.big, hw_key).items():
-            key = e._apply(flat)
-            support[key] = support.get(key, 0) + mult
+        support = _project(e, hw_key)
     except InvalidWeightError as exc:
         raise InvalidWeightError(f"{e.name}: projecting {format_weight(hw)}: {exc}") from None
+    remaining = _dominant_slice(e, support)
 
-    folded = chamber_fold(e.small, support)
+    folded = _fold(e.small, remaining)
     for key, coeff in folded.items():
         if coeff < 0:
             raise NegativeMultiplicityError(
@@ -340,21 +406,24 @@ def restrict_generic(
         raise NegativeMultiplicityError(
             f"{e.name}: dimension {target_dim} restricted from {source_dim}"
         )
+    width = e.small.width
     for top, (w, coeff) in zip(sorted(folded), decomposition.terms, strict=True):
-        for key, mult in _group_diagram(e.small, top).items():
-            value = support.get(key, 0) - coeff * mult
+        for parts, mult in _dominant_parts(e.small, top):
+            key = sum(parts, ()) + top[width:]
+            value = remaining.get(key, 0) - coeff * mult
             if value < 0:
                 raise NegativeMultiplicityError(
                     f"{e.name}: subtracting {format_weight(w)} drove "
                     f"{spell_key(e.small, key)} negative"
                 )
             if value == 0:
-                support.pop(key, None)
+                remaining.pop(key, None)
             else:
-                support[key] = value
-    if support:
+                remaining[key] = value
+    if remaining:
         raise NegativeMultiplicityError(
-            f"{e.name}: {len(support)} projected weights left after subtracting every term"
+            f"{e.name}: {len(remaining)} dominant projected weights left after "
+            "subtracting every term"
         )
     return BranchResult((e.big, hw), e.name, decomposition)
 

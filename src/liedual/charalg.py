@@ -227,6 +227,16 @@ def chamber_fold(gs: GroupSpec, support: Mapping[IntKey, int]) -> dict[IntKey, i
 
 
 @functools.lru_cache(maxsize=None)
+def orbit_fold(rs: RootSystem, mu: Doubled) -> Mapping[Doubled, int]:
+    """``chamber_fold`` of the whole Weyl orbit of the doubled dominant
+    ``mu`` on one factor, each weight once: {normalized d - rho: sum of
+    signs}, zeros dropped.  A Weyl-invariant multiset folds as the sum of
+    its dominant multiplicities times these."""
+    orbit = dict.fromkeys(weyl_orbit(rs, mu), 1)
+    return MappingProxyType(chamber_fold(GroupSpec((rs,)), orbit))
+
+
+@functools.lru_cache(maxsize=None)
 def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[IntKey, int]:
     """Shifted-orbit (Racah) decomposition of V_hw1 (x) V_hw2, doubled."""
     _require_dominant(rs, hw1)

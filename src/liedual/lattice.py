@@ -222,7 +222,10 @@ def reflect(v: Vector, root: Vector) -> Vector:
 
 
 def is_dominant_vector(rs: RootSystem, v: Vector) -> bool:
-    return all(pairing(v, a) >= 0 for a in rs.simple_roots)
+    """Whether <v, alpha^vee> >= 0 for every simple root alpha, read off the
+    closed form of ``dominant_conjugate``: a vector is dominant exactly when
+    it is its own dominant conjugate.  Exact on ``int`` tuples."""
+    return dominant_conjugate(rs, v)[0] == tuple(v)
 
 
 def _perm_sign(order: list[int]) -> int:

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import liedual
 from liedual.branching import (
@@ -30,15 +33,26 @@ from liedual.branching import (
     su6_omega3_weight,
     verify_rule,
 )
-from liedual.charalg import dimension, weight_dimension
+from liedual.charalg import (
+    _dominant_multiplicities,
+    _full_multiplicities,
+    chamber_fold,
+    dimension,
+    weight_dimension,
+)
 from liedual.lattice import (
     InvalidWeightError,
     Weight,
     build_root_system,
+    dominant_conjugate,
+    format_weight,
     group,
     in_weight_lattice,
     is_dominant_vector,
     make_weight,
+    normalize_vector,
+    weight_key,
+    weyl_orbit,
 )
 
 PUBLIC_NAMES = {
@@ -107,17 +121,20 @@ def test_budget_enforced():
 
 
 _WRONG_EMBEDDING_MESSAGES = {
-    1: "bogus: dimension 126 restricted from 42",
-    2: "bogus: negative coefficient -1 at (1,1)x(2,0)",
+    1: "bogus: projected weight (0,1)x(1,0) has multiplicity 1 "
+    "but its dominant conjugate (1,0)x(1,0) has 0",
+    2: "bogus: projected weight (0,2)x(2,2) has multiplicity 1 "
+    "but its dominant conjugate (2,0)x(2,2) has 0",
 }
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_wrong_embedding_aborts_with_negative_multiplicity(n):
     # Doubling one coordinate row is not the weight map of any subgroup;
-    # the oracle must abort rather than clamp.  At n=1 the fold conserves
-    # no dimension, at n=2 it has a negative coefficient.  Messages spell
-    # weights as the command line does, never the oracle's doubled integers.
+    # the oracle must abort rather than clamp.  Its projection is not
+    # Weyl-invariant, which the oracle checks before it folds.  Messages
+    # spell weights as the command line does, never the oracle's doubled
+    # integers.
     right = embedding("sp2xsp2_in_sp4")
     rows = (
         (tuple(2 * x for x in right.factor_rows[0][0]), right.factor_rows[0][1]),
@@ -130,16 +147,93 @@ def test_wrong_embedding_aborts_with_negative_multiplicity(n):
 
 
 def test_charge_row_typo_fails_the_certificate():
-    # With the charge row (1/2, 1/2) the C2 weight (1,0) folds to
-    # 2 V_1 (x) chi_1/2: non-negative and of the right dimension 4, but
-    # wrong.  Only subtracting the terms' diagrams catches it.
+    # With the charge row (1/2, 1/2) the C2 weight (1,0) projects to twice
+    # (1)@1/2 and twice (-1)@-1/2, which no Weyl-invariant multiset holds.
+    # Its dominant slice alone, 2 (1)@1/2, folds to 2 V_1 (x) chi_1/2:
+    # non-negative, of the right dimension 4, certified by the slice, but
+    # wrong.  Only the invariance check catches it.
     right = embedding("sp1so2_in_sp2")
     typo = EmbeddingMap(
         "typo", right.big, right.small, right.factor_rows, ((Q(1, 2), Q(1, 2)),)
     )
     with pytest.raises(NegativeMultiplicityError) as raised:
         restrict_generic(typo, make_weight(group("C2"), ((1, 0),)))
-    assert str(raised.value) == "typo: subtracting (1)@1/2 drove (-1)@1/2 negative"
+    assert str(raised.value) == (
+        "typo: projected weight (-1)@-1/2 has multiplicity 2 "
+        "but its dominant conjugate (1)@-1/2 has 0"
+    )
+
+
+def test_projection_with_part_of_an_orbit_fails():
+    # Both SU2 rows read x1 + x2, so (1)x(-1) is never hit.  Every key
+    # carries its dominant conjugate's multiplicity, but only half the
+    # orbit of (1)x(1) is there.
+    right = embedding("su2su2_in_sp2")
+    rows = (((Q(1), Q(1)),), ((Q(1), Q(1)),))
+    wrong = EmbeddingMap("same-rows", right.big, right.small, rows, ())
+    with pytest.raises(NegativeMultiplicityError) as raised:
+        restrict_generic(wrong, make_weight(group("C2"), ((1, 0),)))
+    assert str(raised.value) == (
+        "same-rows: 2 projected weights are conjugate to (1)x(1), whose orbit has 4"
+    )
+
+
+def _restrict_by_full_fold(e, hw):
+    """The oracle's answer the long way, as int keys: the whole projected
+    diagram, each dominant weight spread by ``weyl_orbit`` and every weight
+    pushed through ``EmbeddingMap._apply``, folded at once by
+    ``chamber_fold``.  No invariance check, slice or orbit fold."""
+    top = weight_key(e.big, hw)
+    per_factor = [
+        [(normalize_vector(rs, mu), m) for mu, m in _dominant_multiplicities(rs, top[part]).items()]
+        for rs, part in zip(e.big.factors, e.big.slices)
+    ]
+    support = {}
+    for combo in itertools.product(*per_factor):
+        mult = math.prod(m for _, m in combo)
+        orbits = [weyl_orbit(rs, mu) for rs, (mu, _) in zip(e.big.factors, combo)]
+        for parts in itertools.product(*orbits):
+            key = e._apply(sum(parts, ()))
+            support[key] = support.get(key, 0) + mult
+    return chamber_fold(e.small, support)
+
+
+@st.composite
+def _dominant_source(draw, gs):
+    """A dominant weight of ``gs``, entries at most 2 in absolute value."""
+    parts = []
+    for rs in gs.factors:
+        odd = draw(st.integers(0, 1)) if rs.series in ("B", "D") else 0
+        twice = [2 * draw(st.integers(-2, 1)) + odd for _ in range(rs.ambient_dim)]
+        parts.append(tuple(Q(x, 2) for x in dominant_conjugate(rs, twice)[0]))
+    return make_weight(gs, parts)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_oracle_matches_the_fold_of_the_full_projected_diagram(name, data):
+    # Two paths: the oracle checks Weyl invariance and folds and certifies
+    # the dominant slice only; the reference folds every projected weight.
+    e = CATALOG[name]
+    hw = data.draw(_dominant_source(e.big))
+    assume(weight_dimension(e.big, hw) <= 3000)
+    try:
+        expected = _restrict_by_full_fold(e, hw)
+    except InvalidWeightError:  # a third-integral charge
+        with pytest.raises(InvalidWeightError):
+            restrict_generic(e, hw)
+        return
+    got = restrict_generic(e, hw).decomposition
+    assert {weight_key(e.small, w): m for w, m in got.terms} == expected, format_weight(hw)
+
+
+def test_oracle_builds_no_full_weight_diagram():
+    # The source is streamed from its dominant weights: restricting leaves
+    # no whole diagram behind in the unbounded cache.
+    before = _full_multiplicities.cache_info()
+    restrict_generic(embedding("sp2xsp2_in_sp4"), sp4_omega4_weight(3))
+    assert _full_multiplicities.cache_info() == before
 
 
 @pytest.mark.parametrize(

@@ -370,3 +370,18 @@ def test_dominance_uses_stated_conventions():
     d4 = build_root_system("D4")
     assert is_dominant_vector(d4, qv(2, 1, 1, -1))
     assert not is_dominant_vector(d4, qv(2, 1, 1, -2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), label=st.sampled_from(SUPPORTED_TYPES))
+def test_is_dominant_vector_matches_simple_root_pairings(data, label):
+    # The closed form against the definition, <v, alpha^vee> >= 0 for every
+    # simple root, on Fraction vectors and on their doubled ints.  Small
+    # entries put many vectors on walls; the conjugate is always dominant.
+    rs = build_root_system(label)
+    twice = data.draw(st.tuples(*[st.integers(-4, 4)] * rs.ambient_dim))
+    v = tuple(Q(x, 2) for x in twice)
+    for u in (v, dominant_conjugate(rs, v)[0]):
+        expected = all(pairing(u, a) >= 0 for a in rs.simple_roots)
+        assert is_dominant_vector(rs, u) == expected, u
+        assert is_dominant_vector(rs, tuple(int(2 * x) for x in u)) == expected, u
