@@ -18,12 +18,10 @@ Messages spell weights as the command line does (``lattice.format_weight``).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .charalg import (
     FormalCharacter,
@@ -33,6 +31,7 @@ from .charalg import (
     weight_dimension,
 )
 from .lattice import (
+    FrozenRecord,
     GroupSpec,
     InvalidWeightError,
     InvariantError,
@@ -70,8 +69,7 @@ def _sparse(row: Iterable[int]) -> SparseRow:
     return tuple((i, c) for i, c in enumerate(row) if c)
 
 
-@dataclass(frozen=True)
-class EmbeddingMap:
+class EmbeddingMap(FrozenRecord):
     """Named linear restriction map from big-group to small-group weights.
 
     ``factor_rows[f]`` holds one row per coordinate of small factor ``f``;
@@ -79,62 +77,73 @@ class EmbeddingMap:
     concatenation of the big group's factor coordinates.  Factor rows must
     be integral, so that they map doubled weights to doubled weights;
     charge rows may have any denominator.  Shapes and integrality are
-    checked at construction.
+    checked at construction, which also computes ``charge_denominator``,
+    d, the least common denominator of the charge rows, and the rows as
+    sparse integers (the charge rows times d) for ``_apply``.
     """
+
+    _fields = ("name", "big", "small", "factor_rows", "charge_rows")
+    __slots__ = (*_fields, "charge_denominator", "_integer_rows")
 
     name: str
     big: GroupSpec
     small: GroupSpec
     factor_rows: tuple[tuple[Vector, ...], ...]
     charge_rows: tuple[Vector, ...]
+    charge_denominator: int
+    _integer_rows: tuple[tuple[tuple[SparseRow, ...], ...], tuple[SparseRow, ...]]
 
-    def __post_init__(self) -> None:
-        small = self.small.factors
-        if len(self.factor_rows) != len(small):
+    def __init__(
+        self,
+        name: str,
+        big: GroupSpec,
+        small: GroupSpec,
+        factor_rows: tuple[tuple[Vector, ...], ...],
+        charge_rows: tuple[Vector, ...],
+    ) -> None:
+        if len(factor_rows) != len(small.factors):
             raise ValueError(
-                f"{self.name}: {len(self.factor_rows)} factor blocks for {len(small)} factors"
+                f"{name}: {len(factor_rows)} factor blocks for {len(small.factors)} factors"
             )
-        if len(self.charge_rows) != self.small.circles:
+        if len(charge_rows) != small.circles:
             raise ValueError(
-                f"{self.name}: {len(self.charge_rows)} charge rows for "
-                f"{self.small.circles} circles"
+                f"{name}: {len(charge_rows)} charge rows for {small.circles} circles"
             )
-        width = self.big.width
-        for f, (rs, rows) in enumerate(zip(small, self.factor_rows, strict=True)):
+        width = big.width
+        for f, (rs, rows) in enumerate(zip(small.factors, factor_rows, strict=True)):
             if len(rows) != rs.ambient_dim:
                 raise ValueError(
-                    f"{self.name}: factor {f} has {len(rows)} rows for {rs.label}, "
+                    f"{name}: factor {f} has {len(rows)} rows for {rs.label}, "
                     f"which needs {rs.ambient_dim}"
                 )
             for r, row in enumerate(rows):
                 shown = ", ".join(str(x) for x in row)
                 if len(row) != width:
                     raise ValueError(
-                        f"{self.name}: factor {f} row {r} ({shown}) has length {len(row)}, "
+                        f"{name}: factor {f} row {r} ({shown}) has length {len(row)}, "
                         f"not {width}"
                     )
                 if any(x.denominator != 1 for x in row):
-                    raise ValueError(f"{self.name}: factor {f} row {r} ({shown}) is not integral")
-        for r, row in enumerate(self.charge_rows):
+                    raise ValueError(f"{name}: factor {f} row {r} ({shown}) is not integral")
+        for r, row in enumerate(charge_rows):
             if len(row) != width:
                 shown = ", ".join(str(x) for x in row)
                 raise ValueError(
-                    f"{self.name}: charge row {r} ({shown}) has length {len(row)}, not {width}"
+                    f"{name}: charge row {r} ({shown}) has length {len(row)}, not {width}"
                 )
-
-    @functools.cached_property
-    def charge_denominator(self) -> int:
-        """d, the least common denominator of the charge rows."""
-        return math.lcm(*(x.denominator for row in self.charge_rows for x in row))
-
-    @functools.cached_property
-    def _integer_rows(self) -> tuple[tuple[tuple[SparseRow, ...], ...], tuple[SparseRow, ...]]:
-        d = self.charge_denominator
-        factors = tuple(
-            tuple(_sparse(int(x) for x in row) for row in rows) for rows in self.factor_rows
+        d = math.lcm(*(x.denominator for row in charge_rows for x in row))
+        integer_rows = (
+            tuple(tuple(_sparse(int(x) for x in row) for row in rows) for rows in factor_rows),
+            tuple(_sparse(int(d * x) for x in row) for row in charge_rows),
         )
-        charges = tuple(_sparse(int(d * x) for x in row) for row in self.charge_rows)
-        return factors, charges
+        set_slot = object.__setattr__
+        set_slot(self, "name", name)
+        set_slot(self, "big", big)
+        set_slot(self, "small", small)
+        set_slot(self, "factor_rows", factor_rows)
+        set_slot(self, "charge_rows", charge_rows)
+        set_slot(self, "charge_denominator", d)
+        set_slot(self, "_integer_rows", integer_rows)
 
     def _apply(self, flat: IntKey) -> IntKey:
         """Image of a doubled big-group weight as a small-group ``IntKey``:
@@ -280,8 +289,7 @@ def embedding(name: str) -> EmbeddingMap:
         raise KeyError(f"unknown embedding {name!r}") from None
 
 
-@dataclass(frozen=True)
-class BranchResult:
+class BranchResult(NamedTuple):
     source: tuple[GroupSpec, Weight]
     embedding_name: str
     decomposition: FormalCharacter
@@ -557,8 +565,7 @@ def branch_su6_omega3_to_sp2su2u1(n: int, m: int) -> FormalCharacter:
     return FormalCharacter.from_int_keys(group("C2", "A1", circles=1), terms)
 
 
-@dataclass(frozen=True)
-class SignedCharacter:
+class SignedCharacter(NamedTuple):
     """Formal character whose terms carry a sign under an order-2 symmetry."""
 
     character: FormalCharacter
@@ -604,8 +611,7 @@ def sp4_omega4_weight(n: int) -> Weight:
 # Rule registry and verification against the generic oracle.
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named check.
 
     Sweeps report PASS, FAIL or BUDGET (source over the oracle's budget, so
@@ -618,8 +624,7 @@ class Check:
     actual: str
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     title: str
     checks: tuple[Check, ...]
 
@@ -640,8 +645,7 @@ class Report:
         return f"{self.verdict} {passed}/{len(self.checks)}"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """A closed-form branching rule and how to replay it against the oracle.
 
     ``source(*params)`` is the highest weight restricted along the embedding

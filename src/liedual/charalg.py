@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .lattice import (
     Doubled,
+    FrozenRecord,
     GroupSpec,
     IntKey,
     InvalidWeightError,
@@ -96,8 +96,7 @@ def dimension(rs: RootSystem, hw: Vector) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(NamedTuple):
     """Finite multiset of weights of one irreducible, Weyl-invariant."""
 
     rs: RootSystem
@@ -251,12 +250,17 @@ def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[IntKey, int
     return MappingProxyType(folded)
 
 
-@dataclass(frozen=True)
-class FormalCharacter:
+class FormalCharacter(FrozenRecord):
     """Non-negative integer combination of dominant weights of a group."""
+
+    _fields = __slots__ = ("group", "terms")
 
     group: GroupSpec
     terms: tuple[tuple[Weight, int], ...]
+
+    def __init__(self, group: GroupSpec, terms: tuple[tuple[Weight, int], ...]) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def from_dict(gs: GroupSpec, data: Mapping[Weight, int]) -> "FormalCharacter":
@@ -328,8 +332,7 @@ def su2_tensor(a: int, b: int) -> list[int]:
     return list(range(abs(a - b), a + b + 1, 2))
 
 
-@dataclass(frozen=True)
-class InfChar:
+class InfChar(NamedTuple):
     """Infinitesimal character: dominant Weyl-orbit representative of hw+rho."""
 
     label: str

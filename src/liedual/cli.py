@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -66,7 +65,12 @@ def _int_in(low: int, high: int | None = None):
 
 
 def _parse_fraction(text: str) -> Q:
+    """An integer, ``p/q`` or a finite decimal.  ``Fraction`` also reads an
+    exponent, at a cost that grows with its value (``1e10000000`` takes
+    seconds), so text with an ``e`` is refused before it reaches it."""
     try:
+        if "e" in text.lower():
+            raise ValueError(text)
         return Q(text)
     except (ValueError, ZeroDivisionError):
         raise InvalidWeightError(f"bad rational {text!r}") from None
@@ -237,7 +241,7 @@ def cmd_branch(args: argparse.Namespace) -> int:
             "charge": args.charge,
         },
         "result": character_rows(char),
-        "checks": [asdict(c) for c in checks],
+        "checks": [c._asdict() for c in checks],
     }
     if args.format == "pretty":
         for row in payload["result"]:
@@ -322,7 +326,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "command": "verify",
         "inputs": {"suite": args.suite},
         "result": [],
-        "checks": [asdict(c) for c in report.checks],
+        "checks": [c._asdict() for c in report.checks],
         "summary": report.summary,
     }
     _emit(payload, args.format)

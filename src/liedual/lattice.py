@@ -29,9 +29,8 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[Q, ...]
 
@@ -106,8 +105,7 @@ def vscale(c: Q | int, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """A simple root system realized in rational ambient coordinates."""
 
     label: str
@@ -429,24 +427,69 @@ def normalize_vector(rs: RootSystem, v: Vector) -> Vector:
     return v
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """A product of simple factors and a number of circle factors."""
+class FrozenRecord:
+    """Base of the records that validate or derive at construction.
+
+    A subclass lists its fields in ``_fields`` and its derived values after
+    them in ``__slots__``; its ``__init__`` sets each slot once, through
+    ``object.__setattr__``.  After that, assigning or deleting any attribute
+    raises ``AttributeError``.  Equality, hashing, the repr and pickling go
+    field by field, as for a frozen dataclass: ``__reduce__`` rebuilds the
+    record through ``__init__``, so the derived slots are computed again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroupSpec(FrozenRecord):
+    """A product of simple factors and a number of circle factors.
+
+    ``slices`` says where each factor's part sits in a flat coordinate
+    tuple: the parts in order, then the circle charges from ``width``, the
+    number of factor coordinates summed over the factors, on.  Both are
+    computed once, at construction.
+    """
+
+    _fields = ("factors", "circles")
+    __slots__ = (*_fields, "slices", "width")
 
     factors: tuple[RootSystem, ...]
-    circles: int = 0
+    circles: int
+    slices: tuple[slice, ...]
+    width: int
 
-    @functools.cached_property
-    def slices(self) -> tuple[slice, ...]:
-        """Where each factor's part sits in a flat coordinate tuple: the
-        parts in order, then the circle charges from ``width`` on."""
-        ends = tuple(itertools.accumulate(rs.ambient_dim for rs in self.factors))
-        return tuple(slice(a, b) for a, b in zip((0,) + ends, ends))
-
-    @functools.cached_property
-    def width(self) -> int:
-        """The number of factor coordinates, summed over the factors."""
-        return sum(rs.ambient_dim for rs in self.factors)
+    def __init__(self, factors: tuple[RootSystem, ...], circles: int = 0) -> None:
+        ends = tuple(itertools.accumulate(rs.ambient_dim for rs in factors))
+        set_slot = object.__setattr__
+        set_slot(self, "factors", factors)
+        set_slot(self, "circles", circles)
+        set_slot(self, "slices", tuple(slice(a, b) for a, b in zip((0,) + ends, ends)))
+        set_slot(self, "width", sum(rs.ambient_dim for rs in factors))
 
     def __repr__(self) -> str:
         labels = "x".join(rs.label for rs in self.factors)
@@ -459,8 +502,7 @@ def group(*labels: str, circles: int = 0) -> GroupSpec:
     return GroupSpec(tuple(build_root_system(lb) for lb in labels), circles)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple):
     """Per-factor coordinate vectors plus circle charges."""
 
     parts: tuple[Vector, ...]

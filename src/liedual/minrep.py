@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .branching import (
     _so5_to_so3so2_core,
@@ -57,8 +56,7 @@ _SIGNED_TERMS: dict[str, Callable[[Weight], bool]] = {
 }  # no term of the other cases is signed
 
 
-@dataclass(frozen=True)
-class GradedCharacter:
+class GradedCharacter(NamedTuple):
     """Level-indexed formal characters, signed by the rule of their case."""
 
     case: str
@@ -317,8 +315,7 @@ def so3_cone_ok(a: int, b: int, c: int, d: int) -> bool:
     return all(total - 2 * v >= 0 for v in (a, b, c, d))
 
 
-@dataclass(frozen=True)
-class MultiplicitySeries:
+class MultiplicitySeries(NamedTuple):
     """Graded multiplicities of one compact type, levels 0..N.
 
     The stabilized fields are None when the type appears only after level
@@ -377,8 +374,7 @@ def _appearance_horizon(case: str, key: IntKey) -> int:
     return x if case == "splitJ-mixedE" else (x + y + z) // 2
 
 
-@dataclass(frozen=True)
-class SeriesCheck:
+class SeriesCheck(NamedTuple):
     accepted: bool
     kind: str | None
     bound: int | None
@@ -433,8 +429,7 @@ def verify_series(
     return SeriesCheck(True, kind, bound, onset, "ok")
 
 
-@dataclass(frozen=True)
-class SignAssignment:
+class SignAssignment(NamedTuple):
     witness_level: int
     sign: int
 

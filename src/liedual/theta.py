@@ -18,13 +18,13 @@ weight is a ``FixtureError`` naming ``path:line``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from pathlib import Path
 
 from .branching import Check, Report
 from .charalg import InfChar, infinitesimal_character, weight_dimension
 from .lattice import (
+    FrozenRecord,
     GroupSpec,
     InvariantError,
     RootSystem,
@@ -56,25 +56,28 @@ class FixtureError(ValueError):
     """A table fixture is missing or malformed."""
 
 
-@dataclass(frozen=True)
-class TorusCharacterData:
+class TorusCharacterData(FrozenRecord):
     """Sum-zero parameter triple of a two-torus character, desk scale."""
 
-    nu: tuple[Q, Q, Q]
-    case: str | None = None
+    _fields = __slots__ = ("nu", "case")
 
-    def __post_init__(self) -> None:
-        if sum(self.nu, Q(0)) != 0:
+    nu: tuple[Q, Q, Q]
+    case: str | None
+
+    def __init__(self, nu: tuple[Q, Q, Q], case: str | None = None) -> None:
+        if sum(nu, Q(0)) != 0:
             raise ValueError("torus parameters must sum to zero")
-        if self.case is not None:
-            if self.case not in _TORUS_CASES:
-                raise ValueError(f"unknown torus case {self.case!r}")
-            if self.case == "R3-C" and any(v.denominator != 1 for v in self.nu):
+        if case is not None:
+            if case not in _TORUS_CASES:
+                raise ValueError(f"unknown torus case {case!r}")
+            if case == "R3-C" and any(v.denominator != 1 for v in nu):
                 raise ValueError("R3-C characters are integer triples")
-            if self.case == "RC-R2" and (self.nu[1] - self.nu[2]).denominator != 1:
+            if case == "RC-R2" and (nu[1] - nu[2]).denominator != 1:
                 raise ValueError("complex-place parameters differ by an integer")
-            if self.case == "RC-C" and self.nu[0].denominator != 1:
+            if case == "RC-C" and nu[0].denominator != 1:
                 raise ValueError("RC-C characters have an integer first entry")
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "case", case)
 
 
 def torus_character(a, b, c, case: str | None = None) -> TorusCharacterData:

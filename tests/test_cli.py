@@ -349,6 +349,24 @@ def test_bad_input_exits_2(capsys, argv):
     assert "error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("dim", "A1", "1e3"), "1e3"),
+        (("dim", "A1", "1E3"), "1E3"),
+        (("dim", "C2", "2e-1,0"), "2e-1"),
+        (("branch", "sp4_to_sp2sp2", "1e3"), "1e3"),
+        (("branch", "sp4_to_sp2sp2", "1E3"), "1E3"),
+        (("branch", "so5_to_so3so2", "2e-1", "0"), "2e-1"),
+    ],
+)
+def test_exponent_notation_exits_2(capsys, argv, text):
+    # Fraction reads exponents at a cost that grows with their value, so a
+    # short argument such as 1e10000000000000 would never return.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: bad rational {text!r}\n")
+
+
 def test_third_integral_charge_exits_2(capsys):
     # The fundamental of SU(6) restricts to charge 1/3 along sp2su2u1_in_su6.
     code, out, err = run(capsys, "branch", "sp2su2u1_in_su6", "1,0,0,0,0,0")

@@ -54,6 +54,23 @@ def test_branch_and_dim_skip_series_modules_and_pool(argv):
     assert not loaded & {"liedual.minrep", "liedual.theta", "concurrent.futures"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("branch", "sp2xsp2_in_sp4", "1,1,1,1", "--format", "json"),
+        ("dim", "C4", "1,1,1,1"),
+        ("minrep", "splitJ-splitE", "--type", "0,0,0,0"),
+        ("verify", "tables"),
+    ],
+)
+def test_commands_load_no_dataclasses_or_inspect(argv):
+    # ``import dataclasses`` alone loads inspect, ast, dis and tokenize, and
+    # each dataclass compiles its methods at import: together about a fifth
+    # of a cold call.  The records are NamedTuples or slotted classes.
+    loaded = imported_modules("-m", "liedual", *argv)
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_minrep_skips_theta():
     loaded = imported_modules("-m", "liedual", "minrep", "splitJ-splitE", "--type", "0,0,0,0")
     assert "liedual.minrep" in loaded
