@@ -43,6 +43,7 @@ from .lattice import (
     group,
     make_weight,
     normalize_vector,
+    qv,
     spell_key,
     weight_key,
     weyl_orbit,
@@ -165,16 +166,11 @@ class EmbeddingMap(FrozenRecord):
 
 
 def _rows(*entries: Iterable[int | str | Q]) -> tuple[Vector, ...]:
-    return tuple(tuple(Q(x) for x in row) for row in entries)
+    return tuple(qv(*row) for row in entries)
 
 
 def _unit_rows(dim: int, *indices: int) -> tuple[Vector, ...]:
-    out = []
-    for i in indices:
-        row = [Q(0)] * dim
-        row[i] = Q(1)
-        out.append(tuple(row))
-    return tuple(out)
+    return _rows(*([int(j == i) for j in range(dim)] for i in indices))
 
 
 def _build_catalog() -> dict[str, EmbeddingMap]:
@@ -510,7 +506,7 @@ def branch_so5_to_so3so2(a: Q | int, b: Q | int) -> FormalCharacter:
     and A(c) B(a-b) for a >= b >= c, with A(n) running in steps of 1 and
     B(n) in steps of 2.
     """
-    a, b = Q(a), Q(b)
+    a, b = qv(a, b)
     if not (a >= b >= 0 and (a - b).denominator == 1):
         raise ValueError("need a >= b >= 0 with a = b mod Z")
     a2, b2 = doubled((a, b))

@@ -188,7 +188,7 @@ def _full_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, int]:
 def weight_multiplicities(rs: RootSystem, hw: Vector) -> WeightFunction:
     """All weights of V_hw with multiplicities (Freudenthal)."""
     support = _full_multiplicities(rs, doubled(hw))
-    return WeightFunction(rs, MappingProxyType({halved(v): m for v, m in support.items()}))
+    return WeightFunction(rs, {halved(v): m for v, m in support.items()})
 
 
 def freudenthal_total(rs: RootSystem, hw: Vector) -> int:

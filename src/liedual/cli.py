@@ -8,7 +8,8 @@ Each command imports only what it runs: ``minrep`` is imported by the
 process pool only for ``verify --jobs`` above 1, so ``dim`` and ``branch``
 load ``lattice``, ``charalg`` and ``branching`` alone.
 
-``parse_weight`` reads a weight argument; a flat one is cut by factor in
+``parse_weight`` reads a weight argument, its coordinates and rule
+parameters read by ``lattice.qv``; a flat weight is cut by factor in
 ``lattice.read_flat_weight``, and ``charalg.dimension`` checks dominance.
 """
 
@@ -38,6 +39,7 @@ from .lattice import (
     format_weight,
     group,
     make_weight,
+    qv,
     read_flat_weight,
 )
 
@@ -64,18 +66,6 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
-def _parse_fraction(text: str) -> Q:
-    """An integer, ``p/q`` or a finite decimal.  ``Fraction`` also reads an
-    exponent, at a cost that grows with its value (``1e10000000`` takes
-    seconds), so text with an ``e`` is refused before it reaches it."""
-    try:
-        if "e" in text.lower():
-            raise ValueError(text)
-        return Q(text)
-    except (ValueError, ZeroDivisionError):
-        raise InvalidWeightError(f"bad rational {text!r}") from None
-
-
 def parse_group(text: str) -> GroupSpec:
     labels = [t.strip() for t in text.split("x")]
     if not any(labels):
@@ -85,13 +75,13 @@ def parse_group(text: str) -> GroupSpec:
     return group(*labels)
 
 
-def _read_block(text: str) -> list[Q]:
+def _read_block(text: str) -> tuple[Q, ...]:
     """Comma-separated rationals, bare or inside one pair of parentheses."""
     body = text.strip()
     inner = body[1:-1] if body[:1] + body[-1:] == "()" else body
     if "(" in inner or ")" in inner:
         raise InvalidWeightError(f"unbalanced parentheses in {body!r}")
-    return [_parse_fraction(c) for c in inner.split(",")]
+    return qv(*inner.split(","))
 
 
 def parse_weight(gs: GroupSpec, text: str) -> Weight:
@@ -170,7 +160,7 @@ def _rule_params(rule: Rule, texts: list[str], charge: int | None) -> list:
     kind = "half-integer" if rule.half_integral else "integer"
     values = []
     for name, text in zip(rule.params, texts):
-        value = _parse_fraction(text)
+        value, = qv(text)
         if value < 0 or value.denominator > (2 if rule.half_integral else 1):
             raise InvalidWeightError(f"{name}={text} is not a non-negative {kind}")
         values.append(value if rule.half_integral else int(value))

@@ -11,8 +11,9 @@ Weyl moves only sort, negate, subtract and compare, so they are exact on
 both and commute with doubling.  The weight lattice has one rule, on
 doubled coordinates (``_on_lattice``): all even for A and C, all even or
 all odd for B and D.  ``check_int_key`` applies it to a flat doubled key
-(an ``IntKey``), with the canonical A form; ``make_weight``, the reader of
-text and ``Fraction`` input, doubles its input and reads the same rule.
+(an ``IntKey``), with the canonical A form; ``make_weight`` doubles its
+input and reads the same rule.  A coordinate from outside (command line,
+fixture row or API) is read here alone, by ``qv`` and ``make_weight``.
 
 A ``Weight`` crosses to and from its ``IntKey`` here and nowhere else:
 ``weight_key`` is the one way in, ``key_weight`` the one way out, and
@@ -79,9 +80,25 @@ class InvariantError(RuntimeError):
     """An exact-arithmetic invariant failed: a defect here, not bad input."""
 
 
+class InvalidWeightError(ValueError):
+    """Raised for coordinates outside the weight lattice of a group."""
+
+
+def _rational(x: int | str | Q) -> Q:
+    """An ``int`` or ``Fraction`` as it is; text that is an integer, ``p/q``
+    or a finite decimal.  ``Fraction`` also reads exponents, at a cost growing
+    with their value, so text with an ``e``, like anything else, is refused."""
+    try:
+        if isinstance(x, (int, Q)) or isinstance(x, str) and "e" not in x.lower():
+            return Q(x)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise InvalidWeightError(f"bad rational {x!r}")
+
+
 def qv(*entries: int | str | Q) -> Vector:
-    """Build an exact coordinate vector."""
-    return tuple(Q(e) for e in entries)
+    """An exact coordinate vector, each entry read by ``_rational``."""
+    return tuple(map(_rational, entries))
 
 
 def spell(v: Vector) -> str:
@@ -512,18 +529,14 @@ class Weight(NamedTuple):
         return tuple(x for part in self.parts for x in part) + self.charges
 
 
-class InvalidWeightError(ValueError):
-    """Raised for coordinates outside the weight lattice of a group."""
-
-
 def make_weight(
     gs: GroupSpec,
     parts: Iterable[Iterable[Q | int | str]],
     charges: Iterable[Q | int | str] = (),
 ) -> Weight:
-    """Validate and normalize a weight for ``gs``."""
-    vecs = tuple(tuple(Q(x) for x in part) for part in parts)
-    chg = tuple(Q(x) for x in charges)
+    """Validate and normalize a weight for ``gs``, read by ``_rational``."""
+    vecs = tuple(tuple(map(_rational, part)) for part in parts)
+    chg = tuple(map(_rational, charges))
     if len(vecs) != len(gs.factors):
         raise InvalidWeightError("wrong number of factor components")
     if len(chg) != gs.circles:

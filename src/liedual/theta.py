@@ -9,10 +9,10 @@ transfers of a torus triple scale it to integers (``_scaled_triple``),
 compute and conjugate their raw vectors on ``int`` tuples, and build the
 ``InfChar`` coordinates as ``Fraction``s once.
 Type groups come from ``minrep.TYPE_GROUPS``; criterion 5 accepts a series
-through ``minrep.verify_series``, the criterion-7 verifier.  A table row's
-flat coordinates are cut by ``lattice.read_flat_weight`` and its dimension
-is computed as the row is read, so a row with a malformed or non-dominant
-weight is a ``FixtureError`` naming ``path:line``.
+through ``minrep.verify_series``, the criterion-7 verifier.  ``lattice.qv``
+reads torus triples and ``lattice.read_flat_weight`` a table row's text; the
+row's dimension is computed as it is read, so a malformed or non-dominant
+row is a ``FixtureError`` naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .lattice import (
     build_root_system,
     dominant_conjugate,
     make_weight,
+    qv,
     read_flat_weight,
 )
 from .minrep import (
@@ -81,7 +82,7 @@ class TorusCharacterData(FrozenRecord):
 
 
 def torus_character(a, b, c, case: str | None = None) -> TorusCharacterData:
-    return TorusCharacterData((Q(a), Q(b), Q(c)), case)
+    return TorusCharacterData(qv(a, b, c), case)
 
 
 def _scaled_triple(nu: TorusCharacterData) -> tuple[int, tuple[int, ...]]:
@@ -296,7 +297,7 @@ def _parse_table(path: Path, gs: GroupSpec) -> list[tuple[int, Weight, int, int]
             raise FixtureError(f"{path}:{lineno}: expected 3 tab-separated fields")
         try:
             row_id = int(fields[0])
-            weight = read_flat_weight(gs, [int(x) for x in fields[1].split(",")])
+            weight = read_flat_weight(gs, fields[1].split(","))
             dim = int(fields[2])
             computed = weight_dimension(gs, weight)
         except ValueError as exc:

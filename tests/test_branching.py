@@ -38,6 +38,7 @@ from liedual.charalg import (
     _full_multiplicities,
     chamber_fold,
     dimension,
+    orbit_fold,
     weight_dimension,
 )
 from liedual.lattice import (
@@ -176,6 +177,47 @@ def test_projection_with_part_of_an_orbit_fails():
     assert str(raised.value) == (
         "same-rows: 2 projected weights are conjugate to (1)x(1), whose orbit has 4"
     )
+
+
+def _scaled_orbit_fold(factor):
+    """``orbit_fold`` with every sign times ``factor``."""
+    return lambda rs, mu: {k: factor * s for k, s in orbit_fold(rs, mu).items()}
+
+
+def _a1_multiplicities(change):
+    """``_dominant_multiplicities`` with each A1 factor's map changed, so that
+    the source (B2 below) keeps its own."""
+    def corrupt(rs, hw):
+        real = _dominant_multiplicities(rs, hw)
+        return change(hw, real) if rs.label == "A1" else real
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "attr, corrupt, message",
+    [
+        ("orbit_fold", _scaled_orbit_fold(-1), "negative coefficient -1 at (2)@0"),
+        ("orbit_fold", _scaled_orbit_fold(2), "dimension 10 restricted from 5"),
+        (
+            "_dominant_multiplicities",
+            _a1_multiplicities(lambda hw, real: {mu: 2 * m for mu, m in real.items()}),
+            "subtracting (0)@-1 drove (0)@-1 negative",
+        ),
+        (
+            "_dominant_multiplicities",
+            _a1_multiplicities(lambda hw, real: {hw: 1}),
+            "1 dominant projected weights left after subtracting every term",
+        ),
+    ],
+    ids=["negative-coefficient", "lost-dimension", "negative-subtraction", "left-over"],
+)
+def test_post_fold_checks(monkeypatch, attr, corrupt, message):
+    # The vector of SO(5) restricts to V_2 + chi_1 + chi_-1 under SO(3) x SO(2).
+    # Each corrupted fold or certificate input trips exactly one check.
+    monkeypatch.setattr(liedual.branching, attr, corrupt)
+    with pytest.raises(NegativeMultiplicityError) as raised:
+        restrict_generic(embedding("so3so2_in_so5"), make_weight(group("B2"), ((1, 0),)))
+    assert str(raised.value) == f"so3so2_in_so5: {message}"
 
 
 def _restrict_by_full_fold(e, hw):
@@ -510,6 +552,25 @@ def test_package_has_no_unused_imports():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read:
                         found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_only_lattice_reads_a_rational():
+    # ``lattice._rational`` is the one grammar of an outside coordinate;
+    # ``Fraction(x)`` elsewhere would read text with exponents, at a cost
+    # that grows with their value.  Constants and two-argument calls are fine.
+    package = Path(liedual.__file__).resolve().parent
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "lattice.py"]
+    assert sources
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            args = node.args + [k.value for k in node.keywords]
+            if name in ("Fraction", "Q") and len(args) == 1 and not isinstance(args[0], ast.Constant):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

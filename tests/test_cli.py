@@ -27,7 +27,7 @@ from liedual.minrep import (
     dualpair_graded,
     ktype_multiplicity,
 )
-from liedual.theta import FixtureError
+from liedual.theta import FixtureError, default_fixture_dir
 
 
 def run(capsys, *argv):
@@ -54,11 +54,34 @@ def test_dim_input_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        (
+            "json",
+            '{"checks":[],"command":"dim","inputs":{"group":"C2xA1","weight":"(1,0)x(1)"},'
+            '"result":[["(1,0)x(1)",1,8]]}\n',
+        ),
+        ("tsv", "(1,0)x(1)\t1\t8\n"),
+    ],
+)
+def test_dim_structured_formats(capsys, fmt, expected):
+    assert run(capsys, "dim", "C2xA1", "(1,0)x(1)", "--format", fmt) == (0, expected, "")
+
+
 def test_branch_rule_with_generic_match(capsys):
     code, out, _ = run(capsys, "branch", "sp4_to_sp2sp2", "1", "--generic")
     assert code == 0
     assert "MATCH" in out
     assert out.count("*") == 3
+
+
+def test_branch_rule_with_generic_mismatch_exits_1(capsys, monkeypatch):
+    # The rule's closed form is looked up at call time, so a wrong one is seen.
+    trivial = branching.branch_sp2_to_su2su2(0, 0)
+    monkeypatch.setattr(branching, "branch_sp2_to_su2su2", lambda x, y: trivial)
+    code, out, err = run(capsys, "branch", "sp2_to_su2su2", "1", "0", "--generic")
+    assert (code, out, err) == (1, "1 * (0)x(0)   dim 1\nMISMATCH\n", "")
 
 
 def test_branch_charge_block(capsys):
@@ -91,6 +114,23 @@ def test_verify_tables(capsys):
     code, out, _ = run(capsys, "verify", "tables")
     assert code == 0
     assert out.strip().endswith("PASS 36/36")
+
+
+def test_verify_pretty_output_shows_a_failing_check(capsys, tmp_path):
+    for name in ("split_table.tsv", "quasisplit_table.tsv"):
+        (tmp_path / name).write_text((default_fixture_dir() / name).read_text())
+    bad = tmp_path / "quasisplit_table.tsv"
+    lines = bad.read_text().splitlines()
+    lines[0] = "0\t0,0,2\t4"  # the dimension is 3
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "verify", "tables", "--fixtures", str(tmp_path))
+    assert code == 1
+    assert (
+        "FAIL  quasisplit row 0\n"
+        "      expected [0,0,2] -> 4\n"
+        "      actual   [0,0,2] -> 3\n"
+    ) in out
+    assert out.endswith("FAIL 35/36\n")
 
 
 def test_verify_missing_fixtures(capsys, tmp_path):
@@ -365,6 +405,21 @@ def test_exponent_notation_exits_2(capsys, argv, text):
     # short argument such as 1e10000000000000 would never return.
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: bad rational {text!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("branch", "sp3_in_su6", "1,1,1,0,0,0", "0,0,0,0,0,0"),
+            "embeddings take one weight argument",
+        ),
+        (("minrep", "e62-spin8", "--type", "0"), "unsupported case 'e62-spin8' for series output"),
+        (("dim", "", "1"), "empty group"),
+    ],
+)
+def test_input_error_messages(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_third_integral_charge_exits_2(capsys):

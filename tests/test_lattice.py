@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liedual.branching import branch_so5_to_so3so2
 from liedual.lattice import (
     SUPPORTED_TYPES,
     InvalidWeightError,
@@ -23,6 +24,7 @@ from liedual.lattice import (
     normalize_vector,
     pairing,
     qv,
+    read_flat_weight,
     reflect,
     root_coordinates,
     vadd,
@@ -32,6 +34,7 @@ from liedual.lattice import (
     weyl_orbit,
     weyl_orbit_size,
 )
+from liedual.theta import torus_character
 
 EXPECTED_POSITIVE_COUNTS = {
     "A1": 1,
@@ -384,3 +387,34 @@ def test_is_dominant_vector_matches_simple_root_pairings(data, label):
         expected = all(pairing(u, a) >= 0 for a in rs.simple_roots)
         assert is_dominant_vector(rs, u) == expected, u
         assert is_dominant_vector(rs, tuple(int(2 * x) for x in u)) == expected, u
+
+
+def test_readers_share_the_command_line_grammar():
+    # Integers, p/q, finite decimals, ints and Fractions, whitespace allowed.
+    assert qv(1, " -3 ", "1/2", "0.5", Q(3, 4)) == (Q(1), Q(-3), Q(1, 2), Q(1, 2), Q(3, 4))
+    assert make_weight(group("B2"), (("3/2", "0.5"),)) == make_weight(
+        group("B2"), ((Q(3, 2), Q(1, 2)),)
+    )
+    for bad in ("", "x", "1/0", "1.5.0", 0.5, None):
+        with pytest.raises(InvalidWeightError, match=r"^bad rational "):
+            qv(bad)
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: qv("1e3"), "1e3"),
+        (lambda: qv("1E3"), "1E3"),
+        (lambda: make_weight(group("A1"), (("1e3",),)), "1e3"),
+        (lambda: make_weight(group("A1", circles=1), ((0,),), ("2e-1",)), "2e-1"),
+        (lambda: read_flat_weight(group("A1"), ["1e3"]), "1e3"),
+        (lambda: torus_character("1e1", "-1e1", 0), "1e1"),
+        (lambda: branch_so5_to_so3so2("1e0", 0), "1e0"),
+    ],
+)
+def test_api_readers_refuse_exponents(call, text):
+    # Fraction reads exponents at a cost that grows with their value; the
+    # API refuses them as the command line does, before Fraction sees them.
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == f"bad rational {text!r}"

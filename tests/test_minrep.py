@@ -552,3 +552,17 @@ def test_first_appearance_reads_ktype_multiplicity(monkeypatch, case, w):
     monkeypatch.setattr(minrep, "ktype_multiplicity", shifted)
     with pytest.raises(InvariantError, match="not a first appearance"):
         sign_first_appearance(case, w)
+
+
+@pytest.mark.parametrize(
+    "values, bound, reason",
+    [
+        ((1,), None, "series too short"),
+        ((0, -1, 1), None, "negative multiplicity"),
+        ((0, 1, 1, 1), 2, "bound 1 != predicted 2"),
+    ],
+)
+def test_verifier_rejection_reasons(values, bound, reason):
+    series = MultiplicitySeries("splitJ-splitE", w4(0, 0, 0, 0), None, values)
+    check = verify_series(series, expected_bound=bound)
+    assert not check.accepted and check.reason == reason

@@ -24,16 +24,13 @@ def _series():
     return minrep.multiplicity_series("splitJ-splitE", _ktype(), 4)
 
 
-# One sample per record type, as its producer in the package builds it.  A
-# field held in a ``MappingProxyType``, which ``pickle`` cannot write, is
-# copied into a ``dict``: the contract is the record's, not its field's.
+# One sample per record type, as its producer in the package builds it.
 SAMPLES = {
     RootSystem: lambda: build_root_system("C2"),
     GroupSpec: lambda: group("C2", "A1", circles=1),
     Weight: _c2a1u1_weight,
-    charalg.WeightFunction: lambda: charalg.WeightFunction(
-        build_root_system("A1"),
-        dict(charalg.weight_multiplicities(build_root_system("A1"), (Q(2),)).support),
+    charalg.WeightFunction: lambda: charalg.weight_multiplicities(
+        build_root_system("A1"), (Q(2),)
     ),
     charalg.FormalCharacter: lambda: branching.branch_sp2_to_su2su2(2, 1),
     charalg.InfChar: lambda: charalg.infinitesimal_character(
@@ -154,6 +151,15 @@ def test_pickle_round_trips(record_type):
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is record_type and copy == record
     assert repr(copy) == repr(record)
+
+
+def test_weight_multiplicities_record_pickles():
+    # Its support was once a read-only proxy, which pickle refuses.
+    record = charalg.weight_multiplicities(build_root_system("C2"), (Q(1), Q(1)))
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and copy.support == {
+        (Q(1), Q(1)): 1, (Q(1), Q(-1)): 1, (Q(-1), Q(1)): 1, (Q(-1), Q(-1)): 1, (Q(0), Q(0)): 1
+    }
 
 
 def test_derived_values_are_rebuilt_by_pickle():

@@ -261,6 +261,14 @@ def test_fixture_weight_of_wrong_length_names_its_line(tmp_path):
         verify_table("split", tmp_path)
 
 
+def test_fixture_coordinate_is_read_in_the_command_line_grammar(tmp_path):
+    lines = (default_fixture_dir() / "split_table.tsv").read_text().splitlines()
+    lines[2] = "1\t0,0,1e1,0\t3"  # Fraction alone would read ten
+    (tmp_path / "split_table.tsv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(FixtureError, match=r"split_table\.tsv:3: bad rational '1e1'$"):
+        verify_table("split", tmp_path)
+
+
 def test_non_dominant_fixture_row_names_its_line(tmp_path, capsys):
     for name in ("split_table.tsv", "quasisplit_table.tsv"):
         (tmp_path / name).write_text((default_fixture_dir() / name).read_text())
