@@ -1,17 +1,21 @@
 """Restriction along catalogued embeddings, plus closed-form branching rules.
 
-``restrict_generic`` is the oracle.  It streams the weights of an
-irreducible, each dominant weight's Weyl orbit in turn, through the
-embedding's coordinate map, and checks that the projected multiset is
-Weyl-invariant for the small group.  Such a multiset is fixed by its
-dominant weights, so only that slice is kept: it is folded into the
-dominant chamber orbit by orbit (Racah-Speiser) and the fold is certified
-by subtracting each term's dominant multiplicities.  Every closed-form rule
-below can be replayed against it term by term via ``verify_rule``.
+``restrict_generic`` is the oracle.  Each embedding's coordinate map phi
+is certified once, on first use: every simple reflection s of the small
+group lifts to a big Weyl element w with phi(w x) = s(phi(x)), found by
+matching the columns of phi's row matrix up to sign within each big
+factor.  The projection of an irreducible is then Weyl-invariant for the
+small group, so its dominant weights fix it, and only they are
+enumerated: each dominant weight's Weyl orbit is built one coordinate at a
+time, cut at the first small dominance inequality that fails.  That slice
+is folded into the dominant chamber orbit by orbit (Racah-Speiser) and the
+fold is certified by subtracting each term's dominant multiplicities.
+Every closed-form rule below can be replayed against it term by term via
+``verify_rule``.
 
 Weights enter and leave as ``Fraction`` ``Weight``s.  Inside, the oracle
 keys every weight as an ``IntKey`` (``lattice.weight_key``), from the
-projection through the fold and the certificate to
+walk through the fold and the certificate to
 ``FormalCharacter.from_int_keys``; the closed forms build the same keys.
 Messages spell weights as the command line does (``lattice.format_weight``).
 """
@@ -37,7 +41,6 @@ from .lattice import (
     InvariantError,
     Vector,
     Weight,
-    dominant_conjugate,
     doubled,
     format_weight,
     group,
@@ -46,16 +49,14 @@ from .lattice import (
     qv,
     spell_key,
     weight_key,
-    weyl_orbit,
-    weyl_orbit_size,
 )
 
 DEFAULT_BUDGET = 200_000
 
 
 class NegativeMultiplicityError(RuntimeError):
-    """A negative, lost or left-over multiplicity, or a projection that is not
-    Weyl-invariant: the embedding map is wrong."""
+    """A negative, lost or left-over multiplicity, or a small reflection with
+    no lift to the big Weyl group: the embedding map is wrong."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -80,11 +81,12 @@ class EmbeddingMap(FrozenRecord):
     charge rows may have any denominator.  Shapes and integrality are
     checked at construction, which also computes ``charge_denominator``,
     d, the least common denominator of the charge rows, and the rows as
-    sparse integers (the charge rows times d) for ``_apply``.
+    sparse integers (the charge rows times d) for ``_apply``.  The
+    certificate (``_certify``) is computed on first use and kept.
     """
 
     _fields = ("name", "big", "small", "factor_rows", "charge_rows")
-    __slots__ = (*_fields, "charge_denominator", "_integer_rows")
+    __slots__ = (*_fields, "charge_denominator", "_integer_rows", "_certificate")
 
     name: str
     big: GroupSpec
@@ -145,6 +147,13 @@ class EmbeddingMap(FrozenRecord):
         set_slot(self, "charge_rows", charge_rows)
         set_slot(self, "charge_denominator", d)
         set_slot(self, "_integer_rows", integer_rows)
+        set_slot(self, "_certificate", None)
+
+    def _certified(self) -> tuple[dict, tuple]:
+        """``_certify(self)``, computed on first use and kept."""
+        if self._certificate is None:
+            object.__setattr__(self, "_certificate", _certify(self))
+        return self._certificate
 
     def _apply(self, flat: IntKey) -> IntKey:
         """Image of a doubled big-group weight as a small-group ``IntKey``:
@@ -163,6 +172,109 @@ class EmbeddingMap(FrozenRecord):
                 raise InvalidWeightError("circle charges must be integers or half-integers")
             key.append(charge)
         return tuple(key)
+
+
+def _lift_block(
+    columns: list[tuple[int, ...]], images: list[tuple[int, ...]], series: str, block: range
+) -> list[tuple[int, int]] | None:
+    """A one-to-one match of one big factor's reflected columns ``images``
+    to its ``columns``, up to sign unless ``series`` is A: (k, sign) per
+    column, or None.  A D factor needs an even sign count; the signs of
+    columns equal up to sign have a fixed product, so only a zero column,
+    whose sign is free, can mend an odd one."""
+    signed = series != "A"
+
+    def shape(c: tuple[int, ...]) -> tuple[int, ...]:
+        return max(c, tuple(-x for x in c)) if signed else c
+
+    targets: dict[tuple[int, ...], list[int]] = {}
+    for k in block:
+        targets.setdefault(shape(columns[k]), []).append(k)
+    lift = []
+    for j in block:
+        found = targets.get(shape(images[j]))
+        if not found:
+            return None
+        k = found.pop()
+        lift.append((k, 1 if columns[k] == images[j] else -1))
+    if series == "D" and sum(sign < 0 for _, sign in lift) % 2:
+        zeros = [n for n, j in enumerate(block) if not any(columns[j])]
+        if not zeros:
+            return None
+        lift[zeros[0]] = (lift[zeros[0]][0], -1)
+    return lift
+
+
+def _certify(e: EmbeddingMap) -> tuple[dict, tuple]:
+    """Lift every simple reflection s of every small factor to a big Weyl
+    element w with phi(w x) = s(phi(x)), and plan the dominant-slice walk.
+
+    phi is the row matrix, charge rows times d; its column j is the image of
+    big coordinate j.  w permutes each big factor's coordinates, with signs
+    for B, C and D, so phi w is phi with its columns moved the same way:
+    w exists when, within each big factor, the columns reflected by s are
+    the factor's columns, matched one to one (``_lift_block``).  Then the
+    projection of a Weyl-invariant multiset is invariant under each s, so
+    under the small Weyl group, and its dominant slice fixes it.  The lifts
+    are keyed (factor, reflection), each (k, sign) per big coordinate j: w
+    sends coordinate j to sign times coordinate k.
+
+    The walk's plan: each small dominance inequality, a simple root times
+    its factor's rows, is a form over big coordinates that must be >= 0.
+    Coordinates are ordered so that the form with the fewest coordinates
+    left is completed first.  A step is (coordinate, big factor, the forms
+    it completes, the factor's slice if it is the factor's last, else None).
+    """
+    d = e.charge_denominator
+    rows = [tuple(int(x) for x in row) for rows in e.factor_rows for row in rows]
+    rows += [tuple(int(d * x) for x in row) for row in e.charge_rows]
+    columns = list(zip(*rows))
+    lifts = {}
+    forms = []
+    for f, (rs, part) in enumerate(zip(e.small.factors, e.small.slices)):
+        for i, root in enumerate(rs.simple_roots, 1):
+            alpha = tuple(map(int, root))
+            norm = sum(a * a for a in alpha)
+            form = []
+            images = []
+            for j, c in enumerate(columns):
+                dot = sum(a * x for a, x in zip(alpha, c[part]))
+                if dot:
+                    form.append((j, dot))
+                reflected = list(c)
+                reflected[part] = [x - 2 * dot // norm * a for x, a in zip(c[part], alpha)]
+                images.append(tuple(reflected))
+            lift = []
+            for rs_big, bl in zip(e.big.factors, e.big.slices):
+                matched = _lift_block(columns, images, rs_big.series, range(bl.start, bl.stop))
+                if matched is None:
+                    raise NegativeMultiplicityError(
+                        f"{e.name}: simple reflection {i} of factor {f} ({rs.label}) "
+                        f"has no lift to the Weyl group of {e.big}"
+                    )
+                lift += matched
+            lifts[f, i] = tuple(lift)
+            if form:
+                forms.append(tuple(form))
+    order: list[int] = []
+    pending = [{j for j, _ in form} for form in forms]
+    while len(order) < e.big.width:
+        started = [p for p in pending if p]
+        following = min(started, key=len) if started else set(range(e.big.width)) - set(order)
+        for j in sorted(following):
+            order.append(j)
+            for p in pending:
+                p.discard(j)
+    position = {j: depth for depth, j in enumerate(order)}
+    cuts: list[list] = [[] for _ in order]
+    for form in forms:
+        cuts[max(position[j] for j, _ in form)].append(form)
+    owner = [b for b, rs in enumerate(e.big.factors) for _ in range(rs.ambient_dim)]
+    ends = {max(position[j] for j in range(bl.start, bl.stop)): bl for bl in e.big.slices}
+    steps = tuple(
+        (j, owner[j], tuple(cuts[depth]), ends.get(depth)) for depth, j in enumerate(order)
+    )
+    return lifts, steps
 
 
 def _rows(*entries: Iterable[int | str | Q]) -> tuple[Vector, ...]:
@@ -286,9 +398,18 @@ def embedding(name: str) -> EmbeddingMap:
 
 
 class BranchResult(NamedTuple):
+    """A restriction and the work it took: the source's dominant weights,
+    the nodes and leaves of the dominant-slice walk, the signed terms of
+    the fold and the subtractions of the certificate."""
+
     source: tuple[GroupSpec, Weight]
     embedding_name: str
     decomposition: FormalCharacter
+    source_weights: int
+    nodes: int
+    leaves: int
+    folded_terms: int
+    subtractions: int
 
 
 def _dominant_parts(gs: GroupSpec, top: IntKey) -> Iterator[tuple[tuple[IntKey, ...], int]]:
@@ -303,66 +424,81 @@ def _dominant_parts(gs: GroupSpec, top: IntKey) -> Iterator[tuple[tuple[IntKey, 
         yield tuple(mu for mu, _ in combo), math.prod(m for _, m in combo)
 
 
-def _project(e: EmbeddingMap, hw_key: IntKey) -> dict[IntKey, int]:
-    """The projected weight diagram of the source, streamed: every weight of
-    every dominant weight's Weyl orbit goes through ``EmbeddingMap._apply``
-    once, and no diagram of ``e.big`` is stored.  The rows read only the
-    factor coordinates, so the source's charges are never appended."""
-    support: dict[IntKey, int] = {}
+def _walk_slice(e: EmbeddingMap, hw_key: IntKey) -> tuple[dict[IntKey, int], int, int, int]:
+    """The dominant slice of the projected source, with the counts of source
+    dominant weights, walk nodes and leaves.
+
+    For each dominant weight of the source, its Weyl orbit is built one
+    coordinate at a time, in the certificate's order: each big factor's
+    coordinates take the weight's entries, each once (permutations for A),
+    with either sign for B, C and D, and for D with no zero entry the sign
+    count of the weight's parity.  A branch is cut at the first small
+    dominance form that it completes with a negative value, so only orbit
+    elements that project dominant reach a leaf, where ``_apply`` keys them
+    and checks their charges.  A small reflection fixes the charges, so the
+    charges of the whole projection are among the leaves'."""
+    _, steps = e._certified()
+    width = len(steps)
+    x = [0] * width
+    found: dict[IntKey, int] = {}
+    weights = nodes = leaves = 0
+
+    def walk(depth: int) -> None:  # reads the current weight's mult, pools and parity
+        nonlocal nodes, leaves
+        if depth == width:
+            leaves += 1
+            key = e._apply(tuple(x))
+            found[key] = found.get(key, 0) + mult
+            return
+        j, b, cuts, block = steps[depth]
+        left = pools[b]
+        for v, n in left.items():
+            if not n:
+                continue
+            left[v] = n - 1
+            for y in (v, -v) if v and signed[b] else (v,):
+                x[j] = y
+                if block is not None and parity[b] not in (None, sum(y < 0 for y in x[block]) % 2):
+                    continue
+                nodes += 1
+                for form in cuts:
+                    if sum([c * x[k] for k, c in form]) < 0:
+                        break
+                else:
+                    walk(depth + 1)
+            left[v] = n
+
+    signed = [rs.series != "A" for rs in e.big.factors]
     for parts, mult in _dominant_parts(e.big, hw_key):
-        for orbit_parts in itertools.product(*map(weyl_orbit, e.big.factors, parts)):
-            key = e._apply(sum(orbit_parts, ()))
-            support[key] = support.get(key, 0) + mult
-    return support
+        weights += 1
+        pools = []
+        parity = []
+        for rs, part in zip(e.big.factors, parts):
+            pool: dict[int, int] = {}
+            for y in part:
+                pool[abs(y)] = pool.get(abs(y), 0) + 1
+            pools.append(pool)
+            d_parity = rs.series == "D" and 0 not in pool
+            parity.append(sum(y < 0 for y in part) % 2 if d_parity else None)
+        walk(0)
+    return found, weights, nodes, leaves
 
 
-def _dominant_slice(e: EmbeddingMap, support: Mapping[IntKey, int]) -> dict[IntKey, int]:
-    """The dominant keys of ``support`` with their multiplicities, once
-    ``support`` is shown Weyl-invariant under ``e.small``: every key carries
-    its dominant conjugate's multiplicity, and each dominant key has exactly
-    its orbit's size of keys.  A projection that fails either is not the
-    weight map of a subgroup."""
-    gs = e.small
-    factors = [(rs, part, {}) for rs, part in zip(gs.factors, gs.slices)]
-    width = gs.width
-    counts: dict[IntKey, int] = {}
-    for key, mult in support.items():
-        dominant: list[int] = []
-        for rs, part, memo in factors:
-            vec = key[part]
-            d = memo.get(vec)
-            if d is None:
-                d = memo[vec] = dominant_conjugate(rs, vec)[0]
-            dominant += d
-        top = tuple(dominant) + key[width:]
-        if support.get(top) != mult:
-            raise NegativeMultiplicityError(
-                f"{e.name}: projected weight {spell_key(gs, key)} has multiplicity {mult} "
-                f"but its dominant conjugate {spell_key(gs, top)} has {support.get(top, 0)}"
-            )
-        counts[top] = counts.get(top, 0) + 1
-    for top, count in counts.items():
-        size = math.prod(weyl_orbit_size(rs, top[part]) for rs, part, _ in factors)
-        if count != size:
-            raise NegativeMultiplicityError(
-                f"{e.name}: {count} projected weights are conjugate to "
-                f"{spell_key(gs, top)}, whose orbit has {size}"
-            )
-    return {top: support[top] for top in counts}
-
-
-def _fold(gs: GroupSpec, dominant: Mapping[IntKey, int]) -> dict[IntKey, int]:
+def _fold(gs: GroupSpec, dominant: Mapping[IntKey, int]) -> tuple[dict[IntKey, int], int]:
     """The signed chamber fold of the Weyl-invariant multiset with these
-    dominant multiplicities: per key, the product of its parts'
-    ``orbit_fold``s, charges untouched; zero coefficients dropped."""
+    dominant multiplicities, and the number of signed terms added: per key,
+    the product of its parts' ``orbit_fold``s, charges untouched; zero
+    coefficients dropped."""
     out: dict[IntKey, int] = {}
+    terms = 0
     for top, mult in dominant.items():
         charges = top[gs.width :]
         folds = [orbit_fold(rs, top[part]).items() for rs, part in zip(gs.factors, gs.slices)]
         for combo in itertools.product(*folds):
+            terms += 1
             image = sum([vec for vec, _ in combo], ()) + charges
             out[image] = out.get(image, 0) + mult * math.prod(s for _, s in combo)
-    return {k: v for k, v in out.items() if v != 0}
+    return {k: v for k, v in out.items() if v != 0}, terms
 
 
 def restrict_generic(
@@ -370,35 +506,39 @@ def restrict_generic(
 ) -> BranchResult:
     """Restrict one irreducible of ``e.big`` along the embedding.
 
-    The source is streamed: each dominant weight of ``hw`` (cached
-    Freudenthal multiplicities) is spread over its Weyl orbit and every
-    weight projected once.  The projected support must be Weyl-invariant
-    under ``e.small`` (each key with its dominant conjugate's multiplicity,
-    each dominant key with a full orbit), so its dominant slice fixes it.
-    The slice is folded orbit by orbit (``charalg.orbit_fold``); a negative
+    ``hw`` is keyed by ``lattice.weight_key`` and checked for dominance
+    once, by ``charalg.dimension``.  Then the map is certified, once per
+    map (``_certify``): each small simple reflection s has a big Weyl
+    element w with phi(w x) = s(phi(x)).  A Weyl-invariant source then
+    projects to a multiset that each s, so the small Weyl group, fixes, and
+    its dominant slice determines it.  Then the budget.  The slice is walked
+    directly (``_walk_slice``): each dominant weight of ``hw`` (cached
+    Freudenthal multiplicities) spreads over its Weyl orbit coordinate by
+    coordinate, cut as soon as a small dominance inequality fails, and
+    only the orbit elements that project dominant are projected.  The slice
+    is folded orbit by orbit (``charalg.orbit_fold``); a negative
     coefficient or a lost dimension aborts, nothing is clamped.  As a
     certificate, every term's dominant multiplicities are then subtracted
     from the slice, which must stay non-negative and end empty: a wrong map
     can fold to a non-negative, dimension-conserving answer.  Every failure
-    is a ``NegativeMultiplicityError``.  The projection, fold and
-    certificate run on integer keys (see the module docstring).  ``hw`` is
-    keyed by ``lattice.weight_key`` and checked for dominance once, by
-    ``charalg.dimension``, before the budget.
+    is a ``NegativeMultiplicityError``.  The walk, fold and certificate run
+    on integer keys (see the module docstring), and the result counts
+    their work.
     """
     limit = DEFAULT_BUDGET if budget is None else budget
     hw_key = weight_key(e.big, hw)
     source_dim = weight_dimension(e.big, hw)
+    e._certified()
     if source_dim > limit:
         raise BudgetExceededError(
             f"dim {source_dim} exceeds generic-restriction budget {limit}"
         )
     try:
-        support = _project(e, hw_key)
+        remaining, weights, nodes, leaves = _walk_slice(e, hw_key)
     except InvalidWeightError as exc:
         raise InvalidWeightError(f"{e.name}: projecting {format_weight(hw)}: {exc}") from None
-    remaining = _dominant_slice(e, support)
 
-    folded = _fold(e.small, remaining)
+    folded, folded_terms = _fold(e.small, remaining)
     for key, coeff in folded.items():
         if coeff < 0:
             raise NegativeMultiplicityError(
@@ -411,8 +551,10 @@ def restrict_generic(
             f"{e.name}: dimension {target_dim} restricted from {source_dim}"
         )
     width = e.small.width
+    subtractions = 0
     for top, (w, coeff) in zip(sorted(folded), decomposition.terms, strict=True):
         for parts, mult in _dominant_parts(e.small, top):
+            subtractions += 1
             key = sum(parts, ()) + top[width:]
             value = remaining.get(key, 0) - coeff * mult
             if value < 0:
@@ -429,7 +571,9 @@ def restrict_generic(
             f"{e.name}: {len(remaining)} dominant projected weights left after "
             "subtracting every term"
         )
-    return BranchResult((e.big, hw), e.name, decomposition)
+    return BranchResult(
+        (e.big, hw), e.name, decomposition, weights, nodes, leaves, folded_terms, subtractions
+    )
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line surface: dimensions, branchings, verification sweeps, series.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
-3 negative multiplicity (wrong embedding), 4 budget exceeded.
+3 negative multiplicity (wrong embedding), 4 budget exceeded, and 141
+when the reader of standard output closes it early (``| head``), the code
+of a process killed by SIGPIPE.
 
 Each command imports only what it runs: ``minrep`` is imported by the
 ``minrep`` command, ``theta`` by the verify suites that read it, and the
@@ -48,6 +50,7 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NEGATIVE = 3
 EXIT_BUDGET = 4
+EXIT_PIPE = 141
 
 
 def _int_in(low: int, high: int | None = None):
@@ -378,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "exit codes: 0 ok, 1 verification failure, 2 input error, "
-            "3 negative multiplicity, 4 budget exceeded."
+            "3 negative multiplicity, 4 budget exceeded, 141 output closed early."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -423,7 +426,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python's recipe for SIGPIPE: point stdout at devnull, so that the
+        # flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except NegativeMultiplicityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE

@@ -39,9 +39,11 @@ from liedual.charalg import (
     chamber_fold,
     dimension,
     orbit_fold,
+    tensor_decompose,
     weight_dimension,
 )
 from liedual.lattice import (
+    SUPPORTED_TYPES,
     InvalidWeightError,
     Weight,
     build_root_system,
@@ -122,20 +124,18 @@ def test_budget_enforced():
 
 
 _WRONG_EMBEDDING_MESSAGES = {
-    1: "bogus: projected weight (0,1)x(1,0) has multiplicity 1 "
-    "but its dominant conjugate (1,0)x(1,0) has 0",
-    2: "bogus: projected weight (0,2)x(2,2) has multiplicity 1 "
-    "but its dominant conjugate (2,0)x(2,2) has 0",
+    1: "bogus: simple reflection 1 of factor 0 (C2) has no lift to the Weyl group of GroupSpec(C4)",
+    2: "bogus: simple reflection 1 of factor 0 (C2) has no lift to the Weyl group of GroupSpec(C4)",
 }
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_wrong_embedding_aborts_with_negative_multiplicity(n):
     # Doubling one coordinate row is not the weight map of any subgroup;
-    # the oracle must abort rather than clamp.  Its projection is not
-    # Weyl-invariant, which the oracle checks before it folds.  Messages
-    # spell weights as the command line does, never the oracle's doubled
-    # integers.
+    # the oracle must abort rather than clamp.  The reflection swapping the
+    # two C2 rows sends the column (2,0,0,0) to (0,2,0,0), which is no
+    # column of C4 up to sign, so the certificate refuses the map before
+    # any weight is projected, whatever the level.
     right = embedding("sp2xsp2_in_sp4")
     rows = (
         (tuple(2 * x for x in right.factor_rows[0][0]), right.factor_rows[0][1]),
@@ -152,7 +152,8 @@ def test_charge_row_typo_fails_the_certificate():
     # (1)@1/2 and twice (-1)@-1/2, which no Weyl-invariant multiset holds.
     # Its dominant slice alone, 2 (1)@1/2, folds to 2 V_1 (x) chi_1/2:
     # non-negative, of the right dimension 4, certified by the slice, but
-    # wrong.  Only the invariance check catches it.
+    # wrong.  The certificate catches it: the A1 reflection sends both
+    # columns (1, 1/2) to (-1, 1/2), which is neither column up to sign.
     right = embedding("sp1so2_in_sp2")
     typo = EmbeddingMap(
         "typo", right.big, right.small, right.factor_rows, ((Q(1, 2), Q(1, 2)),)
@@ -160,23 +161,130 @@ def test_charge_row_typo_fails_the_certificate():
     with pytest.raises(NegativeMultiplicityError) as raised:
         restrict_generic(typo, make_weight(group("C2"), ((1, 0),)))
     assert str(raised.value) == (
-        "typo: projected weight (-1)@-1/2 has multiplicity 2 "
-        "but its dominant conjugate (1)@-1/2 has 0"
+        "typo: simple reflection 1 of factor 0 (A1) has no lift to the Weyl group of GroupSpec(C2)"
     )
 
 
 def test_projection_with_part_of_an_orbit_fails():
-    # Both SU2 rows read x1 + x2, so (1)x(-1) is never hit.  Every key
-    # carries its dominant conjugate's multiplicity, but only half the
-    # orbit of (1)x(1) is there.
+    # Both SU2 rows read x1 + x2, so (1)x(-1) is never hit: the projection
+    # holds only half the orbit of (1)x(1).  The first SU2 reflection sends
+    # both columns (1, 1) to (-1, 1), which is neither column up to sign.
     right = embedding("su2su2_in_sp2")
     rows = (((Q(1), Q(1)),), ((Q(1), Q(1)),))
     wrong = EmbeddingMap("same-rows", right.big, right.small, rows, ())
     with pytest.raises(NegativeMultiplicityError) as raised:
         restrict_generic(wrong, make_weight(group("C2"), ((1, 0),)))
     assert str(raised.value) == (
-        "same-rows: 2 projected weights are conjugate to (1)x(1), whose orbit has 4"
+        "same-rows: simple reflection 1 of factor 0 (A1) has no lift "
+        "to the Weyl group of GroupSpec(C2)"
     )
+
+
+def _reflect_key(gs, key, f, i):
+    """The doubled small key with simple reflection ``i`` of factor ``f``
+    applied to its part, normalized as ``EmbeddingMap._apply`` normalizes."""
+    rs, part = gs.factors[f], gs.slices[f]
+    alpha = [int(a) for a in rs.simple_roots[i - 1]]
+    vec = key[part]
+    pairing = 2 * sum(a * x for a, x in zip(alpha, vec)) // sum(a * a for a in alpha)
+    moved = normalize_vector(rs, tuple(x - pairing * a for x, a in zip(vec, alpha)))
+    return key[: part.start] + moved + key[part.stop :]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_every_catalog_map_is_certified(name):
+    # Each lift w is a Weyl element of the big group: a permutation of each
+    # factor's coordinates, signed for B, C and D with an even sign count
+    # for D; and phi(w x) = s(phi(x)) on every big coordinate vector
+    # (times 6, so that every charge is whole).
+    e = CATALOG[name]
+    lifts, _ = e._certified()
+    assert sorted(lifts) == [
+        (f, i) for f, rs in enumerate(e.small.factors) for i in range(1, rs.rank + 1)
+    ]
+    width = e.big.width
+    for (f, i), lift in lifts.items():
+        for rs, part in zip(e.big.factors, e.big.slices):
+            block = lift[part]
+            assert sorted(k for k, _ in block) == list(range(part.start, part.stop))
+            if rs.series == "A":
+                assert {sign for _, sign in block} == {1}
+            if rs.series == "D":
+                assert sum(sign < 0 for _, sign in block) % 2 == 0
+        for j in range(width):
+            x = tuple(6 * (m == j) for m in range(width))
+            moved = [0] * width
+            k, sign = lift[j]
+            moved[k] = 6 * sign
+            assert e._apply(tuple(moved)) == _reflect_key(e.small, e._apply(x), f, i)
+
+
+def test_certificate_is_computed_once_per_map(monkeypatch):
+    calls = []
+    real = liedual.branching._certify
+    monkeypatch.setattr(liedual.branching, "_certify", lambda e: calls.append(e) or real(e))
+    right = embedding("sp2xsp2_in_sp4")
+    fresh = EmbeddingMap("fresh", right.big, right.small, right.factor_rows, ())
+    restrict_generic(fresh, sp4_omega4_weight(1))
+    restrict_generic(fresh, sp4_omega4_weight(2))
+    assert calls == [fresh]
+
+
+_SO5_SO3_ROWS = (
+    ((Q(1), Q(0), Q(0), Q(0)), (Q(0), Q(1), Q(0), Q(0))),
+    ((Q(0), Q(0), Q(2), Q(0)),),
+)
+
+
+def test_d_parity_mended_on_a_zero_column():
+    # SO(5) x SO(3) inside SO(8): the fourth coordinate maps to 0.  The B2
+    # reflection negating the second coordinate negates one nonzero column,
+    # an odd sign count that no D4 Weyl element has alone; the zero column's
+    # free sign makes it even.
+    e = EmbeddingMap("so5so3_in_so8", group("D4"), group("B2", "A1"), _SO5_SO3_ROWS, ())
+    lifts, _ = e._certified()
+    assert lifts[0, 2] == ((0, 1), (1, -1), (2, 1), (3, -1))
+    gs = e.big
+    for hw, expected in [
+        ((1, 0, 0, 0), ["(0,0)x(2)", "(1,0)x(0)"]),
+        ((1, 1, 0, 0), ["(0,0)x(2)", "(1,0)x(2)", "(1,1)x(0)"]),
+        ((Q(1, 2),) * 3 + (Q(-1, 2),), ["(1/2,1/2)x(1)"]),
+    ]:
+        w = make_weight(gs, (hw,))
+        got = restrict_generic(e, w).decomposition
+        assert [(format_weight(t), m) for t, m in got.terms] == [(t, 1) for t in expected]
+        assert {weight_key(e.small, t): m for t, m in got.terms} == _restrict_by_full_fold(e, w)
+
+
+def test_d_parity_with_no_zero_column_is_refused():
+    # A circle reading the fourth coordinate leaves no zero column, so the
+    # odd sign count stays: the half-spin weights' charge s4/2 is fixed by
+    # the B2 and A1 signs, and negating one B2 sign moves it.  Matching the
+    # columns up to sign alone would accept this map, and its dominant slice
+    # folds to (1/2,1/2)x(1)@1/2, dimension 8, which passes every later check.
+    e = EmbeddingMap(
+        "so5so3u1_in_so8",
+        group("D4"),
+        group("B2", "A1", circles=1),
+        _SO5_SO3_ROWS,
+        ((Q(0), Q(0), Q(0), Q(1)),),
+    )
+    with pytest.raises(NegativeMultiplicityError) as raised:
+        restrict_generic(e, make_weight(group("D4"), ((Q(1, 2),) * 4,)))
+    assert str(raised.value) == (
+        "so5so3u1_in_so8: simple reflection 2 of factor 0 (B2) has no lift "
+        "to the Weyl group of GroupSpec(D4)"
+    )
+
+
+def test_result_counts_the_work_of_each_phase():
+    # The SO(5) vector (1,0) has the dominant weights (1,0) and (0,0).  The
+    # walk sets the SO(3) coordinate first: 1, -1 (cut) or 0, then the other
+    # (6 nodes), and 0, 0 (2 nodes); it keeps (1,0), (0,1), (0,-1) and (0,0).
+    # The fold adds 5 signed terms; the certificate subtracts 4 weights.
+    res = restrict_generic(embedding("so3so2_in_so5"), make_weight(group("B2"), ((1, 0),)))
+    assert (res.source_weights, res.nodes, res.leaves) == (2, 8, 4)
+    assert (res.folded_terms, res.subtractions) == (5, 4)
 
 
 def _scaled_orbit_fold(factor):
@@ -241,14 +349,32 @@ def _restrict_by_full_fold(e, hw):
 
 
 @st.composite
-def _dominant_source(draw, gs):
-    """A dominant weight of ``gs``, entries at most 2 in absolute value."""
+def _dominant_source(draw, gs, top=2):
+    """A dominant weight of ``gs``, entries at most ``top`` in absolute value."""
     parts = []
     for rs in gs.factors:
         odd = draw(st.integers(0, 1)) if rs.series in ("B", "D") else 0
-        twice = [2 * draw(st.integers(-2, 1)) + odd for _ in range(rs.ambient_dim)]
+        twice = [2 * draw(st.integers(-top, top - 1)) + odd for _ in range(rs.ambient_dim)]
         parts.append(tuple(Q(x, 2) for x in dominant_conjugate(rs, twice)[0]))
     return make_weight(gs, parts)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_diagonal_restriction_is_the_tensor_product(label, data):
+    # Two paths: the oracle along the diagonal G -> G x G, rows (I | I),
+    # against the shifted-orbit tensor decomposition.  The dominance forms
+    # read both big factors, and A5 x A5 is certified by permutations.
+    small = group(label)
+    dim = small.factors[0].ambient_dim
+    rows = tuple(tuple(Q(int(i == j % dim)) for j in range(2 * dim)) for i in range(dim))
+    e = EmbeddingMap(f"diag_{label}", group(label, label), small, (rows,), ())
+    hw = data.draw(_dominant_source(e.big, top=1))
+    assume(weight_dimension(e.big, hw) <= 3000)
+    rs = small.factors[0]
+    got = restrict_generic(e, hw).decomposition
+    assert got == tensor_decompose(rs, *hw.parts), format_weight(hw)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))

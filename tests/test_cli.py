@@ -3,7 +3,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -621,3 +624,21 @@ def test_parse_weight_reads_what_format_weight_writes(data, name):
     w = data.draw(_weights(gs))
     assert parse_weight(gs, format_weight(w)) == w
     assert parse_weight(gs, ",".join(map(str, w.sort_key()))) == w
+
+
+def test_closed_output_pipe_exits_quietly():
+    # The reader takes one line and closes the pipe, as ``| head -1`` does.
+    # The output is longer than a pipe holds, so the writer meets the closed
+    # pipe: no traceback, and not the FAIL code 1.
+    src = str(Path(branching.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liedual", "verify", "all", "--format", "tsv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"sp4_to_sp2sp2 0\tPASS")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert stderr == ""

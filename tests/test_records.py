@@ -79,6 +79,8 @@ SIGNATURES = {
     ],
     branching.BranchResult: [
         ("source", _REQUIRED), ("embedding_name", _REQUIRED), ("decomposition", _REQUIRED),
+        ("source_weights", _REQUIRED), ("nodes", _REQUIRED), ("leaves", _REQUIRED),
+        ("folded_terms", _REQUIRED), ("subtractions", _REQUIRED),
     ],
     branching.SignedCharacter: [("character", _REQUIRED), ("signs", _REQUIRED)],
     branching.Check: [
