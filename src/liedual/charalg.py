@@ -18,7 +18,15 @@ its ``Weight`` once, through ``lattice.key_weight``, the one way out of an
 term leaves the package.  The Weyl dimension formula,
 the independent second path, takes integer products over the positive
 roots in doubled coordinates and divides once; it shares only the list of
-positive roots (``_integral_roots``) with the recursion.
+positive roots (``_integral_roots``, built once per type) with the
+recursion.
+
+The recursion is Freudenthal's in the stabilizer-orbit form of Moody and
+Patera: at each dominant weight mu it walks one root string per orbit,
+modulo sign, of mu's stabilizer on the positive roots, weighted by the
+orbit's size (``_root_classes``, cached per type and wall set on first
+use).  It keeps the positive-root form, which reads only multiplicities
+above mu; the all-roots form would read some below mu, not yet known.
 """
 
 from __future__ import annotations
@@ -40,17 +48,19 @@ from .lattice import (
     Vector,
     Weight,
     dominant_conjugate,
+    dominant_representative,
     doubled,
     halved,
     in_weight_lattice,
     is_dominant_vector,
     key_weight,
     normalize_vector,
-    root_coordinates,
     spell,
+    twice_root_coordinates,
     vadd,
     vsub,
     weyl_orbit,
+    weyl_orbit_size,
 )
 
 
@@ -63,9 +73,10 @@ def _require_dominant(rs: RootSystem, hw: Vector) -> None:
         raise NonDominantError(f"{spell(hw)} is not dominant for {rs.label}")
 
 
-def _integral_roots(rs: RootSystem) -> list[Doubled]:
-    roots = [tuple(int(x) for x in alpha) for alpha in rs.positive_roots]
-    if roots != list(rs.positive_roots):
+@functools.lru_cache(maxsize=None)
+def _integral_roots(rs: RootSystem) -> tuple[Doubled, ...]:
+    roots = tuple(tuple(int(x) for x in alpha) for alpha in rs.positive_roots)
+    if roots != rs.positive_roots:
         raise InvariantError(f"{rs.label} has a non-integral root")
     return roots
 
@@ -107,17 +118,57 @@ class WeightFunction(NamedTuple):
 
 
 @functools.lru_cache(maxsize=None)
+def _root_classes(rs: RootSystem, walls: tuple[Doubled, ...]) -> tuple[tuple[Doubled, ...], ...]:
+    """The positive roots grouped into orbits, modulo sign, of the group W_J
+    generated by the reflections in ``walls``, a set J of simple roots as
+    ``int`` tuples: each class a tuple of positive roots, found by
+    reflection closure."""
+    roots = _integral_roots(rs)
+    positive = set(roots)
+    mirrors = [(a, _idot(a, a)) for a in walls]
+    classes: list[tuple[Doubled, ...]] = []
+    seen: set[Doubled] = set()
+    for alpha in roots:
+        if alpha in seen:
+            continue
+        seen.add(alpha)
+        orbit = [alpha]
+        for r in orbit:  # grows while it is read
+            for a, norm in mirrors:
+                c = 2 * _idot(r, a) // norm
+                if not c:
+                    continue
+                image = tuple(x - c * y for x, y in zip(r, a))
+                if image not in positive:
+                    image = tuple(-x for x in image)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        classes.append(tuple(orbit))
+    return tuple(classes)
+
+
+@functools.lru_cache(maxsize=None)
 def _dominant_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, int]:
-    """Freudenthal recursion over the dominant weights of V_hw, doubled.
+    """Freudenthal recursion over the dominant weights of V_hw, doubled, in
+    its stabilizer-orbit form (Moody-Patera, Bull. AMS 7 (1982) 237-242).
 
     Weights are doubled and the roots, all integral, are not: mu + k alpha
     is mu + 2k alpha here, and the multiplicity at mu is
-    4 acc / (|hw + rho|^2 - |mu + rho|^2) with acc the sum of
-    m(mu + k alpha) (mu + k alpha, alpha) over the strings above mu.
+    4 acc / (|hw + rho|^2 - |mu + rho|^2) with acc the sum over positive
+    alpha of the string sum f(alpha), the sum of m(mu + k alpha)
+    (mu + k alpha, alpha) over k >= 1.  The stabilizer W_mu of the dominant
+    mu is generated by the simple reflections J that fix it, and f is
+    constant on its orbits: W_J permutes the positive roots outside Phi_J,
+    and on Phi_J, f(alpha) = f(-alpha).  So one string per class of
+    ``_root_classes`` is walked, weighted by the class size.  The form stays
+    the positive-root one: every mu + k alpha read lies above mu, so its
+    dominant conjugate is already known, where the all-roots form would
+    read multiplicities below mu.
     """
     if not is_dominant_vector(rs, hw):  # scale-free: halved only to be named
         _require_dominant(rs, halved(hw))
-    roots = _integral_roots(rs)
+    simple = [tuple(map(int, a)) for a in rs.simple_roots]
     rho = doubled(rs.weyl_vector)
     top = vadd(hw, rho)
     top_norm = _idot(top, top)
@@ -125,18 +176,19 @@ def _dominant_multiplicities(rs: RootSystem, hw: Doubled) -> Mapping[Doubled, in
     for mu in _dominant_weights(rs, hw):
         if mu == hw:
             continue
+        walls = tuple(a for a in simple if not _idot(mu, a))
         acc = 0
-        for alpha in roots:
+        for roots in _root_classes(rs, walls):
+            alpha = roots[0]
             step = vadd(alpha, alpha)
             above = vadd(mu, step)
-            while True:
-                d, _ = dominant_conjugate(rs, above)
-                # Weight strings are contiguous, and anything above mu was
-                # already processed, so a miss ends the ladder.
-                if d not in mults:
-                    break
-                acc += mults[d] * _idot(above, alpha)
+            string = 0
+            # Weight strings are contiguous, and anything above mu was
+            # already processed, so a miss ends the ladder.
+            while (m := mults.get(dominant_representative(rs, above))) is not None:
+                string += m * _idot(above, alpha)
                 above = vadd(above, step)
+            acc += len(roots) * string
         shifted = vadd(mu, rho)
         denominator = top_norm - _idot(shifted, shifted)
         value, rest = divmod(4 * acc, denominator)
@@ -153,11 +205,13 @@ def _dominant_weights(rs: RootSystem, hw: Doubled) -> list[Doubled]:
     """All dominant weights of V_hw, doubled: dominant lattice vectors under
     hw, in order of depth below hw (the sum of the simple-root coordinates
     of hw - mu).  So hw comes first, and the dominant conjugate of any
-    mu + k alpha (alpha positive, k >= 1) comes before mu."""
-    depth: dict[Doubled, Q] = {}
+    mu + k alpha (alpha positive, k >= 1) comes before mu.  On doubled
+    vectors ``twice_root_coordinates`` is 4 times the coordinates, which
+    must be non-negative integers."""
+    depth: dict[Doubled, int] = {}
     def keep(mu: Doubled) -> None:
-        coords = root_coordinates(rs, vsub(hw, mu))
-        if coords is not None and all(c >= 0 and c % 2 == 0 for c in coords):
+        coords = twice_root_coordinates(rs, vsub(hw, mu))
+        if coords is not None and all(c >= 0 and c % 4 == 0 for c in coords):
             depth[mu] = sum(coords)
     # Dominant weights under hw have entries inside [min(hw), max(hw)] for
     # A (any coset representative) and [class offset, max(hw)] for B/C/D,
@@ -193,10 +247,8 @@ def weight_multiplicities(rs: RootSystem, hw: Vector) -> WeightFunction:
 
 def freudenthal_total(rs: RootSystem, hw: Vector) -> int:
     """Sum of all weight multiplicities; independent check of dimension()."""
-    total = 0
-    for mu, m in _dominant_multiplicities(rs, doubled(hw)).items():
-        total += m * len(weyl_orbit(rs, mu))
-    return total
+    mults = _dominant_multiplicities(rs, doubled(hw))
+    return sum(m * weyl_orbit_size(rs, mu) for mu, m in mults.items())
 
 
 def chamber_fold(gs: GroupSpec, support: Mapping[IntKey, int]) -> dict[IntKey, int]:
@@ -341,5 +393,4 @@ class InfChar(NamedTuple):
 
 def infinitesimal_character(rs: RootSystem, hw: Vector) -> InfChar:
     _require_dominant(rs, hw)
-    d, _ = dominant_conjugate(rs, vadd(hw, rs.weyl_vector))
-    return InfChar(rs.label, d)
+    return InfChar(rs.label, dominant_representative(rs, vadd(hw, rs.weyl_vector)))

@@ -237,56 +237,47 @@ def reflect(v: Vector, root: Vector) -> Vector:
 
 
 def is_dominant_vector(rs: RootSystem, v: Vector) -> bool:
-    """Whether <v, alpha^vee> >= 0 for every simple root alpha, read off the
-    closed form of ``dominant_conjugate``: a vector is dominant exactly when
-    it is its own dominant conjugate.  Exact on ``int`` tuples."""
-    return dominant_conjugate(rs, v)[0] == tuple(v)
+    """Whether <v, alpha^vee> >= 0 for every simple root alpha: a vector is
+    dominant exactly when it is its own ``dominant_representative``.  Exact
+    on ``int`` tuples."""
+    return dominant_representative(rs, v) == tuple(v)
 
 
-def _perm_sign(order: list[int]) -> int:
-    inversions = 0
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+def dominant_representative(rs: RootSystem, v: Vector) -> Vector:
+    """The dominant vector in the Weyl orbit of ``v``, the one closed form
+    per series: A sorts, B/C sort absolute values, D sorts absolute values
+    and, for an odd number of negative entries, negates the smallest (D moves
+    change signs in pairs, so the parity is an orbit invariant unless a zero
+    absorbs it).  Exact on ``int`` tuples."""
+    if rs.series == "A":
+        return tuple(sorted(v, reverse=True))
+    w = sorted(map(abs, v), reverse=True)
+    if rs.series == "D" and w[-1] and sum(1 for x in v if x < 0) % 2:
+        w[-1] = -w[-1]
+    return tuple(w)
 
 
 def dominant_conjugate(rs: RootSystem, v: Vector) -> tuple[Vector, int]:
-    """Dominant Weyl-orbit representative of ``v`` and the sign of the move.
+    """``dominant_representative`` of ``v`` and the sign of the move.
 
     The sign is the determinant of the Weyl element applied, or 0 when the
     vector lies on a reflection wall (equivalently, when its stabilizer in
-    the Weyl group is non-trivial).  Per-series closed forms: A sorts, B/C
-    sort absolute values, D sorts absolute values with an even number of
-    sign changes; ``dominant_conjugate_by_reflections`` is the generic
-    oracle the closed forms are tested against.  Exact on ``int`` tuples.
+    the Weyl group is non-trivial).  Off the walls the entries (A) or their
+    absolute values (B/C/D) are distinct, so the permutation's sign is the
+    parity of the pairs the sort reverses; B/C add one reflection per
+    negative entry, and D's sign changes come in pairs, which have
+    determinant 1.  ``dominant_conjugate_by_reflections`` is the generic
+    oracle this is tested against.  Exact on ``int`` tuples.
     """
-    if rs.series == "A":
-        order = sorted(range(len(v)), key=lambda i: v[i], reverse=True)
-        w = tuple(v[i] for i in order)
-        if any(w[i] == w[i + 1] for i in range(len(w) - 1)):
-            return w, 0
-        return w, _perm_sign(order)
+    w = dominant_representative(rs, v)
+    keys = v if rs.series == "A" else tuple(map(abs, v))
+    if rs.series in ("B", "C") and w[-1] == 0 or len(set(keys)) < len(keys):
+        return w, 0
+    n = len(keys)
+    moves = sum(1 for i in range(n) for j in range(i + 1, n) if keys[i] < keys[j])
     if rs.series in ("B", "C"):
-        order = sorted(range(len(v)), key=lambda i: abs(v[i]), reverse=True)
-        w = tuple(abs(v[i]) for i in order)
-        if w[-1] == 0 or any(w[i] == w[i + 1] for i in range(len(w) - 1)):
-            return w, 0
-        flips = sum(1 for x in v if x < 0)
-        return w, _perm_sign(order) * (-1 if flips % 2 else 1)
-    # D series: only even sign-change counts exist, so the negative-entry
-    # count mod 2 is an orbit invariant unless a zero absorbs it; an odd
-    # count moves one sign onto the smallest entry.
-    order = sorted(range(len(v)), key=lambda i: abs(v[i]), reverse=True)
-    w = [abs(v[i]) for i in order]
-    on_wall = any(w[i] == w[i + 1] for i in range(len(w) - 1))
-    negatives = sum(1 for x in v if x < 0)
-    if negatives % 2 and w[-1] != 0:
-        w[-1] = -w[-1]
-    if on_wall:
-        return tuple(w), 0
-    return tuple(w), _perm_sign(order)
+        moves += sum(1 for x in v if x < 0)
+    return w, -1 if moves % 2 else 1
 
 
 def dominant_conjugate_by_reflections(rs: RootSystem, v: Vector) -> tuple[Vector, int]:
@@ -373,27 +364,28 @@ def _arrangements(v: Vector) -> int:
     return count
 
 
-def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Q, ...] | None:
-    """Coefficients of ``v`` in the simple-root basis, or None if off-span.
-
-    Closed partial-sum forms per series; only the A series has vectors off
-    the span.  Their sum orders the Freudenthal recursion (depth below the
-    highest weight).  Halves are ``Fraction`` halves, so ``int`` input
-    gives exact coordinates too.
-    """
-    half = Q(1, 2)
+def twice_root_coordinates(rs: RootSystem, v: Vector) -> tuple[int, ...] | None:
+    """Twice the coefficients of ``v`` in the simple-root basis, or None if
+    off the span (only the A series has vectors off it).  Closed partial-sum
+    forms per series; doubling clears the C and D halves, so ``int`` input
+    gives ``int`` output.  On a doubled vector their sum, 4 times the depth,
+    orders the Freudenthal recursion."""
     sums = list(itertools.accumulate(v))
     if rs.series == "A":
-        if sums[-1] != 0:
-            return None
-        return tuple(sums[:-1])
+        return None if sums[-1] != 0 else tuple(2 * s for s in sums[:-1])
     if rs.series == "B":
-        return tuple(sums)
+        return tuple(2 * s for s in sums)
     if rs.series == "C":
-        return tuple(sums[:-1]) + (sums[-1] * half,)
-    # D series
-    last = sums[-1] * half
-    return tuple(sums[:-2]) + (sums[-2] - last, last)
+        return tuple(2 * s for s in sums[:-1]) + (sums[-1],)
+    # D series: the last two simple roots are e_(n-1) -+ e_n.
+    return tuple(2 * s for s in sums[:-2]) + (2 * sums[-2] - sums[-1], sums[-1])
+
+
+def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Q, ...] | None:
+    """Coefficients of ``v`` in the simple-root basis, or None if off-span:
+    ``twice_root_coordinates`` halved, as ``Fraction``s."""
+    twice = twice_root_coordinates(rs, v)
+    return None if twice is None else tuple(Q(c, 2) for c in twice)
 
 
 def _on_lattice(rs: RootSystem, part: Doubled) -> bool:

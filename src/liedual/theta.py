@@ -30,7 +30,7 @@ from .lattice import (
     RootSystem,
     Weight,
     build_root_system,
-    dominant_conjugate,
+    dominant_representative,
     make_weight,
     qv,
     read_flat_weight,
@@ -92,9 +92,9 @@ def _scaled_triple(nu: TorusCharacterData) -> tuple[int, tuple[int, ...]]:
 
 
 def _infchar_of_scaled(rs: RootSystem, v: tuple[int, ...], s: int) -> InfChar:
-    """The ``InfChar`` of v/s: ``dominant_conjugate`` is exact on ints and
-    commutes with positive scaling, so conjugate v and divide once."""
-    d, _ = dominant_conjugate(rs, v)
+    """The ``InfChar`` of v/s: ``dominant_representative`` is exact on ints
+    and commutes with positive scaling, so conjugate v and divide once."""
+    d = dominant_representative(rs, v)
     return InfChar(rs.label, tuple(Q(x, s) for x in d))
 
 

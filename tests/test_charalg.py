@@ -1,9 +1,10 @@
 """Dimension formula, Freudenthal recursion, tensor products, inf. characters."""
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liedual.charalg import (
@@ -16,12 +17,13 @@ from liedual.charalg import (
     weight_dimension,
     weight_multiplicities,
 )
-from liedual.charalg import _dominant_weights
+from liedual.charalg import _dominant_weights, _root_classes
 from liedual.lattice import (
     SUPPORTED_TYPES,
     InvalidWeightError,
     build_root_system,
     dominant_conjugate,
+    dominant_representative,
     dot,
     doubled,
     group,
@@ -164,6 +166,61 @@ def test_weight_multiplicities_match_fraction_reference(label, hw):
     support = weight_multiplicities(rs, hw).support
     assert dict(support) == _fraction_freudenthal(rs, hw)
     assert all(type(x) is Q for v in support for x in v)
+
+
+@st.composite
+def _dominant_weights_of_every_type(draw):
+    """A type and a dominant weight of it: drawn doubled entries, all even,
+    or for B and D all odd (spin weights), moved to the dominant chamber."""
+    rs = build_root_system(draw(st.sampled_from(SUPPORTED_TYPES)))
+    odd = rs.series in ("B", "D") and draw(st.booleans())
+    twice = tuple(2 * draw(st.integers(-2, 2)) + odd for _ in range(rs.ambient_dim))
+    return rs, halved(dominant_representative(rs, twice))
+
+
+@settings(max_examples=25, deadline=None)
+@given(drawn=_dominant_weights_of_every_type())
+def test_weyl_and_freudenthal_agree_on_drawn_weights(drawn):
+    # Three paths to one number: the Weyl formula, the stabilizer-orbit
+    # recursion's orbit-size total, and the dominant part of the expanded
+    # weight diagram; the diagram itself against the full-root reference.
+    rs, hw = drawn
+    dim = dimension(rs, hw)
+    assume(dim <= 3000)
+    assert freudenthal_total(rs, hw) == dim
+    support = weight_multiplicities(rs, hw).support
+    dominant = [(v, m) for v, m in support.items() if is_dominant_vector(rs, v)]
+    assert sum(m * weyl_orbit_size(rs, v) for v, m in dominant) == dim
+    assert dict(support) == _fraction_freudenthal(rs, hw)
+
+
+@pytest.mark.parametrize("label", SUPPORTED_TYPES)
+def test_root_classes_are_the_wall_stabilizer_orbits_modulo_sign(label):
+    # For every set J of simple roots: the classes partition the positive
+    # roots, each is closed modulo sign under the reflections in J, and
+    # each is the closure of its first root (one orbit, not a union).
+    rs = build_root_system(label)
+    positive = set(rs.positive_roots)
+    simple = [tuple(map(int, a)) for a in rs.simple_roots]
+
+    def up_to_sign(v):
+        return v if v in positive else vscale(-1, v)
+
+    for size in range(rs.rank + 1):
+        for mirrors in itertools.combinations(simple, size):
+            classes = _root_classes(rs, mirrors)
+            assert sum(map(len, classes)) == len(positive), mirrors
+            assert set().union(*classes) == positive, mirrors
+            for cls in classes:
+                members = set(cls)
+                orbit = [cls[0]]
+                for r in orbit:
+                    for a in mirrors:
+                        image = up_to_sign(reflect(r, a))
+                        assert image in members, (mirrors, cls, image)
+                        if image not in orbit:
+                            orbit.append(image)
+                assert set(orbit) == members, (mirrors, cls)
 
 
 #: An integral dominant weight of every supported type.

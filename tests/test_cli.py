@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -16,6 +17,7 @@ from liedual import branching
 from liedual.charalg import NonDominantError
 from liedual.cli import format_weight, main, parse_weight
 from liedual.lattice import (
+    SUPPORTED_TYPES,
     InvalidWeightError,
     UnsupportedTypeError,
     Weight,
@@ -642,3 +644,84 @@ def test_closed_output_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait() == 141
     assert stderr == ""
+
+
+_FUZZ_TARGETS = (*sorted(branching.RULES), *sorted(branching.CATALOG), "no_such_rule")
+_FUZZ_GROUPS = (*SUPPORTED_TYPES, "C2xA1", "A1xA1xA1", "E6", "C2x", "")
+_FUZZ_CASES = (*sorted(TYPE_GROUPS), "e62-spin8", "no_such_case")
+
+
+def _fuzz_entry(rng):
+    """One coordinate in [-3, 3]: an integer, a half or a third, or now and
+    then a token the grammar refuses."""
+    x = rng.randint(-3, 3)
+    return rng.choice((str(x), str(x), f"{x}/2", f"{x}/3", "", "x", "1e2"))
+
+
+def _fuzz_weight(rng, width=None):
+    """A weight argument.  Half the time, when the group's width is known,
+    a flat list of entries in 0..2 sorted down, which is dominant for every
+    type, so the call gets past the parsers (dimensions 10,560 at most);
+    otherwise one to three blocks of random entries, bare or in
+    parentheses."""
+    if width and rng.random() < 0.5:
+        return ",".join(map(str, sorted((rng.randint(0, 2) for _ in range(width)), reverse=True)))
+    wrap = "({})" if rng.random() < 0.5 else "{}"
+    blocks = (
+        wrap.format(",".join(_fuzz_entry(rng) for _ in range(rng.randint(0, 6))))
+        for _ in range(rng.choice((1, 1, 1, 2, 3)))
+    )
+    return "x".join(blocks)
+
+
+def _fuzz_argv(rng):
+    command = rng.choice(("branch", "dim", "minrep"))
+    if command == "dim":
+        label = rng.choice(_FUZZ_GROUPS)
+        width = label in SUPPORTED_TYPES and group(label).width
+        argv = ["dim", label, _fuzz_weight(rng, width)]
+    elif command == "branch":
+        target = rng.choice(_FUZZ_TARGETS)
+        argv = ["branch", target]
+        if target in branching.RULES and rng.random() < 0.5:
+            argv += [str(rng.randint(0, 3)) for _ in branching.RULES[target].params]
+        else:
+            width = target in branching.CATALOG and branching.embedding(target).big.width
+            argv += [_fuzz_weight(rng, width) for _ in range(rng.choice((0, 1, 1, 1, 2)))]
+        if rng.random() < 0.3:
+            argv.append("--generic")
+    else:
+        case = rng.choice(_FUZZ_CASES)
+        width = case in TYPE_GROUPS and TYPE_GROUPS[case].width
+        argv = ["minrep", case, "--type", _fuzz_weight(rng, width)]
+        if rng.random() < 0.3:
+            argv += ["--max-level", str(rng.randint(-3, 3))]
+        if rng.random() < 0.2:
+            argv.append("--sign")
+    if command != "dim" and rng.random() < 0.3:
+        argv += ["--charge", rng.choice((str(rng.randint(-3, 3)), _fuzz_entry(rng)))]
+    if rng.random() < 0.3:
+        argv += ["--format", rng.choice(("pretty", "json", "tsv", "xml"))]
+    if rng.random() < 0.1:
+        del argv[rng.randrange(len(argv))]
+    return argv
+
+
+def test_argv_fuzz_ends_in_an_exit_code(capsys):
+    # Seeded argvs over branch, dim and minrep, with coordinates in [-3, 3]
+    # so that no call comes near the budget: each ends in an exit code of
+    # 0-3 or in argparse's usage error, never in another exception.
+    rng = random.Random(7)
+    codes = []
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("usage", exc.code)
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3, ("usage", 2)), argv
+        codes.append(code)
+    # The draws reach past the parsers: some calls succeed, most inputs
+    # are refused with a message.
+    assert codes.count(0) >= 20 and codes.count(2) >= 100, sorted(map(str, codes))

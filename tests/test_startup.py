@@ -41,6 +41,18 @@ def test_import_liedual_loads_no_submodule():
     assert {m for m in loaded if m.startswith("liedual.")} == set()
 
 
+def test_import_charalg_builds_no_root_classes():
+    # The Freudenthal root classes and integral roots are built on first
+    # use, per type and wall set, never at import.
+    proc = run_python(
+        "-c",
+        "import liedual.charalg as c; "
+        "print(c._root_classes.cache_info().currsize, c._integral_roots.cache_info().currsize)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
