@@ -332,10 +332,11 @@ class FormalCharacter(FrozenRecord):
     ) -> "FormalCharacter":
         """A character from ``IntKey``s: drops zeros, rejects negatives,
         sorts the int keys and turns each distinct one into a ``Weight``
-        once, by ``lattice.key_weight``, which validates it on integers and
-        builds shared ``Fraction`` halves.  Pass
-        one ``weights`` dict (for one group) to several calls, e.g. the
-        levels of a graded character, to reuse those ``Weight``s."""
+        once, by ``lattice.key_weight``, which validates it on integers from
+        verdicts cached per (type, factor part) and shares each distinct
+        part's ``Fraction`` halves as one tuple.  Pass one ``weights`` dict
+        (for one group) to several calls, e.g. the levels of a graded
+        character, to reuse those ``Weight``s."""
         keys = sorted(k for k, m in data.items() if m != 0)
         if any(data[k] < 0 for k in keys):
             raise ValueError("formal characters carry non-negative multiplicities")

@@ -52,6 +52,11 @@ EXIT_NEGATIVE = 3
 EXIT_BUDGET = 4
 EXIT_PIPE = 141
 
+#: The highest ``verify --max-level``.  The rule grids grow as the square of
+#: the level (15,757 checks at 100) and are built before any budget is read,
+#: so a level far beyond it would exhaust memory before the first check.
+MAX_VERIFY_LEVEL = 100
+
 
 def _int_in(low: int, high: int | None = None):
     """argparse type: an integer in low..high (no upper bound if None)."""
@@ -403,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="verification sweeps")
     p_verify.add_argument("suite", choices=(*_SUITES, "all"))
-    p_verify.add_argument("--max-level", type=_int_in(0), default=None)
+    p_verify.add_argument("--max-level", type=_int_in(0, MAX_VERIFY_LEVEL), default=None)
     p_verify.add_argument("--max-n", type=_int_in(0), default=10)
     p_verify.add_argument("--fixtures", default=None)
     p_verify.add_argument("--budget", type=_int_in(1), default=None)

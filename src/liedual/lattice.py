@@ -19,7 +19,13 @@ A ``Weight`` crosses to and from its ``IntKey`` here and nowhere else:
 ``weight_key`` is the one way in, ``key_weight`` the one way out, and
 ``format_weight`` the one speller, as the command line writes a weight
 (``spell`` writes one vector, ``spell_key`` an unvalidated key, so that
-building a message never raises).  Everything here is immutable and pure.
+building a message never raises).  Both crossings and ``check_int_key``
+validate through one private reader, ``_key_parts``, which judges each
+distinct (type, factor part) once: ``_part`` caches its lattice and
+canonical-A verdicts with its ``Fraction`` halves, filled on first use.
+The verdicts are read again on every call, so a rejected part raises each
+time, and equal parts of the ``Weight``s built are one shared tuple.
+Everything here is immutable, and pure but for those caches.
 
 Cartan-matrix convention: ``a[i][j] = <alpha_i, alpha_j^vee>``.
 """
@@ -84,12 +90,18 @@ class InvalidWeightError(ValueError):
     """Raised for coordinates outside the weight lattice of a group."""
 
 
+#: The characters of a rational's text, around its whitespace.
+_RATIONAL_CHARS = frozenset("0123456789+-/.")
+
+
 def _rational(x: int | str | Q) -> Q:
     """An ``int`` or ``Fraction`` as it is; text that is an integer, ``p/q``
-    or a finite decimal.  ``Fraction`` also reads exponents, at a cost growing
-    with their value, so text with an ``e``, like anything else, is refused."""
+    or a finite decimal, in ASCII digits.  ``Fraction`` also reads exponents,
+    at a cost growing with their value, ``_`` between digits and non-ASCII
+    digits, so text with any other character than ``_RATIONAL_CHARS`` (an
+    ``e``, a ``_``, an Arabic-Indic digit), like anything else, is refused."""
     try:
-        if isinstance(x, (int, Q)) or isinstance(x, str) and "e" not in x.lower():
+        if isinstance(x, (int, Q)) or isinstance(x, str) and set(x.strip()) <= _RATIONAL_CHARS:
             return Q(x)
     except (ValueError, ZeroDivisionError):
         pass
@@ -548,32 +560,8 @@ def check_int_key(gs: GroupSpec, key: IntKey) -> None:
     (width plus circles), ``_on_lattice`` per factor part, and the canonical
     A form (minimum 0), which ``make_weight`` would otherwise normalize to.
     The charges need no check: half of any integer is a half-integer, all
-    that ``make_weight`` asks of a charge."""
-    if len(key) != gs.width + gs.circles:
-        raise InvalidWeightError(f"{key} is not a flat key of {gs}")
-    parts = [key[s] for s in gs.slices]
-    for rs, part in zip(gs.factors, parts):
-        if not _on_lattice(rs, part):
-            raise InvalidWeightError(f"{spell(halved(part))} is not a {rs.label} weight")
-    if any(rs.series == "A" and min(part) for rs, part in zip(gs.factors, parts)):
-        raise InvalidWeightError(f"{key} is not the canonical key of {spell_key(gs, key)}")
-
-
-def weight_key(gs: GroupSpec, w: Weight) -> IntKey:
-    """The one way from a ``Weight`` of ``gs`` to its ``IntKey``: one part
-    per factor, of that factor's length, one charge per circle, and every
-    coordinate an integer or half-integer; then ``doubled`` and
-    ``check_int_key``.  Errors spell ``w`` as the command line does."""
-    flat = w.sort_key()
-    if (
-        [len(part) for part in w.parts] != [rs.ambient_dim for rs in gs.factors]
-        or len(w.charges) != gs.circles
-        or any(x.denominator not in (1, 2) for x in flat)
-    ):
-        raise InvalidWeightError(f"{format_weight(w)} is not a weight of {gs}")
-    key = doubled(flat)
-    check_int_key(gs, key)
-    return key
+    that ``make_weight`` asks of a charge.  Read through ``_key_parts``."""
+    _key_parts(gs, key)
 
 
 @functools.lru_cache(maxsize=None)
@@ -582,12 +570,61 @@ def _half(x: int) -> Q:
     return Q(x, 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _part(label: str, part: Doubled) -> tuple[bool, bool, Vector]:
+    """One factor part of an ``IntKey``, judged once: its ``_on_lattice``
+    verdict, whether it is in canonical A form (minimum 0; true off A), and
+    its ``_half`` coordinates, one tuple per distinct (label, part)."""
+    rs = build_root_system(label)
+    return (
+        _on_lattice(rs, part),
+        rs.series != "A" or min(part) == 0,
+        tuple(map(_half, part)),
+    )
+
+
+def _key_parts(gs: GroupSpec, key: IntKey) -> tuple[Vector, ...]:
+    """The ``check_int_key`` validation, read from the ``_part`` verdicts,
+    which raise again on every call: the length first, then the first factor
+    part off the lattice, in factor order, then the canonical A form.
+    Returns the shared halves of each factor part."""
+    if len(key) != gs.width + gs.circles:
+        raise InvalidWeightError(f"{key} is not a flat key of {gs}")
+    parts = []
+    canonical = True
+    for rs, s in zip(gs.factors, gs.slices):
+        on_lattice, is_canonical, half = _part(rs.label, key[s])
+        if not on_lattice:
+            raise InvalidWeightError(f"{spell(half)} is not a {rs.label} weight")
+        canonical = canonical and is_canonical
+        parts.append(half)
+    if not canonical:
+        raise InvalidWeightError(f"{key} is not the canonical key of {spell_key(gs, key)}")
+    return tuple(parts)
+
+
+def weight_key(gs: GroupSpec, w: Weight) -> IntKey:
+    """The one way from a ``Weight`` of ``gs`` to its ``IntKey``: one part
+    per factor, of that factor's length, one charge per circle, and every
+    coordinate an integer or half-integer; then ``doubled`` and the
+    ``check_int_key`` validation.  Errors spell ``w`` as the command line does."""
+    flat = w.sort_key()
+    if (
+        [len(part) for part in w.parts] != [rs.ambient_dim for rs in gs.factors]
+        or len(w.charges) != gs.circles
+        or any(x.denominator not in (1, 2) for x in flat)
+    ):
+        raise InvalidWeightError(f"{format_weight(w)} is not a weight of {gs}")
+    key = doubled(flat)
+    _key_parts(gs, key)
+    return key
+
+
 def key_weight(gs: GroupSpec, key: IntKey) -> Weight:
     """The one way from an ``IntKey`` of ``gs`` back to its ``Weight``,
-    validated by ``check_int_key``, with shared ``_half`` coordinates."""
-    check_int_key(gs, key)
-    parts = tuple(tuple(map(_half, key[s])) for s in gs.slices)
-    return Weight(parts, tuple(map(_half, key[gs.width :])))
+    validated as ``check_int_key`` does, from the shared ``_part`` halves:
+    equal factor parts are one tuple, equal coordinates one ``Fraction``."""
+    return Weight(_key_parts(gs, key), tuple(map(_half, key[gs.width :])))
 
 
 def format_weight(w: Weight) -> str:

@@ -20,6 +20,7 @@ from liedual.branching import (
     EmbeddingMap,
     NegativeMultiplicityError,
     RULE_IDS,
+    RULES,
     branch_so5_to_so3so2,
     branch_sp2_to_su2su2,
     branch_sp4_to_sp2sp2,
@@ -606,6 +607,22 @@ def test_verify_rule_small_ranges(rule_id):
     level = {"sp2_to_su2su2": 4, "so5_to_so3so2": 3}.get(rule_id, 2)
     report = verify_rule(rule_id, level)
     assert report.ok, [c for c in report.checks if c.status == "FAIL"]
+
+
+@pytest.mark.parametrize("rule_id", ["sp2_to_su2su2", "so5_to_so3so2"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_two_parameter_rules_match_the_oracle_beyond_the_grid(rule_id, data):
+    # Two paths past criterion 2's grid: parameters drawn up to twice the
+    # rule's default level.  A source over 3000 dimensions is rejected by
+    # assume, never counted as a pass.
+    rule = RULES[rule_id]
+    e = embedding(rule.embedding)
+    params = data.draw(st.sampled_from(sorted(rule.grid(2 * rule.default_level))))
+    hw = rule.source(*params)
+    assume(weight_dimension(e.big, hw) <= 3000)
+    got = restrict_generic(e, hw).decomposition
+    assert got == rule.closed(*params), (rule_id, params)
 
 
 def test_verify_rule_rejects_unknown():

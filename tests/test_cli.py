@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from liedual import branching
 from liedual.charalg import NonDominantError
-from liedual.cli import format_weight, main, parse_weight
+from liedual.cli import MAX_VERIFY_LEVEL, build_parser, format_weight, main, parse_weight
 from liedual.lattice import (
     SUPPORTED_TYPES,
     InvalidWeightError,
@@ -394,6 +394,16 @@ def test_bad_input_exits_2(capsys, argv):
     assert "error" in err and "Traceback" not in err
 
 
+def test_verify_max_level_is_bounded_before_any_grid(capsys, monkeypatch):
+    # A level past the bound is refused while the arguments are read: no
+    # sweep starts, so no parameter grid is built.  The bound itself parses.
+    monkeypatch.setattr(branching, "verify_rule", lambda *a: pytest.fail("sweep started"))
+    args = build_parser().parse_args(["verify", "rules", "--max-level", str(MAX_VERIFY_LEVEL)])
+    assert args.max_level == MAX_VERIFY_LEVEL == 100
+    code, err = exit_code(capsys, "verify", "rules", "--max-level", str(MAX_VERIFY_LEVEL + 1))
+    assert code == 2 and err.endswith("error: argument --max-level: 101 is not in 0..100\n")
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -403,11 +413,14 @@ def test_bad_input_exits_2(capsys, argv):
         (("branch", "sp4_to_sp2sp2", "1e3"), "1e3"),
         (("branch", "sp4_to_sp2sp2", "1E3"), "1E3"),
         (("branch", "so5_to_so3so2", "2e-1", "0"), "2e-1"),
+        (("dim", "A1", "1_0"), "1_0"),
+        (("dim", "A1", "\u0661"), "\u0661"),
     ],
 )
 def test_exponent_notation_exits_2(capsys, argv, text):
     # Fraction reads exponents at a cost that grows with their value, so a
-    # short argument such as 1e10000000000000 would never return.
+    # short argument such as 1e10000000000000 would never return.  It also
+    # reads "1_0" as 10 and non-ASCII digits; the grammar has neither.
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: bad rational {text!r}\n")
 

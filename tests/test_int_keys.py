@@ -471,23 +471,33 @@ def _make_weight_of_key(gs, key):
     return w if w.sort_key() == flat else None
 
 
+def _verdict(crossing, gs, key):
+    """``crossing(gs, key)``, or the message of the ``InvalidWeightError`` it raises."""
+    try:
+        return crossing(gs, key)
+    except InvalidWeightError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("label", SUPPORTED_TYPES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_check_int_key_agrees_with_make_weight(label, data):
+    # Each key is asked for twice, so the second answer comes from the
+    # cached factor-part verdicts and must be the first one again.
     gs, key = data.draw(_flat_keys(label))
     want = _make_weight_of_key(gs, key)
-    try:
-        check_int_key(gs, key)
-    except InvalidWeightError:
-        accepted = False
-    else:
-        accepted = True
-    assert accepted == (want is not None), (gs, key)
-    if accepted:
-        (got, _), = FormalCharacter.from_int_keys(gs, {key: 1}).terms
-        assert got == want, (gs, key)
-        assert all(type(x) is Q for x in got.sort_key()), (gs, key)
+    for _ in range(2):
+        checked = _verdict(check_int_key, gs, key)
+        assert (checked is None) == (want is not None), (gs, key)
+        built = _verdict(key_weight, gs, key)
+        if want is None:
+            assert built == checked, (gs, key)
+        else:
+            assert built == want, (gs, key)
+            assert all(type(x) is Q for x in built.sort_key()), (gs, key)
+            (got, _), = FormalCharacter.from_int_keys(gs, {key: 1}).terms
+            assert got == want, (gs, key)
 
 
 @pytest.mark.parametrize(
@@ -506,15 +516,25 @@ def test_check_int_key_agrees_with_make_weight(label, data):
     ],
 )
 def test_check_int_key_messages(labels, circles, key, message):
-    with pytest.raises(InvalidWeightError) as info:
-        check_int_key(group(*labels, circles=circles), key)
-    assert str(info.value) == message
+    # Twice each: a factor part the cache has seen and rejected raises again.
+    gs = group(*labels, circles=circles)
+    for crossing in (check_int_key, key_weight) * 2:
+        with pytest.raises(InvalidWeightError) as info:
+            crossing(gs, key)
+        assert str(info.value) == message, crossing
 
 
 def test_key_weights_share_their_halves():
     a, b = FormalCharacter.from_int_keys(group("C2", "A1"), {(4, 2, 2): 1, (4, 0, 4): 1}).terms
     assert a[0].parts[0][0] is b[0].parts[0][0]  # both 2, one object
     assert lattice._half.cache_info().hits > 0
+    # Equal factor parts are one tuple, within a key and across keys.
+    gs = group("C2", "C2", circles=1)
+    hits = lattice._part.cache_info().hits
+    c = key_weight(gs, (4, 2, 4, 2, 1))
+    d = key_weight(gs, (4, 2, 0, 0, 3))
+    assert c.parts[0] is c.parts[1] is d.parts[0] == (Q(2), Q(1))
+    assert lattice._part.cache_info().hits >= hits + 2
 
 
 # --------------------------------------------------------------------------

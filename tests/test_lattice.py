@@ -395,7 +395,8 @@ def test_readers_share_the_command_line_grammar():
     assert make_weight(group("B2"), (("3/2", "0.5"),)) == make_weight(
         group("B2"), ((Q(3, 2), Q(1, 2)),)
     )
-    for bad in ("", "x", "1/0", "1.5.0", 0.5, None):
+    # Fraction would read "1_0" as 10 and the Arabic-Indic digit one as 1.
+    for bad in ("", "x", "1/0", "1.5.0", 0.5, None, "1_0", "\u0661"):
         with pytest.raises(InvalidWeightError, match=r"^bad rational "):
             qv(bad)
 

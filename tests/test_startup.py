@@ -43,14 +43,16 @@ def test_import_liedual_loads_no_submodule():
 
 def test_import_charalg_builds_no_root_classes():
     # The Freudenthal root classes and integral roots are built on first
-    # use, per type and wall set, never at import.
+    # use, per type and wall set, and the factor-part verdicts of the key
+    # crossing per type and part: never at import.
     proc = run_python(
         "-c",
-        "import liedual.charalg as c; "
-        "print(c._root_classes.cache_info().currsize, c._integral_roots.cache_info().currsize)",
+        "import liedual.charalg as c, liedual.lattice as l; "
+        "print(c._root_classes.cache_info().currsize, c._integral_roots.cache_info().currsize, "
+        "l._part.cache_info().currsize)",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "0"]
+    assert proc.stdout.split() == ["0", "0", "0"]
 
 
 @pytest.mark.parametrize(
