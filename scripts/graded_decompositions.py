@@ -8,14 +8,8 @@ Cases: splitJ-splitE, splitJ-mixedE, hermJ-mixedE, e62-spin8.
 import sys
 
 from liedual.charalg import weight_dimension
+from liedual.lattice import format_weight
 from liedual.minrep import DUALPAIR_CASES, NotCoveredError, dualpair_graded
-
-
-def describe(w) -> str:
-    body = " x ".join("(" + ",".join(str(x) for x in p) + ")" for p in w.parts)
-    if w.charges:
-        body += "  chi(" + ",".join(str(c) for c in w.charges) + ")"
-    return body
 
 
 def main() -> int:
@@ -38,7 +32,7 @@ def main() -> int:
             except NotCoveredError:
                 sign = ""
             dim = weight_dimension(char.group, w)
-            print(f"  {mult} * {describe(w)}  dim {dim}{sign}")
+            print(f"  {mult} * {format_weight(w)}  dim {dim}{sign}")
     return 0
 
 

@@ -17,7 +17,9 @@ Weights enter and leave as ``Fraction`` ``Weight``s.  Inside, the oracle
 keys every weight as an ``IntKey`` (``lattice.weight_key``), from the
 walk through the fold and the certificate to
 ``FormalCharacter.from_int_keys``; the closed forms build the same keys.
-Messages spell weights as the command line does (``lattice.format_weight``).
+Messages and check strings spell weights and characters as the command
+line does (``lattice.format_weight``, ``lattice.format_terms``); a FAIL
+names the first term where closed form and oracle differ.
 """
 
 from __future__ import annotations
@@ -42,11 +44,13 @@ from .lattice import (
     Vector,
     Weight,
     doubled,
+    format_terms,
     format_weight,
     group,
     make_weight,
     normalize_vector,
     qv,
+    spell,
     spell_key,
     weight_key,
 )
@@ -120,19 +124,17 @@ class EmbeddingMap(FrozenRecord):
                     f"which needs {rs.ambient_dim}"
                 )
             for r, row in enumerate(rows):
-                shown = ", ".join(str(x) for x in row)
+                shown = spell(row)
                 if len(row) != width:
                     raise ValueError(
-                        f"{name}: factor {f} row {r} ({shown}) has length {len(row)}, "
-                        f"not {width}"
+                        f"{name}: factor {f} row {r} {shown} has length {len(row)}, not {width}"
                     )
                 if any(x.denominator != 1 for x in row):
-                    raise ValueError(f"{name}: factor {f} row {r} ({shown}) is not integral")
+                    raise ValueError(f"{name}: factor {f} row {r} {shown} is not integral")
         for r, row in enumerate(charge_rows):
             if len(row) != width:
-                shown = ", ".join(str(x) for x in row)
                 raise ValueError(
-                    f"{name}: charge row {r} ({shown}) has length {len(row)}, not {width}"
+                    f"{name}: charge row {r} {spell(row)} has length {len(row)}, not {width}"
                 )
         d = math.lcm(*(x.denominator for row in charge_rows for x in row))
         integer_rows = (
@@ -898,23 +900,14 @@ RULES: dict[str, Rule] = {
 RULE_IDS = tuple(RULES)
 
 
-def _char_repr(char: FormalCharacter) -> str:
-    fragments = []
-    for w, m in char.terms:
-        parts = ",".join("(" + ",".join(str(x) for x in p) + ")" for p in w.parts)
-        chg = ";".join(str(c) for c in w.charges)
-        key = parts + ("[" + chg + "]" if chg else "")
-        fragments.append(f"{m}*{key}")
-    return " + ".join(fragments) if fragments else "0"
-
-
 def verify_rule(
     rule_id: str, max_level: int | None = None, budget: int | None = None
 ) -> Report:
     """Replay one closed-form rule against restrict_generic over its grid.
 
     Checks are named "<rule_id> <params>" and ordered by parameters.  A case
-    whose source is over budget is a BUDGET check; the sweep goes on.
+    whose source is over budget is a BUDGET check; the sweep goes on.  A
+    FAIL's ``actual`` starts with the first term that differs.
     """
     try:
         rule = RULES[rule_id]
@@ -931,6 +924,13 @@ def verify_rule(
             checks.append(Check(name, "BUDGET", "source within budget", str(exc)))
             continue
         closed = rule.closed(*params)
+        actual = format_terms(generic.terms)
         status = "PASS" if closed.terms == generic.terms else "FAIL"
-        checks.append(Check(name, status, _char_repr(closed), _char_repr(generic)))
+        if status == "FAIL":
+            w = min((w for w, _ in set(closed.terms) ^ set(generic.terms)), key=Weight.sort_key)
+            actual = (
+                f"first difference at {format_weight(w)}: expected {closed.multiplicity(w)}, "
+                f"actual {generic.multiplicity(w)}; {actual}"
+            )
+        checks.append(Check(name, status, format_terms(closed.terms), actual))
     return Report(rule_id, tuple(checks))

@@ -19,7 +19,8 @@ A ``Weight`` crosses to and from its ``IntKey`` here and nowhere else:
 ``weight_key`` is the one way in, ``key_weight`` the one way out, and
 ``format_weight`` the one speller, as the command line writes a weight
 (``spell`` writes one vector, ``spell_key`` an unvalidated key, so that
-building a message never raises).  Both crossings and ``check_int_key``
+building a message never raises, ``format_terms`` a character's terms;
+no other module spells them).  Both crossings and ``check_int_key``
 validate through one private reader, ``_key_parts``, which judges each
 distinct (type, factor part) once: ``_part`` caches its lattice and
 canonical-A verdicts with its ``Fraction`` halves, filled on first use.
@@ -633,6 +634,11 @@ def format_weight(w: Weight) -> str:
     if w.charges:
         body += "@" + ",".join(map(str, w.charges))
     return body
+
+
+def format_terms(terms: Iterable[tuple[Weight, int]]) -> str:
+    """Terms ``(w, m)`` as ``m*w`` joined by `` + ``; ``0`` when there are none."""
+    return " + ".join(f"{m}*{format_weight(w)}" for w, m in terms) or "0"
 
 
 def spell_key(gs: GroupSpec, key: IntKey) -> str:

@@ -31,9 +31,11 @@ from .lattice import (
     Weight,
     build_root_system,
     dominant_representative,
+    format_weight,
     make_weight,
     qv,
     read_flat_weight,
+    spell,
 )
 from .minrep import (
     TYPE_GROUPS,
@@ -146,8 +148,8 @@ def lemma_infchar_consistency(max_level: int) -> Report:
                 Check(
                     f"infchar n={n} b={2 * w.parts[0][3]}",
                     status,
-                    str(direct.rep),
-                    str(lifted.rep),
+                    spell(direct.rep),
+                    spell(lifted.rep),
                 )
             )
     return Report("infinitesimal-character consistency", tuple(checks))
@@ -313,13 +315,13 @@ def verify_table(which: str, fixtures_dir: Path | None = None) -> Report:
     filename, gs, expected_rows = _TABLES[which]
     directory = fixtures_dir if fixtures_dir is not None else default_fixture_dir()
     entries = _parse_table(directory / filename, gs)
-    # row id -> its printed and its computed "[weight] -> dim" entries
+    # row id -> its printed and its computed "weight -> dim" entries
     expected: dict[int, list[str]] = {}
     actual: dict[int, list[str]] = {}
     for row_id, weight, dim, computed in entries:
-        label = ",".join(map(str, weight.sort_key()))
-        expected.setdefault(row_id, []).append(f"[{label}] -> {dim}")
-        actual.setdefault(row_id, []).append(f"[{label}] -> {computed}")
+        label = format_weight(weight)
+        expected.setdefault(row_id, []).append(f"{label} -> {dim}")
+        actual.setdefault(row_id, []).append(f"{label} -> {computed}")
     if sorted(expected) != list(range(expected_rows)):
         raise FixtureError(
             f"{filename}: row ids must be exactly 0..{expected_rows - 1}"

@@ -470,7 +470,7 @@ def test_identity_map_restricts_each_weight_to_itself(label):
 def test_non_integral_factor_row_rejected_at_construction():
     # Factor rows must map doubled weights to doubled weights.
     right = embedding("sp1so2_in_sp2")
-    with pytest.raises(ValueError, match=r"half: factor 0 row 0 \(1/2, 1\) is not integral"):
+    with pytest.raises(ValueError, match=r"half: factor 0 row 0 \(1/2,1\) is not integral"):
         EmbeddingMap("half", right.big, right.small, (((Q(1, 2), Q(1)),),), right.charge_rows)
 
 

@@ -14,8 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedual import branching
-from liedual.charalg import NonDominantError
-from liedual.cli import MAX_VERIFY_LEVEL, build_parser, format_weight, main, parse_weight
+from liedual.charalg import FormalCharacter, NonDominantError
+from liedual.cli import (
+    MAX_MINREP_LEVEL,
+    MAX_VERIFY_LEVEL,
+    MAX_VERIFY_N,
+    build_parser,
+    format_weight,
+    main,
+    parse_weight,
+)
 from liedual.lattice import (
     SUPPORTED_TYPES,
     InvalidWeightError,
@@ -132,8 +140,8 @@ def test_verify_pretty_output_shows_a_failing_check(capsys, tmp_path):
     assert code == 1
     assert (
         "FAIL  quasisplit row 0\n"
-        "      expected [0,0,2] -> 4\n"
-        "      actual   [0,0,2] -> 3\n"
+        "      expected (0,0)x(2) -> 4\n"
+        "      actual   (0,0)x(2) -> 3\n"
     ) in out
     assert out.endswith("FAIL 35/36\n")
 
@@ -298,7 +306,7 @@ def test_verify_rules_golden(capsys):
     assert code == 0
     assert json.loads(out)["summary"] == "PASS 27/27"
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "556ceeeb35a9de5868b484171350009e3d9ed73cff2544b35be8400085b43657"
+        "6e31311fe35ff2a36b289b3101deb6e03ccfb60bcd95fa80abe3906b21155798"
     )
 
 
@@ -309,7 +317,7 @@ def test_verify_all_golden(capsys):
     assert code == 0
     assert json.loads(out)["summary"] == "PASS 904/904"
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "0e25be4251f9d2ef56ae32c0e019c4b2f835f6af13f2d9641a75b21561d94e17"
+        "cab8f3393181b65a02791156c20fa36608a08a660858bc0299a85a174b937004"
     )
 
 
@@ -320,7 +328,7 @@ def test_verify_rules_level_six_golden(capsys):
     assert code == 4
     assert "sp4_to_sp2sp2 6\tBUDGET" in out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "77be4dbdf3967495e77a67da3e7697983f9ec120ad19476b963c94ff32190471"
+        "628158acd7695db8d1029774ce9ce3f0015f28a08524bb449f33872477dee372"
     )
 
 
@@ -402,6 +410,28 @@ def test_verify_max_level_is_bounded_before_any_grid(capsys, monkeypatch):
     assert args.max_level == MAX_VERIFY_LEVEL == 100
     code, err = exit_code(capsys, "verify", "rules", "--max-level", str(MAX_VERIFY_LEVEL + 1))
     assert code == 2 and err.endswith("error: argument --max-level: 101 is not in 0..100\n")
+
+
+@pytest.mark.parametrize(
+    "argv, option, dest, cap, default",
+    [
+        (("verify", "infchar"), "--max-n", "max_n", MAX_VERIFY_N, 10),
+        (
+            ("minrep", "hermJ-mixedE", "--type", "(2,0)x2"),
+            "--max-level",
+            "max_level",
+            MAX_MINREP_LEVEL,
+            12,
+        ),
+    ],
+)
+def test_sweep_sizes_are_bounded_while_arguments_are_read(capsys, argv, option, dest, cap, default):
+    # The default and the cap parse; one past the cap exits 2 before the
+    # command runs.
+    assert getattr(build_parser().parse_args(list(argv)), dest) == default
+    assert getattr(build_parser().parse_args([*argv, option, str(cap)]), dest) == cap
+    code, err = exit_code(capsys, *argv, option, str(cap + 1))
+    assert code == 2 and err.endswith(f"error: argument {option}: {cap + 1} is not in 0..{cap}\n")
 
 
 @pytest.mark.parametrize(
@@ -593,6 +623,51 @@ def test_no_message_spells_a_fraction_or_weight_repr(error, call):
         call()
     message = str(raised.value)
     assert message and "Fraction(" not in message and "Weight(" not in message
+
+
+def test_no_check_string_spells_a_fraction_or_weight_repr(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--format", "json")
+    assert code == 0
+    texts = [c[k] for c in json.loads(out)["checks"] for k in ("expected", "actual")]
+    assert len(texts) == 2 * 904
+    assert not [t for t in texts if "Fraction(" in t or "Weight(" in t]
+
+
+def test_branch_spells_an_empty_charge_block_as_zero(capsys):
+    # su6_omega3 at level 1 has charges -1..1 only: both blocks are empty.
+    argv = ("branch", "su6_omega3", "1", "--charge", "5", "--generic", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 0 and payload["result"] == []
+    assert payload["checks"] == [
+        {"name": "closed form vs generic", "status": "MATCH", "expected": "0", "actual": "0"}
+    ]
+
+
+def test_verify_rules_fail_names_the_first_differing_term(capsys, monkeypatch):
+    # RULES look closed forms up at call time.  Drop (1,0)x(1,0) and double
+    # (1,1)x(1,1) from level 1 on: the FAIL names the first of the two.
+    right, gs = branching.branch_sp4_to_sp2sp2, group("C2", "C2")
+
+    def corrupted(n):
+        terms = dict(right(n).terms)
+        if n >= 1:
+            del terms[make_weight(gs, ((1, 0), (1, 0)))]
+            terms[make_weight(gs, ((1, 1), (1, 1)))] = 2
+        return FormalCharacter.from_dict(gs, terms)
+
+    monkeypatch.setattr(branching, "branch_sp4_to_sp2sp2", corrupted)
+    code, out, _ = run(capsys, "verify", "rules", "--max-level", "1", "--format", "json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["sp4_to_sp2sp2 0"]["status"] == "PASS"
+    assert checks["sp4_to_sp2sp2 1"] == {
+        "name": "sp4_to_sp2sp2 1",
+        "status": "FAIL",
+        "expected": "1*(0,0)x(0,0) + 2*(1,1)x(1,1)",
+        "actual": "first difference at (1,0)x(1,0): expected 0, actual 1; "
+        "1*(0,0)x(0,0) + 1*(1,0)x(1,0) + 1*(1,1)x(1,1)",
+    }
 
 
 @pytest.mark.parametrize(

@@ -23,10 +23,10 @@ def run_script(*args):
 
 
 GOLDEN = {
-    "splitJ-splitE": "469c57d2f3929b2ee3735ac2fdf34c8213bb2deeae90f330f93f06384c80f40a",
-    "splitJ-mixedE": "1d237828c75a42c16b7d73e4d59913b6d804ce293d0944511d4bb4d41fc008b9",
-    "hermJ-mixedE": "19f178fd96cfd3dddb50157006fb22019e0fb3a1b5975928c729000222667c18",
-    "e62-spin8": "4d8d03d7be214bb0a3cbf9d0dec8e19eab7ef55355aaad6e52afeec24f33784d",
+    "splitJ-splitE": "835fb6ff607cb68a5740659249488605e03a533ffe160bc00380489d802ada75",
+    "splitJ-mixedE": "20119b11725697e749330529497c7a65469cb7f6c332eacabb7cc790cf15cfad",
+    "hermJ-mixedE": "f2af8f997a6ead36778d7cf4a102998ba0b74fcc327390a20e510fe7bcef8579",
+    "e62-spin8": "5317a4bf044c5baec14f349eb52da9d84a17a3f36ce9b206a05990d5d9c401dc",
 }
 
 

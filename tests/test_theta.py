@@ -232,9 +232,9 @@ def test_verify_table_rows():
     assert "16" in by_name["split row 6"].expected
     assert "32" in by_name["split row 18"].expected
     qs = {c.name: c for c in quasi.checks}
-    assert "[1,1,2] -> 15" in qs["quasisplit row 5"].expected
-    assert "[2,0,0] -> 10" in qs["quasisplit row 5"].expected
-    assert "[0,0,6] -> 7" in qs["quasisplit row 9"].expected
+    assert "(1,1)x(2) -> 15" in qs["quasisplit row 5"].expected
+    assert "(2,0)x(0) -> 10" in qs["quasisplit row 5"].expected
+    assert "(0,0)x(6) -> 7" in qs["quasisplit row 9"].expected
 
 
 def test_verify_table_fixture_errors(tmp_path):
