@@ -13,7 +13,9 @@ import importlib
 #: Each submodule and the public names it defines.
 _MODULE_EXPORTS = {
     "lattice": (
+        "BudgetExceededError",
         "GroupSpec",
+        "NegativeMultiplicityError",
         "RootSystem",
         "Weight",
         "build_root_system",
@@ -33,16 +35,16 @@ _MODULE_EXPORTS = {
     "branching": (
         "CATALOG",
         "BranchResult",
-        "BudgetExceededError",
         "EmbeddingMap",
-        "NegativeMultiplicityError",
+        "restrict_generic",
+    ),
+    "rules": (
         "branch_so5_to_so3so2",
         "branch_sp2_to_su2su2",
         "branch_sp4_to_sp2sp2",
         "branch_spin10_halfspin_to_spin8u1",
         "branch_su6_omega3_to_sp2su2u1",
         "branch_su6_omega3_to_sp3",
-        "restrict_generic",
         "verify_rule",
     ),
     "minrep": (

@@ -28,6 +28,10 @@ The verdicts are read again on every call, so a rejected part raises each
 time, and equal parts of the ``Weight``s built are one shared tuple.
 Everything here is immutable, and pure but for those caches.
 
+The oracle's two errors, ``NegativeMultiplicityError`` and
+``BudgetExceededError``, are defined here beside ``InvariantError``, so
+that the command line catches them without loading ``branching``.
+
 Cartan-matrix convention: ``a[i][j] = <alpha_i, alpha_j^vee>``.
 """
 
@@ -85,6 +89,15 @@ class UnsupportedTypeError(ValueError):
 
 class InvariantError(RuntimeError):
     """An exact-arithmetic invariant failed: a defect here, not bad input."""
+
+
+class NegativeMultiplicityError(RuntimeError):
+    """A negative, lost or left-over multiplicity, or a small reflection with
+    no lift to the big Weyl group: the embedding map is wrong."""
+
+
+class BudgetExceededError(RuntimeError):
+    """Source dimension above the configured generic-restriction budget."""
 
 
 class InvalidWeightError(ValueError):

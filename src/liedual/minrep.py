@@ -22,7 +22,7 @@ import warnings
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .branching import (
+from .rules import (
     _so5_to_so3so2_core,
     _sp2_to_su2su2_core,
     _su6_omega3_to_sp2su2u1_core,
@@ -289,8 +289,18 @@ def _key_multiplicity(case: str, key: IntKey, n: int, m: int | None) -> int:
         if m is None:
             return sum(v for (zz, _), v in sp1so2_coefficients(x, y).items() if zz == z)
         return sp1so2_coefficient(x, y, z, m)
-    charges = range(-n, n + 1) if m is None else (m,)  # hermJ-mixedE
-    return sum(quasisplit_level_multiplicity(x, y, z, mm, n) for mm in charges)
+    if m is not None:  # hermJ-mixedE
+        return quasisplit_level_multiplicity(x, y, z, m, n)
+    # Every charge at once, without building the blocks: count the inner
+    # V_(x,y) (x) V_inner of each charge whose V_{n+2} (x) V_inner holds V_z.
+    # Each core term has x + y + inner = n mod 2, so with x + y + z even, z
+    # has the parity of n + 2 + inner and the range is the whole test.
+    return sum(
+        1
+        for mm in range(-n, n + 1)
+        for xx, yy, inner in _su6_omega3_to_sp2su2u1_core(n, mm)
+        if xx == x and yy == y and abs(n + 2 - inner) <= z <= n + 2 + inner
+    )
 
 
 def so3_invariants(a: int, b: int, c: int, d: int) -> int:

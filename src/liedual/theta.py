@@ -21,7 +21,6 @@ import math
 from fractions import Fraction as Q
 from pathlib import Path
 
-from .branching import Check, Report
 from .charalg import InfChar, infinitesimal_character, weight_dimension
 from .lattice import (
     FrozenRecord,
@@ -45,6 +44,7 @@ from .minrep import (
     so3_invariants,
     verify_series,
 )
+from .rules import Check, Report
 
 _TORUS_CASES = {
     # (E, K) labels: split/hermitian Jordan algebra x split/complex torus part.

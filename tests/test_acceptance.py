@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction as Q
 
-from liedual.branching import (
+from liedual.rules import (
     RULE_IDS,
     branch_sp2_to_su2su2,
     branch_sp4_to_sp2sp2,

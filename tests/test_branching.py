@@ -1,6 +1,7 @@
 """Embedding catalog, generic restriction oracle, and closed-form rules."""
 
 import ast
+import builtins
 import itertools
 import math
 import os
@@ -19,20 +20,8 @@ from liedual.branching import (
     BudgetExceededError,
     EmbeddingMap,
     NegativeMultiplicityError,
-    RULE_IDS,
-    RULES,
-    branch_so5_to_so3so2,
-    branch_sp2_to_su2su2,
-    branch_sp4_to_sp2sp2,
-    branch_spin10_halfspin_to_spin8u1,
-    branch_su6_omega3_to_sp2su2u1,
-    branch_su6_omega3_to_sp3,
     embedding,
     restrict_generic,
-    sp4_omega4_weight,
-    spin10_halfspin_weight,
-    su6_omega3_weight,
-    verify_rule,
 )
 from liedual.charalg import (
     _dominant_multiplicities,
@@ -57,6 +46,20 @@ from liedual.lattice import (
     normalize_vector,
     weight_key,
     weyl_orbit,
+)
+from liedual.rules import (
+    RULE_IDS,
+    RULES,
+    branch_so5_to_so3so2,
+    branch_sp2_to_su2su2,
+    branch_sp4_to_sp2sp2,
+    branch_spin10_halfspin_to_spin8u1,
+    branch_su6_omega3_to_sp2su2u1,
+    branch_su6_omega3_to_sp3,
+    sp4_omega4_weight,
+    spin10_halfspin_weight,
+    su6_omega3_weight,
+    verify_rule,
 )
 
 PUBLIC_NAMES = {
@@ -632,11 +635,11 @@ def test_verify_rule_rejects_unknown():
 
 _UNDER_O = """
 import sys
-from liedual import branching
+from liedual import branching, rules
 
-e, hw = branching.embedding("sp2xsp2_in_sp4"), branching.sp4_omega4_weight(1)
+e, hw = branching.embedding("sp2xsp2_in_sp4"), rules.sp4_omega4_weight(1)
 exact = branching.restrict_generic(e, hw).decomposition.terms == (
-    branching.branch_sp4_to_sp2sp2(1).terms
+    rules.branch_sp4_to_sp2sp2(1).terms
 )
 real = branching.weight_dimension
 branching.weight_dimension = lambda gs, w: real(gs, w) + 1
@@ -697,6 +700,37 @@ def test_package_has_no_unused_imports():
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
 
+
+def test_package_reads_no_unbound_name():
+    # Code moved between modules can lose an import that only a run would
+    # miss: every name a module reads, in an annotation too, is bound
+    # somewhere in that module (an import, a definition, an assignment or
+    # a parameter) or is a builtin.
+    package = Path(liedual.__file__).resolve().parent
+    known = set(dir(builtins)) | {"__file__"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+                bound.add(node.id)
+            elif isinstance(node, ast.arg):
+                bound.add(node.arg)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound.add(node.name)
+        found += [
+            f"{path.name}:{node.lineno} {node.id}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)
+            and node.id not in bound | known
+        ]
+    assert found == []
 
 def test_only_lattice_reads_a_rational():
     # ``lattice._rational`` is the one grammar of an outside coordinate;

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedual import branching
+from liedual import branching, rules
 from liedual.charalg import FormalCharacter, NonDominantError
 from liedual.cli import (
     MAX_MINREP_LEVEL,
@@ -91,8 +91,8 @@ def test_branch_rule_with_generic_match(capsys):
 
 def test_branch_rule_with_generic_mismatch_exits_1(capsys, monkeypatch):
     # The rule's closed form is looked up at call time, so a wrong one is seen.
-    trivial = branching.branch_sp2_to_su2su2(0, 0)
-    monkeypatch.setattr(branching, "branch_sp2_to_su2su2", lambda x, y: trivial)
+    trivial = rules.branch_sp2_to_su2su2(0, 0)
+    monkeypatch.setattr(rules, "branch_sp2_to_su2su2", lambda x, y: trivial)
     code, out, err = run(capsys, "branch", "sp2_to_su2su2", "1", "0", "--generic")
     assert (code, out, err) == (1, "1 * (0)x(0)   dim 1\nMISMATCH\n", "")
 
@@ -405,7 +405,7 @@ def test_bad_input_exits_2(capsys, argv):
 def test_verify_max_level_is_bounded_before_any_grid(capsys, monkeypatch):
     # A level past the bound is refused while the arguments are read: no
     # sweep starts, so no parameter grid is built.  The bound itself parses.
-    monkeypatch.setattr(branching, "verify_rule", lambda *a: pytest.fail("sweep started"))
+    monkeypatch.setattr(rules, "verify_rule", lambda *a: pytest.fail("sweep started"))
     args = build_parser().parse_args(["verify", "rules", "--max-level", str(MAX_VERIFY_LEVEL)])
     assert args.max_level == MAX_VERIFY_LEVEL == 100
     code, err = exit_code(capsys, "verify", "rules", "--max-level", str(MAX_VERIFY_LEVEL + 1))
@@ -647,7 +647,7 @@ def test_branch_spells_an_empty_charge_block_as_zero(capsys):
 def test_verify_rules_fail_names_the_first_differing_term(capsys, monkeypatch):
     # RULES look closed forms up at call time.  Drop (1,0)x(1,0) and double
     # (1,1)x(1,1) from level 1 on: the FAIL names the first of the two.
-    right, gs = branching.branch_sp4_to_sp2sp2, group("C2", "C2")
+    right, gs = rules.branch_sp4_to_sp2sp2, group("C2", "C2")
 
     def corrupted(n):
         terms = dict(right(n).terms)
@@ -656,7 +656,7 @@ def test_verify_rules_fail_names_the_first_differing_term(capsys, monkeypatch):
             terms[make_weight(gs, ((1, 1), (1, 1)))] = 2
         return FormalCharacter.from_dict(gs, terms)
 
-    monkeypatch.setattr(branching, "branch_sp4_to_sp2sp2", corrupted)
+    monkeypatch.setattr(rules, "branch_sp4_to_sp2sp2", corrupted)
     code, out, _ = run(capsys, "verify", "rules", "--max-level", "1", "--format", "json")
     assert code == 1
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -734,7 +734,7 @@ def test_closed_output_pipe_exits_quietly():
     assert stderr == ""
 
 
-_FUZZ_TARGETS = (*sorted(branching.RULES), *sorted(branching.CATALOG), "no_such_rule")
+_FUZZ_TARGETS = (*sorted(rules.RULES), *sorted(branching.CATALOG), "no_such_rule")
 _FUZZ_GROUPS = (*SUPPORTED_TYPES, "C2xA1", "A1xA1xA1", "E6", "C2x", "")
 _FUZZ_CASES = (*sorted(TYPE_GROUPS), "e62-spin8", "no_such_case")
 
@@ -771,8 +771,8 @@ def _fuzz_argv(rng):
     elif command == "branch":
         target = rng.choice(_FUZZ_TARGETS)
         argv = ["branch", target]
-        if target in branching.RULES and rng.random() < 0.5:
-            argv += [str(rng.randint(0, 3)) for _ in branching.RULES[target].params]
+        if target in rules.RULES and rng.random() < 0.5:
+            argv += [str(rng.randint(0, 3)) for _ in rules.RULES[target].params]
         else:
             width = target in branching.CATALOG and branching.embedding(target).big.width
             argv += [_fuzz_weight(rng, width) for _ in range(rng.choice((0, 1, 1, 1, 2)))]

@@ -4,17 +4,16 @@ from fractions import Fraction as Q
 
 import pytest
 
-from liedual.branching import (
-    branch_sp2_to_su2su2,
-    branch_so5_to_so3so2,
-    embedding,
-    restrict_generic,
-    sp4_omega4_weight,
-    su6_omega3_weight,
-)
+from liedual.branching import embedding, restrict_generic
 from liedual.charalg import su2_tensor
 from liedual.lattice import Weight, group, make_weight
 from liedual.minrep import sp1so2_coefficients
+from liedual.rules import (
+    branch_sp2_to_su2su2,
+    branch_so5_to_so3so2,
+    sp4_omega4_weight,
+    su6_omega3_weight,
+)
 
 
 @pytest.mark.parametrize("n", range(3))

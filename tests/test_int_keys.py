@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import liedual.charalg as charalg
 import liedual.lattice as lattice
-from liedual.branching import (
+from liedual.rules import (
     RULES,
     branch_so5_to_so3so2,
     branch_sp2_to_su2su2,

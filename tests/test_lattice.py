@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedual.branching import branch_so5_to_so3so2
+from liedual.rules import branch_so5_to_so3so2
 from liedual.lattice import (
     SUPPORTED_TYPES,
     InvalidWeightError,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedual.branching import embedding, restrict_generic, sp4_omega4_weight
+from liedual.branching import embedding, restrict_generic
 from liedual.charalg import dimension
 from liedual import minrep
 from liedual.lattice import InvariantError, Weight, build_root_system, group, make_weight
@@ -31,6 +31,7 @@ from liedual.minrep import (
     sp1so2_coefficients,
     verify_series,
 )
+from liedual.rules import sp4_omega4_weight
 
 G4 = group("A1", "A1", "A1", "A1")
 GP = group("C2", "A1")
@@ -157,6 +158,23 @@ def test_ktype_multiplicity_hermJ_examples():
     assert quasisplit_level_multiplicity(1, 1, 2, 0, 1) == 1
     assert [ktype_multiplicity("hermJ-mixedE", wp(1, 1, 2), n, 0) for n in range(5)] == [0, 1, 1, 1, 1]
     assert ktype_multiplicity("hermJ-mixedE", wp(0, 0, 2), 0, 0) == 1
+
+
+def test_hermJ_count_without_charge_is_the_sum_of_the_charge_blocks():
+    # Without a charge, a type is counted straight from the closed-form terms
+    # of every charge; no charge block is built.  It must equal the sum of
+    # the level's 2n+1 blocks, odd types (never present) included.
+    present = 0
+    for x in range(7):
+        for y in range(x + 1):
+            for z in range(10):
+                for n in range(11):
+                    blocks = sum(
+                        quasisplit_level_multiplicity(x, y, z, m, n) for m in range(-n, n + 1)
+                    )
+                    assert ktype_multiplicity("hermJ-mixedE", wp(x, y, z), n) == blocks
+                    present += blocks > 0
+    assert present > 100
 
 
 def test_so3_invariants_examples():

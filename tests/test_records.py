@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from liedual import branching, charalg, minrep, theta
+from liedual import branching, charalg, minrep, rules, theta
 from liedual.lattice import GroupSpec, RootSystem, Weight, build_root_system, group, make_weight
 
 
@@ -32,7 +32,7 @@ SAMPLES = {
     charalg.WeightFunction: lambda: charalg.weight_multiplicities(
         build_root_system("A1"), (Q(2),)
     ),
-    charalg.FormalCharacter: lambda: branching.branch_sp2_to_su2su2(2, 1),
+    charalg.FormalCharacter: lambda: rules.branch_sp2_to_su2su2(2, 1),
     charalg.InfChar: lambda: charalg.infinitesimal_character(
         build_root_system("D4"), (Q(1), Q(0), Q(0), Q(0))
     ),
@@ -40,16 +40,16 @@ SAMPLES = {
     branching.BranchResult: lambda: branching.restrict_generic(
         branching.CATALOG["su2su2_in_sp2"], make_weight(group("C2"), ((1, 1),))
     ),
-    branching.SignedCharacter: lambda: branching.branch_su6_omega3_to_sp3(2),
-    branching.Check: lambda: branching.Check("name", "PASS", "1", "1"),
-    branching.Report: lambda: branching.verify_rule("sp2_to_su2su2", 1),
-    branching.Rule: lambda: branching.Rule(
+    rules.SignedCharacter: lambda: rules.branch_su6_omega3_to_sp3(2),
+    rules.Check: lambda: rules.Check("name", "PASS", "1", "1"),
+    rules.Report: lambda: rules.verify_rule("sp2_to_su2su2", 1),
+    rules.Rule: lambda: rules.Rule(
         "sp4_to_sp2sp2",
         embedding="sp2xsp2_in_sp4",
         params=("n",),
-        source=branching.sp4_omega4_weight,
-        closed=branching.branch_sp4_to_sp2sp2,
-        grid=branching._levels,
+        source=rules.sp4_omega4_weight,
+        closed=rules.branch_sp4_to_sp2sp2,
+        grid=rules._levels,
         default_level=4,
     ),
     minrep.GradedCharacter: lambda: minrep.dualpair_graded("splitJ-splitE", 2),
@@ -82,12 +82,12 @@ SIGNATURES = {
         ("source_weights", _REQUIRED), ("nodes", _REQUIRED), ("leaves", _REQUIRED),
         ("folded_terms", _REQUIRED), ("subtractions", _REQUIRED),
     ],
-    branching.SignedCharacter: [("character", _REQUIRED), ("signs", _REQUIRED)],
-    branching.Check: [
+    rules.SignedCharacter: [("character", _REQUIRED), ("signs", _REQUIRED)],
+    rules.Check: [
         ("name", _REQUIRED), ("status", _REQUIRED), ("expected", _REQUIRED), ("actual", _REQUIRED),
     ],
-    branching.Report: [("title", _REQUIRED), ("checks", _REQUIRED)],
-    branching.Rule: [
+    rules.Report: [("title", _REQUIRED), ("checks", _REQUIRED)],
+    rules.Rule: [
         ("rule_id", _REQUIRED), ("embedding", _REQUIRED), ("params", _REQUIRED),
         ("source", _REQUIRED), ("closed", _REQUIRED), ("grid", _REQUIRED),
         ("default_level", _REQUIRED), ("charged", False), ("half_integral", False),
@@ -106,7 +106,7 @@ SIGNATURES = {
 }
 
 # A field that holds a dict: its record is compared but not hashed.
-UNHASHABLE = {charalg.WeightFunction, branching.SignedCharacter, minrep.GradedCharacter}
+UNHASHABLE = {charalg.WeightFunction, rules.SignedCharacter, minrep.GradedCharacter}
 
 TYPES = list(SAMPLES)
 
@@ -179,7 +179,7 @@ def test_reprs_keep_the_dataclass_format():
         "Weight(parts=((Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 1),)), "
         "charges=(Fraction(1, 2),))"
     )
-    assert repr(branching.branch_sp2_to_su2su2(0, 0)) == (
+    assert repr(rules.branch_sp2_to_su2su2(0, 0)) == (
         "FormalCharacter(group=GroupSpec(A1xA1), "
         "terms=((Weight(parts=((Fraction(0, 1),), (Fraction(0, 1),)), charges=()), 1),))"
     )

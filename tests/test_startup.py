@@ -64,8 +64,25 @@ def test_import_charalg_builds_no_root_classes():
 )
 def test_branch_and_dim_skip_series_modules_and_pool(argv):
     loaded = imported_modules("-m", "liedual", *argv)
-    assert {"liedual.cli", "liedual.branching"} <= loaded
+    assert "liedual.cli" in loaded
     assert not loaded & {"liedual.minrep", "liedual.theta", "concurrent.futures"}
+
+
+@pytest.mark.parametrize(
+    "argv, adds",
+    [
+        (("branch", "sp2xsp2_in_sp4", "1,1,1,1", "--format", "json"), {"branching"}),
+        (("minrep", "splitJ-splitE", "--type", "0,0,0,0"), {"rules", "minrep"}),
+        (("dim", "C4", "1,1,1,1"), set()),
+    ],
+)
+def test_commands_load_only_the_half_they_run(argv, adds):
+    # The oracle (branching) and the closed forms (rules) are compiled only
+    # by the commands that run them: minrep never loads the oracle, branch
+    # along an embedding never loads the rules, and dim loads neither.
+    loaded = {m for m in imported_modules("-m", "liedual", *argv) if m.startswith("liedual")}
+    base = {"liedual", "liedual.lattice", "liedual.charalg", "liedual.cli"}
+    assert loaded == base | {f"liedual.{m}" for m in adds}
 
 
 @pytest.mark.parametrize(
