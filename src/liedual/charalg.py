@@ -328,26 +328,32 @@ class FormalCharacter(FrozenRecord):
     def from_int_keys(
         gs: GroupSpec,
         data: Mapping[IntKey, int],
-        weights: dict[IntKey, Weight] | None = None,
+        pairs: dict[IntKey, tuple[Weight, int]] | None = None,
     ) -> "FormalCharacter":
         """A character from ``IntKey``s: drops zeros, rejects negatives,
         sorts the int keys and turns each distinct one into a ``Weight``
         once, by ``lattice.key_weight``, which validates it on integers from
         verdicts cached per (type, factor part) and shares each distinct
-        part's ``Fraction`` halves as one tuple.  Pass one ``weights`` dict
+        part's ``Fraction`` halves as one tuple.  Pass one ``pairs`` dict
         (for one group) to several calls, e.g. the levels of a graded
-        character, to reuse those ``Weight``s."""
+        character: it maps each key to the last ``(Weight, multiplicity)``
+        term built for it, so a term whose multiplicity is unchanged is
+        that very pair, and a changed one a new pair around the same
+        ``Weight``."""
         keys = sorted(k for k, m in data.items() if m != 0)
         if any(data[k] < 0 for k in keys):
             raise ValueError("formal characters carry non-negative multiplicities")
-        if weights is None:
-            weights = {}
+        if pairs is None:
+            pairs = {}
         terms = []
         for k in keys:
-            w = weights.get(k)
-            if w is None:
-                w = weights[k] = key_weight(gs, k)
-            terms.append((w, data[k]))
+            m = data[k]
+            pair = pairs.get(k)
+            if pair is None:
+                pair = pairs[k] = (key_weight(gs, k), m)
+            elif pair[1] != m:
+                pair = pairs[k] = (pair[0], m)
+            terms.append(pair)
         return FormalCharacter(gs, tuple(terms))
 
     def as_dict(self) -> dict[Weight, int]:

@@ -585,6 +585,13 @@ def _half(x: int) -> Q:
 
 
 @functools.lru_cache(maxsize=None)
+def _charges(tail: IntKey) -> tuple[Q, ...]:
+    """The ``_half`` charges of a key's doubled circle tail: one tuple per
+    distinct tail."""
+    return tuple(map(_half, tail))
+
+
+@functools.lru_cache(maxsize=None)
 def _part(label: str, part: Doubled) -> tuple[bool, bool, Vector]:
     """One factor part of an ``IntKey``, judged once: its ``_on_lattice``
     verdict, whether it is in canonical A form (minimum 0; true off A), and
@@ -637,8 +644,9 @@ def weight_key(gs: GroupSpec, w: Weight) -> IntKey:
 def key_weight(gs: GroupSpec, key: IntKey) -> Weight:
     """The one way from an ``IntKey`` of ``gs`` back to its ``Weight``,
     validated as ``check_int_key`` does, from the shared ``_part`` halves:
-    equal factor parts are one tuple, equal coordinates one ``Fraction``."""
-    return Weight(_key_parts(gs, key), tuple(map(_half, key[gs.width :])))
+    equal factor parts are one tuple, equal charge tails one ``_charges``
+    tuple, equal coordinates one ``Fraction``."""
+    return Weight(_key_parts(gs, key), _charges(key[gs.width :]))
 
 
 def format_weight(w: Weight) -> str:

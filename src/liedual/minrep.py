@@ -157,17 +157,22 @@ def _splitJ_splitE(data: dict[IntKey, int], n: int) -> None:
 
 
 def _splitJ_mixedE(data: dict[IntKey, int], n: int) -> None:
+    # sp1so2_coefficients(n, y), read from the core: the level build leaves
+    # that cache to the per-type queries.
     for y in range(n + 1):
-        for (z, m), mult in sp1so2_coefficients(n, y).items():
+        for (z, m), mult in _so5_to_so3so2_core(n + y, n - y).items():
             key = (2 * n, 2 * y, 2 * z, 2 * m)
             data[key] = data.get(key, 0) + mult
 
 
 def _hermJ_mixedE(data: dict[IntKey, int], n: int) -> None:
+    # The _hermJ_level(n, m) blocks, read from the core, as _key_multiplicity
+    # reads them: the level build leaves that cache to the per-charge queries.
     for m in range(-n, n + 1):
-        for ((x, y), z), mult in _hermJ_level(n, m).items():
-            key = (2 * x, 2 * y, 2 * z, 2 * m)
-            data[key] = data.get(key, 0) + mult
+        for x, y, inner in _su6_omega3_to_sp2su2u1_core(n, m):
+            for z in su2_tensor(n + 2, inner):
+                key = (2 * x, 2 * y, 2 * z, 2 * m)
+                data[key] = data.get(key, 0) + 1
 
 
 def _e62_spin8(data: dict[IntKey, int], n: int) -> None:
@@ -191,18 +196,20 @@ _LEVELS: dict[str, tuple[GroupSpec, Callable[[dict[IntKey, int], int], None], bo
 
 
 def _graded(case: str, truncation: int) -> GradedCharacter:
-    """Levels 0..truncation of a ``_LEVELS`` case; one ``Weight`` per distinct term."""
+    """Levels 0..truncation of a ``_LEVELS`` case; one ``Weight`` per distinct
+    term, and a term whose multiplicity is unchanged from level n-1 is that
+    level's very ``(Weight, multiplicity)`` pair."""
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
     gs, add_level, running = _LEVELS[case]
     levels: dict[int, FormalCharacter] = {}
-    weights: dict[IntKey, Weight] = {}
+    pairs: dict[IntKey, tuple[Weight, int]] = {}
     data: dict[IntKey, int] = {}
     for n in range(truncation + 1):
         if not running:
             data = {}
         add_level(data, n)
-        levels[n] = FormalCharacter.from_int_keys(gs, data, weights)
+        levels[n] = FormalCharacter.from_int_keys(gs, data, pairs)
     return GradedCharacter(case, gs, levels)
 
 
@@ -219,7 +226,11 @@ def dualpair_graded(case: str, truncation: int) -> GradedCharacter:
     Levels are assembled from the certified closed forms on integer keys:
     every sum runs over ``IntKey``s (doubled flat sort keys), each level is
     sorted on them, and ``FormalCharacter.from_int_keys`` builds one
-    validated ``Weight`` per distinct term, shared by every level it is in.
+    validated ``Weight`` per distinct term, shared by every level it is in;
+    a term whose multiplicity is unchanged from level n-1 is level n-1's very
+    ``(Weight, multiplicity)`` pair, so a running sum, whose multiplicities
+    never fall, holds one pair per distinct term value.  The build fills
+    neither ``_hermJ_level`` nor ``sp1so2_coefficients``.
     """
     if case not in DUALPAIR_CASES:
         raise KeyError(f"unknown case {case!r}")

@@ -279,8 +279,11 @@ _TABLES = {
 
 
 def default_fixture_dir() -> Path:
-    """The repository's ``fixtures/``, whatever the current directory."""
-    path = Path(__file__).resolve().parents[2] / "fixtures"
+    """The package's own ``fixtures/``, shipped as package data, whatever
+    the current directory and wherever the package is installed."""
+    from importlib.resources import files  # only the commands that read tables
+
+    path = files(__package__) / "fixtures"
     if not path.is_dir():
         raise FixtureError(f"no fixtures directory at {path}")
     return path

@@ -628,6 +628,19 @@ def test_two_parameter_rules_match_the_oracle_beyond_the_grid(rule_id, data):
     assert got == rule.closed(*params), (rule_id, params)
 
 
+@pytest.mark.parametrize(
+    "rule_id", ["sp4_to_sp2sp2", "spin10_halfspin", "su6_omega3", "su6_omega3_to_sp3"]
+)
+def test_one_parameter_rules_replay_to_level_eight(rule_id):
+    # Past criterion 2's level 4: every one-parameter rule against the
+    # oracle at levels 0..8, with a budget that no case reaches.
+    report = verify_rule(rule_id, 8, 10**9)
+    assert [c.name for c in report.checks] == [f"{rule_id} {n}" for n in range(9)]
+    assert [c.status for c in report.checks] == ["PASS"] * 9, [
+        (c.name, c.status) for c in report.checks if c.status != "PASS"
+    ]
+
+
 def test_verify_rule_rejects_unknown():
     with pytest.raises(KeyError):
         verify_rule("nonsense")

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import liedual.charalg as charalg
 import liedual.lattice as lattice
+import liedual.minrep as minrep
 from liedual.rules import (
     RULES,
     branch_so5_to_so3so2,
@@ -422,6 +423,46 @@ def test_graded_levels_validate_each_distinct_term_once(monkeypatch):
     # a term of level 4 is the very Weight of level 5
     level5 = {w: w for w, _ in graded.levels[5].terms}
     assert all(level5[w] is w for w, _ in graded.levels[4].terms)
+
+
+# The truncations of the graded-series benchmark.
+_BENCH_TRUNCATIONS = {"splitJ-splitE": 12, "splitJ-mixedE": 14, "hermJ-mixedE": 14, "e62-spin8": 24}
+
+
+@pytest.mark.parametrize("case", sorted(_BENCH_TRUNCATIONS))
+def test_graded_levels_share_pairs_and_keep_values(case):
+    # Each level equals a build of the same keys with no shared memo; a term
+    # whose multiplicity is unchanged from level n-1 is that level's very
+    # (Weight, multiplicity) pair, and a changed one a new pair around the
+    # same Weight.  At these truncations every case then holds one pair
+    # object per distinct term value, and one charge tuple per distinct tail.
+    top = _BENCH_TRUNCATIONS[case]
+    graded = dualpair_graded(case, top)
+    gs, add_level, running = minrep._LEVELS[case]
+    data = {}
+    previous = {}
+    shared = 0
+    for n in range(top + 1):
+        if not running:
+            data = {}
+        add_level(data, n)
+        level = graded.levels[n]
+        assert level == FormalCharacter.from_int_keys(gs, data), (case, n)
+        for pair in level.terms:
+            old = previous.get(pair[0])
+            if old is None:
+                continue
+            assert old[0] is pair[0]
+            if old[1] == pair[1]:
+                assert old is pair, (case, n, format_weight(pair[0]))
+                shared += 1
+        previous = {pair[0]: pair for pair in level.terms}
+    pairs = [pair for level in graded.levels.values() for pair in level.terms]
+    assert len({id(pair) for pair in pairs}) == len(set(pairs))
+    charges = [w.charges for w, _ in pairs]
+    assert len({id(c) for c in charges}) == len(set(charges))
+    if case == "splitJ-mixedE":  # a type keeps its multiplicity once it appears
+        assert shared == len(pairs) - len(set(pairs)) > 0
 
 
 # --------------------------------------------------------------------------

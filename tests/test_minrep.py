@@ -177,6 +177,42 @@ def test_hermJ_count_without_charge_is_the_sum_of_the_charge_blocks():
     assert present > 100
 
 
+def test_charged_level_builds_equal_their_cached_blocks():
+    # Two paths: the level builds read the closed-form cores directly, the
+    # per-charge and per-type queries read the cached blocks.
+    for n in range(15):
+        direct: dict = {}
+        minrep._hermJ_mixedE(direct, n)
+        blocks: dict = {}
+        for m in range(-n, n + 1):
+            for ((x, y), z), mult in _hermJ_level(n, m).items():
+                key = (2 * x, 2 * y, 2 * z, 2 * m)
+                blocks[key] = blocks.get(key, 0) + mult
+        assert direct == blocks, n
+        direct = {}
+        minrep._splitJ_mixedE(direct, n)
+        assert {key[0] for key in direct} == {2 * n}
+        for y in range(n + 1):
+            block = {(z // 2, m // 2): v for (_, yy, z, m), v in direct.items() if yy == 2 * y}
+            assert block == dict(sp1so2_coefficients(n, y)), (n, y)
+        assert sum(len(sp1so2_coefficients(n, y)) for y in range(n + 1)) == len(direct)
+
+
+def test_dualpair_graded_fills_no_block_cache():
+    # The level builds leave _hermJ_level and sp1so2_coefficients to the
+    # per-charge and per-type queries, which alone fill them.
+    _hermJ_level.cache_clear()
+    sp1so2_coefficients.cache_clear()
+    dualpair_graded("hermJ-mixedE", 8)
+    dualpair_graded("splitJ-mixedE", 8)
+    assert _hermJ_level.cache_info().currsize == 0
+    assert sp1so2_coefficients.cache_info().currsize == 0
+    ktype_multiplicity("hermJ-mixedE", wp(0, 0, 4), 3, 1)
+    ktype_multiplicity("splitJ-mixedE", wp(2, 0, 0), 3)
+    assert _hermJ_level.cache_info().currsize == 1
+    assert sp1so2_coefficients.cache_info().currsize == 1
+
+
 def test_so3_invariants_examples():
     assert so3_invariants(0, 0, 0, 0) == 1
     assert so3_invariants(1, 1, 1, 1) == 2

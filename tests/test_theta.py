@@ -1,11 +1,17 @@
 """Infinitesimal-character transfer, multiplicity counts, table fixtures."""
 
+import os
+import shutil
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liedual
 from liedual import theta
 from liedual.charalg import infinitesimal_character
 from liedual.cli import main
@@ -251,6 +257,36 @@ def test_verify_table_fixture_errors(tmp_path):
     bad.write_text("0\t0,0,0,0\t1\n", encoding="utf-8")
     with pytest.raises(FixtureError):
         verify_table("split", tmp_path)
+
+
+def test_shipped_fixtures_are_the_repository_copies_byte_for_byte():
+    # The package reads its own fixtures/, shipped as package data; the
+    # benchmark harness reads the repository's.  The two must not drift.
+    shipped = default_fixture_dir()
+    assert shipped == Path(liedual.__file__).parent / "fixtures"
+    root = Path(__file__).resolve().parents[1] / "fixtures"
+    names = ["quasisplit_table.tsv", "split_table.tsv"]
+    assert sorted(p.name for p in shipped.iterdir()) == names
+    assert sorted(p.name for p in root.iterdir()) == names
+    for name in names:
+        assert (shipped / name).read_bytes() == (root / name).read_bytes(), name
+
+
+def test_verify_tables_runs_from_a_package_copied_outside_the_checkout(tmp_path):
+    # What a non-editable install holds: the package directory alone, with
+    # no repository around it.
+    package = Path(liedual.__file__).parent
+    shutil.copytree(package, tmp_path / "liedual", ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "liedual", "verify", "tables"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.strip().endswith("PASS 36/36")
 
 
 def test_fixture_weight_of_wrong_length_names_its_line(tmp_path):
