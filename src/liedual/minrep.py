@@ -6,13 +6,15 @@ and the eventually-linear-growth verifier for multiplicity series.
 
 Level characters are assembled from the closed-form branching rules, which
 keeps every level cheap; the rules themselves are certified against the
-generic restriction oracle elsewhere.  ``minrep_levels`` and
-``dualpair_graded`` share one loop over ``_LEVELS``, one entry per case.
+generic restriction oracle elsewhere.  One ``_LEVELS`` entry per case holds
+its group, level builder, signed terms and series kind, read by one level
+loop and one sign reader, ``_level_sign``; only the splitJ-mixedE
+first-appearance sign, (-1)^(x/2), is not the level sign.
 
 ``TYPE_GROUPS`` holds the series cases' type groups, for ``cli`` and
 ``theta`` too.  ``_type_key``, the one K-type reader, runs once per public
-call.  ``sign_first_appearance`` checks first appearance through
-``ktype_multiplicity``; ``verify_series`` serves criteria 5 and 7 alike.
+call.  ``sign_first_appearance`` reads first appearance through
+``_key_multiplicity``; ``verify_series`` serves criteria 5 and 7 alike.
 """
 
 from __future__ import annotations
@@ -47,15 +49,6 @@ class OddParityWarning(UserWarning):
     """Diagonal-invariant count requested for an odd-sum four-tuple."""
 
 
-# The order-two sign is (-1)^n on level n; this says which terms carry it.
-_SIGNED_TERMS: dict[str, Callable[[Weight], bool]] = {
-    "split-E6": lambda w: True,
-    "splitJ-splitE": lambda w: True,
-    "splitJ-mixedE": lambda w: True,
-    "hermJ-mixedE": lambda w: w.parts[0] == (0, 0),
-}  # no term of the other cases is signed
-
-
 class GradedCharacter(NamedTuple):
     """Level-indexed formal characters, signed by the rule of their case."""
 
@@ -68,12 +61,12 @@ class GradedCharacter(NamedTuple):
 
         ``w`` is not checked to be a term of level ``n``: that scans the level.
         """
-        signed = _SIGNED_TERMS.get(self.case)
-        if n not in self.levels or signed is None or not signed(w):
+        sign = _level_sign(self.case, n, w) if n in self.levels else None
+        if sign is None:
             raise NotCoveredError(
                 f"no sign grading for level {n} term {format_weight(w)} in case {self.case}"
             )
-        return (-1) ** n
+        return sign
 
 
 def minrep_levels(case: str, truncation: int) -> GradedCharacter:
@@ -183,16 +176,26 @@ def _e62_spin8(data: dict[IntKey, int], n: int) -> None:
 
 
 # case: (group, the function adding level n's IntKey terms to a dict in
-# place, whether a level is a running sum that keeps level n-1's terms)
-_LEVELS: dict[str, tuple[GroupSpec, Callable[[dict[IntKey, int], int], None], bool]] = {
-    "split-E6": (group("C4"), _split_E6, False),
-    "hermitian-E6": (group("A1", "A5"), _hermitian_E6, False),
-    "e62-compact": (group("D5", circles=1), _e62_compact, False),
-    "splitJ-splitE": (group("A1", "A1", "A1", "A1"), _splitJ_splitE, True),
-    "splitJ-mixedE": (group("C2", "A1", circles=1), _splitJ_mixedE, True),
-    "hermJ-mixedE": (group("C2", "A1", circles=1), _hermJ_mixedE, False),
-    "e62-spin8": (group("D4", circles=3), _e62_spin8, False),
+# place, whether a level is a running sum that keeps level n-1's terms,
+# the factors whose part is zero in a term that carries the order-two sign
+# (-1)^n or None if none does, how a series case stabilizes or None)
+_LEVELS: dict[str, tuple[GroupSpec, Callable[[dict[IntKey, int], int], None], bool,
+                         tuple[int, ...] | None, str | None]] = {
+    "split-E6": (group("C4"), _split_E6, False, (), None),
+    "hermitian-E6": (group("A1", "A5"), _hermitian_E6, False, None, None),
+    "e62-compact": (group("D5", circles=1), _e62_compact, False, None, None),
+    "splitJ-splitE": (group("A1", "A1", "A1", "A1"), _splitJ_splitE, True, (), "increment"),
+    "splitJ-mixedE": (group("C2", "A1", circles=1), _splitJ_mixedE, True, (), "value"),
+    "hermJ-mixedE": (group("C2", "A1", circles=1), _hermJ_mixedE, False, (0,), "value"),
+    "e62-spin8": (group("D4", circles=3), _e62_spin8, False, None, None),
 }
+
+
+def _level_sign(case: str, n: int, w: Weight) -> int | None:
+    """The order-two sign (-1)^n of level n's term (or type) ``w``, or None
+    if its case does not sign it.  ``w`` is not checked to be in level n."""
+    zero = _LEVELS[case][3]
+    return None if zero is None or any(any(w.parts[f]) for f in zero) else (-1) ** n
 
 
 def _graded(case: str, truncation: int) -> GradedCharacter:
@@ -201,7 +204,7 @@ def _graded(case: str, truncation: int) -> GradedCharacter:
     level's very ``(Weight, multiplicity)`` pair."""
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
-    gs, add_level, running = _LEVELS[case]
+    gs, add_level, running = _LEVELS[case][:3]
     levels: dict[int, FormalCharacter] = {}
     pairs: dict[IntKey, tuple[Weight, int]] = {}
     data: dict[IntKey, int] = {}
@@ -239,8 +242,7 @@ def dualpair_graded(case: str, truncation: int) -> GradedCharacter:
 
 # Each series case's type group: its level group without the circle.
 TYPE_GROUPS: dict[str, GroupSpec] = {
-    case: GroupSpec(_LEVELS[case][0].factors)
-    for case in ("splitJ-splitE", "splitJ-mixedE", "hermJ-mixedE")
+    case: GroupSpec(gs.factors) for case, (gs, *_, kind) in _LEVELS.items() if kind
 }
 
 
@@ -365,15 +367,11 @@ def multiplicity_series(
         raise ValueError("truncation must be non-negative")
     key = _type_key(case, ktype)
     values = tuple(_key_multiplicity(case, key, n, m) for n in range(truncation + 1))
-    stabilized: int | None = None
-    kind: str | None = None
-    if case in ("splitJ-mixedE", "hermJ-mixedE"):
-        kind = "value"
-        stabilized = values[-1]
-    elif case == "splitJ-splitE":
-        kind = "increment"
-        stabilized = values[-1] - values[-2] if len(values) > 1 else values[-1]
-    if kind is not None and not any(values):
+    kind = _LEVELS[case][4]
+    if kind is None:
+        return MultiplicitySeries(case, ktype, m, values)
+    stabilized = values[-1] - (values[-2] if kind == "increment" and truncation else 0)
+    if not any(values):
         horizon = _appearance_horizon(case, key)
         if horizon > truncation and _key_multiplicity(case, key, horizon, m):
             stabilized = kind = None  # the type first appears after the truncation
@@ -389,10 +387,7 @@ def _appearance_horizon(case: str, key: IntKey) -> int:
     V_c (x) V_d in one Sp(2) irreducible, which the first (a+b+c+d)/2
     levels hold if any level does (criterion 3 for d = 0).
     """
-    if case == "splitJ-splitE":
-        return sum(_ints(key)) // 2
-    x, y, z = _ints(key)
-    return x if case == "splitJ-mixedE" else (x + y + z) // 2
+    return _ints(key)[0] if case == "splitJ-mixedE" else sum(_ints(key)) // 2
 
 
 class SeriesCheck(NamedTuple):
@@ -472,34 +467,34 @@ def sign_first_appearance(case: str, ktype: Weight) -> SignAssignment:
     """
     key = _type_key(case, ktype)
     if case == "splitJ-splitE":
-        vals = _ints(key)
-        if 0 not in vals:
+        rest = list(_ints(key))
+        if 0 not in rest:
             raise NotCoveredError("need a zero coordinate")
-        rest = list(vals)
         rest.remove(0)
         a, b, c = rest
         if any(v % 2 for v in rest):
             raise NotCoveredError("need even coordinates")
         if not so3_cone_ok(a, b, c, 0):
             raise NotCoveredError("triangle condition fails")
-        witness = (a + b + c) // 2
-        sign, charge = (-1) ** witness, None
+        witness, charge = (a + b + c) // 2, None
     elif case == "splitJ-mixedE":
         x, y, z = _ints(key)
         if y != 0 or z != 0 or x % 2:
             raise NotCoveredError("family is V_(2k,0) (x) V_0")
-        witness, sign, charge = x, (-1) ** (x // 2), 0
+        witness, charge = x, 0
     elif case == "hermJ-mixedE":
         x, y, z = _ints(key)
         if x != 0 or y != 0 or z == 0 or z % 2:
             raise NotCoveredError("family is V_(0,0) (x) V_(2k), k >= 1")
-        witness = z // 2 - 1
-        sign, charge = (-1) ** witness, 0
+        witness, charge = z // 2 - 1, 0
     else:
         raise NotCoveredError(f"no sign grading in case {case}")
     if (
-        ktype_multiplicity(case, ktype, witness, charge) != 1
-        or ktype_multiplicity(case, ktype, witness - 1, charge) != 0
+        _key_multiplicity(case, key, witness, charge) != 1
+        or _key_multiplicity(case, key, witness - 1, charge) != 0
     ):
         raise InvariantError(f"{case}: level {witness} is not a first appearance")
+    # splitJ-mixedE: (-1)^(x/2), where the level sign of the same term is +1;
+    # the two readers disagree here until a twining-character oracle decides.
+    sign = (-1) ** (witness // 2) if case == "splitJ-mixedE" else _level_sign(case, witness, ktype)
     return SignAssignment(witness, sign)

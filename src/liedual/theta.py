@@ -47,11 +47,12 @@ from .minrep import (
 from .rules import Check, Report
 
 _TORUS_CASES = {
-    # (E, K) labels: split/hermitian Jordan algebra x split/complex torus part.
-    "R3-R2": "all rational",
-    "R3-C": "all integral",
-    "RC-R2": "first rational, difference of last two integral",
-    "RC-C": "first integral, difference of last two integral",
+    # (E, K) labels: split/hermitian Jordan algebra x split/complex torus
+    # part, each with the linear forms of nu = (a, b, c) that are integers.
+    "R3-R2": (),  # all rational
+    "R3-C": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),  # all integral
+    "RC-R2": ((0, 1, -1),),  # first rational, difference of last two integral
+    "RC-C": ((1, 0, 0), (0, 1, -1)),  # first integral, difference of last two integral
 }
 
 
@@ -73,12 +74,9 @@ class TorusCharacterData(FrozenRecord):
         if case is not None:
             if case not in _TORUS_CASES:
                 raise ValueError(f"unknown torus case {case!r}")
-            if case == "R3-C" and any(v.denominator != 1 for v in nu):
-                raise ValueError("R3-C characters are integer triples")
-            if case == "RC-R2" and (nu[1] - nu[2]).denominator != 1:
-                raise ValueError("complex-place parameters differ by an integer")
-            if case == "RC-C" and nu[0].denominator != 1:
-                raise ValueError("RC-C characters have an integer first entry")
+            for form in _TORUS_CASES[case]:
+                if sum(f * v for f, v in zip(form, nu)).denominator != 1:
+                    raise ValueError(f"{case} characters need {form} . (a, b, c) integral")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "case", case)
 

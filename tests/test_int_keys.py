@@ -438,7 +438,7 @@ def test_graded_levels_share_pairs_and_keep_values(case):
     # object per distinct term value, and one charge tuple per distinct tail.
     top = _BENCH_TRUNCATIONS[case]
     graded = dualpair_graded(case, top)
-    gs, add_level, running = minrep._LEVELS[case]
+    gs, add_level, running = minrep._LEVELS[case][:3]
     data = {}
     previous = {}
     shared = 0

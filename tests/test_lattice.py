@@ -293,8 +293,8 @@ def _fundamental_weights(rs):
         tuple(Q(int(k < j)) for k in range(rs.ambient_dim)) for j in range(1, rs.rank + 1)
     ]
     h = Q(1, 2)
-    if rs.label == "B2":
-        omegas[-1] = (h, h)
+    if rs.series == "B":
+        omegas[-1] = (h,) * rs.rank
     if rs.series == "D":
         omegas[-2] = (h,) * (rs.rank - 1) + (-h,)
         omegas[-1] = (h,) * rs.rank

@@ -390,6 +390,20 @@ def test_sign_first_appearance_hermitian():
         sign_first_appearance("hermJ-mixedE", wp(2, 0, 2))
 
 
+def test_split_mixed_first_appearance_sign_is_not_the_level_sign():
+    # The one place the two sign readers differ: V_(2k,0) (x) V_0 first
+    # appears at level 2k with sign (-1)^k, where the level sign of that
+    # level's charge-0 term is (-1)^(2k) = +1.  Settling the signs must
+    # change this on purpose.
+    g = dualpair_graded("splitJ-mixedE", 6)
+    for k in range(4):
+        w = wp(2 * k, 0, 0)
+        res = sign_first_appearance("splitJ-mixedE", w)
+        assert (res.witness_level, res.sign) == (2 * k, (-1) ** k)
+        (term,) = [t for t, _ in g.levels[2 * k].terms if t == Weight(w.parts, (Q(0),))]
+        assert g.sign_of(2 * k, term) == 1
+
+
 @pytest.mark.parametrize("table", [sp1so2_coefficients, _hermJ_level])
 def test_cached_tables_are_read_only(table):
     before = dict(table(2, 0))
@@ -596,14 +610,14 @@ def test_multiplicity_series_rejects_negative_truncation(case):
     ids=["splitJ-splitE", "splitJ-mixedE", "hermJ-mixedE"],
 )
 def test_first_appearance_reads_ktype_multiplicity(monkeypatch, case, w):
-    # Every family checks its witness through ktype_multiplicity alone, so
+    # Every family checks its witness through _key_multiplicity alone, so
     # shifting that one reader by a level breaks each first appearance.
-    real = minrep.ktype_multiplicity
+    real = minrep._key_multiplicity
 
-    def shifted(case, ktype, n, m=None):
-        return real(case, ktype, n - 1, m)
+    def shifted(case, key, n, m):
+        return real(case, key, n - 1, m)
 
-    monkeypatch.setattr(minrep, "ktype_multiplicity", shifted)
+    monkeypatch.setattr(minrep, "_key_multiplicity", shifted)
     with pytest.raises(InvariantError, match="not a first appearance"):
         sign_first_appearance(case, w)
 

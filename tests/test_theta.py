@@ -1,5 +1,6 @@
 """Infinitesimal-character transfer, multiplicity counts, table fixtures."""
 
+import itertools
 import os
 import shutil
 import subprocess
@@ -13,11 +14,13 @@ from hypothesis import strategies as st
 
 import liedual
 from liedual import theta
+from liedual.branching import embedding, restrict_generic
 from liedual.charalg import infinitesimal_character
 from liedual.cli import main
 from liedual.lattice import (
     build_root_system,
     dominant_conjugate_by_reflections,
+    make_weight,
     qv,
     vadd,
     vscale,
@@ -57,6 +60,17 @@ def test_torus_character_validation():
     with pytest.raises(ValueError):
         TorusCharacterData((Q(0), Q(1, 4), Q(-1, 4)), case="RC-R2")
     torus_character(0, Q(1, 2), Q(-1, 2), case="R3-R2")
+
+
+def test_rc_c_torus_character_needs_integral_difference():
+    # RC-C needs an integral first entry and an integral b - c, as RC-R2
+    # needs the latter: a triple RC-R2 rejects for its difference RC-C
+    # rejects too.
+    nu = (Q(0), Q(1, 4), Q(-1, 4))
+    for case in ("RC-R2", "RC-C"):
+        with pytest.raises(ValueError, match=f"{case} characters need"):
+            TorusCharacterData(nu, case=case)
+    TorusCharacterData((Q(1), Q(1, 2), Q(-3, 2)), case="RC-C")
 
 
 def test_infchar_lift_examples():
@@ -130,6 +144,21 @@ def test_ps_multiplicity_split_delegates_to_invariants():
     assert ps_multiplicity_split(0, 0, 0, 0) == 1
     assert ps_multiplicity_split(1, 1, 1, 1) == 2
     assert ps_multiplicity_split(2, 2, 2, 0) == 1
+
+
+def test_ps_multiplicity_split_is_the_diagonal_invariant_count():
+    # The closed count against the restriction oracle: the multiplicity of
+    # V_0 in V_a (x) V_b (x) V_c (x) V_d restricted to the diagonal SU2, for
+    # every even-sum type with entries at most 4.
+    e = embedding("diag_su2_in_su2x4")
+    trivial = make_weight(e.small, ((0,),))
+    types = [t for t in itertools.product(range(5), repeat=4) if sum(t) % 2 == 0]
+    assert len(types) == 313
+    for t in types:
+        hw = make_weight(e.big, tuple((v,) for v in t))
+        assert ps_multiplicity_split(*t) == restrict_generic(e, hw).decomposition.multiplicity(
+            trivial
+        ), t
 
 
 def test_ps_multiplicity_quasisplit_examples():
