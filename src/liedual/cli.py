@@ -347,12 +347,9 @@ def cmd_minrep(args: argparse.Namespace) -> int:
     series = minrep.multiplicity_series(case, ktype, args.max_level, args.charge)
     tag = None
     try:
-        assignment = minrep.sign_first_appearance(case, ktype)
-        tag = assignment.side
-    except minrep.NotCoveredError as exc:
-        if args.sign:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        tag = minrep.sign_first_appearance(case, ktype).side
+    except minrep.NotCoveredError:
+        pass
     payload = {
         "command": "minrep",
         "inputs": {
@@ -427,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_minrep.add_argument("--type", required=True, help='e.g. "0,0,0,0" or "(2,0)x0"')
     p_minrep.add_argument("--charge", type=int, default=None)
     p_minrep.add_argument("--max-level", type=_int_in(0, MAX_MINREP_LEVEL), default=12)
-    p_minrep.add_argument("--sign", action="store_true", help="require a sign tag")
     p_minrep.add_argument("--format", choices=("pretty", "json", "tsv"), default="pretty")
     p_minrep.set_defaults(func=cmd_minrep)
     return parser

@@ -20,10 +20,10 @@ A ``Weight`` crosses to and from its ``IntKey`` here and nowhere else:
 ``format_weight`` the one speller, as the command line writes a weight
 (``spell`` writes one vector, ``spell_key`` an unvalidated key, so that
 building a message never raises, ``format_terms`` a character's terms;
-no other module spells them).  Both crossings and ``check_int_key``
-validate through one private reader, ``_key_parts``, which judges each
-distinct (type, factor part) once: ``_part`` caches its lattice and
-canonical-A verdicts with its ``Fraction`` halves, filled on first use.
+no other module spells them).  Both crossings validate through
+``check_int_key``, which returns the shared halves of the factor parts and
+judges each distinct (type, factor part) once: ``_part`` caches its lattice
+and canonical-A verdicts with its ``Fraction`` halves, filled on first use.
 The verdicts are read again on every call, so a rejected part raises each
 time, and equal parts of the ``Weight``s built are one shared tuple.
 Everything here is immutable, and pure but for those caches.
@@ -407,13 +407,6 @@ def twice_root_coordinates(rs: RootSystem, v: Vector) -> tuple[int, ...] | None:
     return tuple(2 * s for s in sums[:-2]) + (2 * sums[-2] - sums[-1], sums[-1])
 
 
-def root_coordinates(rs: RootSystem, v: Vector) -> tuple[Q, ...] | None:
-    """Coefficients of ``v`` in the simple-root basis, or None if off-span:
-    ``twice_root_coordinates`` halved, as ``Fraction``s."""
-    twice = twice_root_coordinates(rs, v)
-    return None if twice is None else tuple(Q(c, 2) for c in twice)
-
-
 def _on_lattice(rs: RootSystem, part: Doubled) -> bool:
     """The weight-lattice rule on doubled coordinates, length included.
 
@@ -569,15 +562,6 @@ def make_weight(
     return Weight(tuple(normalized), chg)
 
 
-def check_int_key(gs: GroupSpec, key: IntKey) -> None:
-    """Validate a flat doubled key of ``gs`` on integers alone: its length
-    (width plus circles), ``_on_lattice`` per factor part, and the canonical
-    A form (minimum 0), which ``make_weight`` would otherwise normalize to.
-    The charges need no check: half of any integer is a half-integer, all
-    that ``make_weight`` asks of a charge.  Read through ``_key_parts``."""
-    _key_parts(gs, key)
-
-
 @functools.lru_cache(maxsize=None)
 def _half(x: int) -> Q:
     """x/2 as a ``Fraction``: one object per doubled coordinate value."""
@@ -604,11 +588,14 @@ def _part(label: str, part: Doubled) -> tuple[bool, bool, Vector]:
     )
 
 
-def _key_parts(gs: GroupSpec, key: IntKey) -> tuple[Vector, ...]:
-    """The ``check_int_key`` validation, read from the ``_part`` verdicts,
-    which raise again on every call: the length first, then the first factor
-    part off the lattice, in factor order, then the canonical A form.
-    Returns the shared halves of each factor part."""
+def check_int_key(gs: GroupSpec, key: IntKey) -> tuple[Vector, ...]:
+    """Validate a flat doubled key of ``gs`` on integers alone and return the
+    shared ``_part`` halves of its factor parts.  Checked in order: its length
+    (width plus circles), ``_on_lattice`` per factor part, in factor order,
+    then the canonical A form (minimum 0), which ``make_weight`` would
+    otherwise normalize to.  The verdicts are cached, but raise again on every
+    call.  The charges need no check: half of any integer is a half-integer,
+    all that ``make_weight`` asks of a charge."""
     if len(key) != gs.width + gs.circles:
         raise InvalidWeightError(f"{key} is not a flat key of {gs}")
     parts = []
@@ -627,8 +614,8 @@ def _key_parts(gs: GroupSpec, key: IntKey) -> tuple[Vector, ...]:
 def weight_key(gs: GroupSpec, w: Weight) -> IntKey:
     """The one way from a ``Weight`` of ``gs`` to its ``IntKey``: one part
     per factor, of that factor's length, one charge per circle, and every
-    coordinate an integer or half-integer; then ``doubled`` and the
-    ``check_int_key`` validation.  Errors spell ``w`` as the command line does."""
+    coordinate an integer or half-integer; then ``doubled`` and
+    ``check_int_key``.  Errors spell ``w`` as the command line does."""
     flat = w.sort_key()
     if (
         [len(part) for part in w.parts] != [rs.ambient_dim for rs in gs.factors]
@@ -637,16 +624,16 @@ def weight_key(gs: GroupSpec, w: Weight) -> IntKey:
     ):
         raise InvalidWeightError(f"{format_weight(w)} is not a weight of {gs}")
     key = doubled(flat)
-    _key_parts(gs, key)
+    check_int_key(gs, key)
     return key
 
 
 def key_weight(gs: GroupSpec, key: IntKey) -> Weight:
-    """The one way from an ``IntKey`` of ``gs`` back to its ``Weight``,
-    validated as ``check_int_key`` does, from the shared ``_part`` halves:
-    equal factor parts are one tuple, equal charge tails one ``_charges``
-    tuple, equal coordinates one ``Fraction``."""
-    return Weight(_key_parts(gs, key), _charges(key[gs.width :]))
+    """The one way from an ``IntKey`` of ``gs`` back to its ``Weight``, built
+    from the shared halves ``check_int_key`` returns: equal factor parts are
+    one tuple, equal charge tails one ``_charges`` tuple, equal coordinates
+    one ``Fraction``."""
+    return Weight(check_int_key(gs, key), _charges(key[gs.width :]))
 
 
 def format_weight(w: Weight) -> str:

@@ -101,10 +101,6 @@ def sp1so2_coefficients(x: int, y: int) -> Mapping[tuple[int, int], int]:
     return MappingProxyType(_so5_to_so3so2_core(x + y, x - y))
 
 
-def sp1so2_coefficient(x: int, y: int, z: int, m: int) -> int:
-    return sp1so2_coefficients(x, y).get((z, m), 0)
-
-
 @functools.lru_cache(maxsize=None)
 def _hermJ_level(n: int, m: int) -> Mapping[tuple[tuple[int, int], int], int]:
     """Charge-m block of level n for the quasi-split hermitian dual pair.
@@ -301,7 +297,7 @@ def _key_multiplicity(case: str, key: IntKey, n: int, m: int | None) -> int:
             return 0
         if m is None:
             return sum(v for (zz, _), v in sp1so2_coefficients(x, y).items() if zz == z)
-        return sp1so2_coefficient(x, y, z, m)
+        return sp1so2_coefficients(x, y).get((z, m), 0)
     if m is not None:  # hermJ-mixedE
         return quasisplit_level_multiplicity(x, y, z, m, n)
     # Every charge at once, without building the blocks: count the inner
@@ -434,14 +430,10 @@ def verify_series(
     # A constant value tail holds at least v[-2:]; an increment tail must too.
     if onset > len(v) - 2:
         return SeriesCheck(False, None, None, None, "increments not eventually constant")
-    if expected_onset is not None and onset != expected_onset:
-        return SeriesCheck(
-            False, kind, bound, onset, f"onset {onset} != predicted {expected_onset}"
-        )
-    if expected_bound is not None and bound != expected_bound:
-        return SeriesCheck(
-            False, kind, bound, onset, f"bound {bound} != predicted {expected_bound}"
-        )
+    predicted = (("onset", onset, expected_onset), ("bound", bound, expected_bound))
+    for name, got, expected in predicted:
+        if expected is not None and got != expected:
+            return SeriesCheck(False, kind, bound, onset, f"{name} {got} != predicted {expected}")
     return SeriesCheck(True, kind, bound, onset, "ok")
 
 

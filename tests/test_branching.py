@@ -646,6 +646,31 @@ def test_verify_rule_rejects_unknown():
         verify_rule("nonsense")
 
 
+@pytest.mark.parametrize(
+    "rule, args, message",
+    [
+        (branch_sp4_to_sp2sp2, (-1,), "level must be non-negative"),
+        (branch_spin10_halfspin_to_spin8u1, (-1,), "level must be non-negative"),
+        (branch_su6_omega3_to_sp2su2u1, (-1, 0), "level must be non-negative"),
+        (branch_su6_omega3_to_sp3, (-1,), "level must be non-negative"),
+        (branch_so5_to_so3so2, (0, 1), "need a >= b >= 0 with a = b mod Z"),
+    ],
+    ids=["sp4_to_sp2sp2", "spin10_halfspin", "su6_omega3", "su6_omega3_to_sp3", "so5_to_so3so2"],
+)
+def test_closed_forms_refuse_bad_parameters(rule, args, message):
+    with pytest.raises(ValueError) as info:
+        rule(*args)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("name", ["nope", "sp4_to_sp2sp2"])
+def test_embedding_refuses_unknown_names(name):
+    # A rule id is not an embedding name.
+    with pytest.raises(KeyError) as info:
+        embedding(name)
+    assert type(info.value) is KeyError and info.value.args == (f"unknown embedding {name!r}",)
+
+
 _UNDER_O = """
 import sys
 from liedual import branching, rules

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liedual.charalg import (
+    FormalCharacter,
     NonDominantError,
     dimension,
     freudenthal_total,
@@ -32,7 +33,7 @@ from liedual.lattice import (
     make_weight,
     qv,
     reflect,
-    root_coordinates,
+    twice_root_coordinates,
     vadd,
     vscale,
     weyl_orbit,
@@ -242,8 +243,8 @@ def test_int_and_fraction_inputs_agree(label):
     hw = _INTEGRAL_WEIGHTS[label]
     exact = tuple(Q(x) for x in hw)
     span = vadd(rs.simple_roots[0], rs.simple_roots[-1])
-    coords = root_coordinates(rs, tuple(int(x) for x in span))
-    assert coords is not None and coords == root_coordinates(rs, span)
+    coords = twice_root_coordinates(rs, tuple(int(x) for x in span))
+    assert coords is not None and coords == twice_root_coordinates(rs, span)
     assert all(isinstance(c, (int, Q)) for c in coords)  # no float halves
     assert dimension(rs, hw) == dimension(rs, exact)
     assert freudenthal_total(rs, hw) == freudenthal_total(rs, exact) == dimension(rs, exact)
@@ -371,3 +372,22 @@ def test_weight_dimension_products():
     gs = group("C2", "A1")
     w = make_weight(gs, ((1, 1), (2,)))
     assert weight_dimension(gs, w) == 15
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: FormalCharacter.from_dict(group("A1"), {make_weight(group("A1"), ((1,),)): -1}),
+            ValueError,
+            "formal characters carry non-negative multiplicities",
+        ),
+        (lambda: su2_tensor(-1, 0), NonDominantError, "negative A1 weight"),
+        (lambda: freudenthal_total(C2, qv(0, 1)), NonDominantError, "(0,1) is not dominant for C2"),
+    ],
+    ids=["from_dict-negative", "su2_tensor-negative", "freudenthal_total-non-dominant"],
+)
+def test_input_checks_raise_with_a_message(call, error, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

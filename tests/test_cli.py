@@ -257,16 +257,13 @@ def test_minrep_series_hermitian_json(capsys):
     assert payload["tag"] == "epsilon"
 
 
-def test_minrep_sign_required_but_not_covered(capsys):
-    code, _, err = run(
-        capsys,
-        "minrep",
-        "splitJ-mixedE",
-        "--type",
-        "(2,2)x0",
-        "--sign",
-    )
-    assert code == 2 and "family" in err
+def test_minrep_uncovered_type_has_no_tag(capsys):
+    # (2,2)x0 is outside the families the sign rules cover: the series is
+    # printed, the tag is null (no pretty line) and the call succeeds.
+    code, out, _ = run(capsys, "minrep", "splitJ-mixedE", "--type", "(2,2)x0", "--format", "json")
+    assert code == 0 and json.loads(out)["tag"] is None
+    code, out, _ = run(capsys, "minrep", "splitJ-mixedE", "--type", "(2,2)x0")
+    assert code == 0 and "first_level" in out and "tag" not in out
 
 
 def test_minrep_bad_type(capsys):
@@ -400,6 +397,18 @@ def test_bad_input_exits_2(capsys, argv):
     code, err = exit_code(capsys, *argv)
     assert code == 2
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "rules", "--jobs", "x"), "argument --jobs: 'x' is not an integer"),
+        (("verify", "rules", "--jobs", "1.5"), "argument --jobs: '1.5' is not an integer"),
+    ],
+)
+def test_non_integer_option_exits_2_with_its_text(capsys, argv, message):
+    code, err = exit_code(capsys, *argv)
+    assert code == 2 and err.endswith(f"error: {message}\n")
 
 
 def test_verify_max_level_is_bounded_before_any_grid(capsys, monkeypatch):

@@ -530,11 +530,14 @@ def test_check_int_key_agrees_with_make_weight(label, data):
     want = _make_weight_of_key(gs, key)
     for _ in range(2):
         checked = _verdict(check_int_key, gs, key)
-        assert (checked is None) == (want is not None), (gs, key)
         built = _verdict(key_weight, gs, key)
         if want is None:
-            assert built == checked, (gs, key)
+            assert isinstance(checked, str) and built == checked, (gs, key)
         else:
+            # A valid key returns the halves of make_weight's parts, the very
+            # tuples key_weight builds its Weight from.
+            assert checked == want.parts, (gs, key)
+            assert all(a is b for a, b in zip(built.parts, checked, strict=True)), (gs, key)
             assert built == want, (gs, key)
             assert all(type(x) is Q for x in built.sort_key()), (gs, key)
             (got, _), = FormalCharacter.from_int_keys(gs, {key: 1}).terms

@@ -17,6 +17,7 @@ from liedual.lattice import (
     cartan_matrix,
     dominant_conjugate,
     dominant_conjugate_by_reflections,
+    doubled,
     group,
     in_weight_lattice,
     is_dominant_vector,
@@ -26,7 +27,7 @@ from liedual.lattice import (
     qv,
     read_flat_weight,
     reflect,
-    root_coordinates,
+    twice_root_coordinates,
     vadd,
     vscale,
     vsub,
@@ -150,9 +151,9 @@ def test_roots_form_a_root_system(label):
     for a in rs.simple_roots:
         assert {reflect(r, a) for r in roots} == roots
     for r in rs.positive_roots:
-        coords = root_coordinates(rs, r)
+        coords = twice_root_coordinates(rs, r)
         assert coords is not None
-        assert all(c.denominator == 1 and c >= 0 for c in coords)
+        assert all(c % 2 == 0 and c >= 0 for c in coords)
 
 
 def test_d4_simple_roots_standard_coordinates():
@@ -361,8 +362,8 @@ def test_root_coordinates_roundtrip():
         v = tuple(Q(0) for _ in range(rs.ambient_dim))
         for c, a in zip(coeffs, rs.simple_roots):
             v = vadd(v, vscale(c, a))
-        assert root_coordinates(rs, v) == tuple(coeffs)
-    assert root_coordinates(build_root_system("A5"), qv(1, 0, 0, 0, 0, 0)) is None
+        assert twice_root_coordinates(rs, v) == tuple(2 * c for c in coeffs)
+    assert twice_root_coordinates(build_root_system("A5"), qv(1, 0, 0, 0, 0, 0)) is None
 
 
 def test_dominance_uses_stated_conventions():
@@ -419,3 +420,16 @@ def test_api_readers_refuse_exponents(call, text):
     with pytest.raises(ValueError) as raised:
         call()
     assert str(raised.value) == f"bad rational {text!r}"
+
+
+@pytest.mark.parametrize(
+    "v, message",
+    [
+        ((Q(1, 3),), "(1/3) is not a weight-lattice vector"),
+        ((Q(1, 2), Q(2, 3)), "(1/2,2/3) is not a weight-lattice vector"),
+    ],
+)
+def test_doubled_refuses_thirds(v, message):
+    with pytest.raises(InvalidWeightError) as info:
+        doubled(v)
+    assert type(info.value) is InvalidWeightError and str(info.value) == message

@@ -27,7 +27,6 @@ from liedual.minrep import (
     sign_first_appearance,
     so3_cone_ok,
     so3_invariants,
-    sp1so2_coefficient,
     sp1so2_coefficients,
     verify_series,
 )
@@ -147,7 +146,7 @@ def test_ktype_multiplicity_split_formula_examples():
 def test_ktype_multiplicity_mixed_is_step_function():
     # stabilization at n = x with value d from the circle-refined branching
     for (x, y, z, m) in [(1, 1, 2, 0), (2, 0, 0, 0), (2, 1, 1, 1), (3, 1, 2, 2)]:
-        d = sp1so2_coefficient(x, y, z, m)
+        d = sp1so2_coefficients(x, y).get((z, m), 0)
         series = [
             ktype_multiplicity("splitJ-mixedE", wp(x, y, z), n, m) for n in range(8)
         ]
@@ -412,7 +411,7 @@ def test_cached_tables_are_read_only(table):
         table(2, 0)[key] = 99
     assert dict(table(2, 0)) == before
     if table is sp1so2_coefficients:
-        assert sp1so2_coefficient(2, 0, *key) == before[key]
+        assert sp1so2_coefficients(2, 0).get(key, 0) == before[key]
 
 
 def test_unknown_cases_rejected():
@@ -634,3 +633,25 @@ def test_verifier_rejection_reasons(values, bound, reason):
     series = MultiplicitySeries("splitJ-splitE", w4(0, 0, 0, 0), None, values)
     check = verify_series(series, expected_bound=bound)
     assert not check.accepted and check.reason == reason
+
+
+def test_verifier_checks_onset_before_bound():
+    series = MultiplicitySeries("splitJ-splitE", w4(0, 0, 0, 0), None, (0, 1, 1, 1))
+    check = verify_series(series, expected_onset=5, expected_bound=2)
+    assert check == (False, "value", 1, 1, "onset 1 != predicted 5")
+    assert verify_series(series, expected_onset=1, expected_bound=2).reason == "bound 1 != predicted 2"
+    assert verify_series(series, expected_onset=1, expected_bound=1).accepted
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dualpair_graded("splitJ-splitE", -1), "truncation must be non-negative"),
+        (lambda: so3_invariants(-1, 0, 0, 0), "weights must be non-negative"),
+    ],
+    ids=["dualpair_graded", "so3_invariants"],
+)
+def test_input_checks_raise_with_a_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

@@ -381,3 +381,26 @@ def test_split_table_types_signs_consistent_with_first_appearance():
         assert res.side == expected
         covered += 1
     assert covered >= 8
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TorusCharacterData((Q(0),) * 3, "nope"), ValueError, "unknown torus case 'nope'"),
+        (lambda: ps_multiplicity_quasisplit(0, 1, 0, 0), ValueError, "invalid type"),
+        (lambda: quasisplit_stabilized_count(0, 1, 0, 0), ValueError, "invalid type"),
+        (lambda: verify_table("nope"), KeyError, "unknown table 'nope'"),
+    ],
+    ids=["torus-case", "ps_multiplicity_quasisplit", "quasisplit_stabilized_count", "verify_table"],
+)
+def test_input_checks_raise_with_a_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and info.value.args == (message,)
+
+
+def test_blank_fixture_lines_are_skipped(tmp_path):
+    for name in ("split_table.tsv", "quasisplit_table.tsv"):
+        lines = (default_fixture_dir() / name).read_text().splitlines()
+        (tmp_path / name).write_text("\n".join(["", lines[0], " \t", *lines[1:], ""]) + "\n")
+    assert verify_tables(tmp_path) == verify_tables()
