@@ -13,8 +13,8 @@ exact because every weight coordinate has denominator 1 or 2): the
 ``weight_multiplicities`` and ``freudenthal_total`` convert where a vector
 enters or leaves, with ``lattice.doubled`` and ``lattice.halved``; every
 ``FormalCharacter`` is built from ``IntKey``s, and each distinct key becomes
-its ``Weight`` once, through ``lattice.key_weight``, the one way out of an
-``IntKey``.  So a term's ``Fraction`` coordinates are made only where the
+its ``Weight`` once, in a batch through ``lattice.key_weights``, the one way
+out of an ``IntKey``.  So a term's ``Fraction`` coordinates are made only where the
 term leaves the package.  The Weyl dimension formula,
 the independent second path, takes integer products over the positive
 roots in doubled coordinates and divides once; it shares only the list of
@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction as Q
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -53,7 +54,7 @@ from .lattice import (
     halved,
     in_weight_lattice,
     is_dominant_vector,
-    key_weight,
+    key_weights,
     normalize_vector,
     spell,
     twice_root_coordinates,
@@ -326,35 +327,53 @@ class FormalCharacter(FrozenRecord):
 
     @staticmethod
     def from_int_keys(
-        gs: GroupSpec,
-        data: Mapping[IntKey, int],
-        pairs: dict[IntKey, tuple[Weight, int]] | None = None,
+        gs: GroupSpec, delta: Mapping[IntKey, int], memo: "TermMemo | None" = None
     ) -> "FormalCharacter":
-        """A character from ``IntKey``s: drops zeros, rejects negatives,
-        sorts the int keys and turns each distinct one into a ``Weight``
-        once, by ``lattice.key_weight``, which validates it on integers from
+        """A character from ``IntKey``s: the last character built through
+        ``memo`` (none without one) updated by ``delta``, a multiplicity change
+        per key.  Only the keys of ``delta`` are summed, checked for negatives
+        and sorted; a zero drops its term.  The term order merges the last
+        character's sorted keys with the new ones, a plain append when those
+        all sort last.  The new keys cross to their ``Weight``s in one batch
+        through ``lattice.key_weights``, which validates them on integers from
         verdicts cached per (type, factor part) and shares each distinct
-        part's ``Fraction`` halves as one tuple.  Pass one ``pairs`` dict
-        (for one group) to several calls, e.g. the levels of a graded
-        character: it maps each key to the last ``(Weight, multiplicity)``
-        term built for it, so a term whose multiplicity is unchanged is
-        that very pair, and a changed one a new pair around the same
-        ``Weight``."""
-        keys = sorted(k for k, m in data.items() if m != 0)
-        if any(data[k] < 0 for k in keys):
-            raise ValueError("formal characters carry non-negative multiplicities")
-        if pairs is None:
-            pairs = {}
-        terms = []
-        for k in keys:
-            m = data[k]
-            pair = pairs.get(k)
+        part's ``Fraction`` halves as one tuple.  A key of the last character
+        keeps its ``Weight``, and its very ``(Weight, multiplicity)`` pair while
+        its multiplicity is unchanged.  Pass one ``memo`` (for one group) to
+        the levels of a graded character; emptying ``memo.keys`` applies the
+        next delta to nothing while still reusing the last character's pairs.
+        """
+        if memo is None:
+            memo = TermMemo()
+        last, base = memo.pairs, memo.keys
+        kept: dict[IntKey, tuple[Weight, int]] = {}  # keys with a pair in last
+        fresh: dict[IntKey, int] = {}  # keys without one, and their multiplicities
+        for k, d in delta.items():
+            if not d:
+                continue
+            pair = last.get(k)
             if pair is None:
-                pair = pairs[k] = (key_weight(gs, k), m)
-            elif pair[1] != m:
-                pair = pairs[k] = (pair[0], m)
-            terms.append(pair)
-        return FormalCharacter(gs, tuple(terms))
+                fresh[k] = d
+                continue
+            m = pair[1] + d if base else d
+            kept[k] = pair if m == pair[1] else (pair[0], m)
+        low = min(itertools.chain(fresh.values(), map(itemgetter(1), kept.values())), default=1)
+        if low < 0:
+            raise ValueError("formal characters carry non-negative multiplicities")
+        new = sorted(fresh)
+        weights = key_weights(gs, new)
+        level = last if base else {}
+        if not low:  # only an update can drop a term
+            for k in [k for k, (_, m) in kept.items() if not m]:
+                del kept[k], level[k]
+            base = [k for k in base if k in level]
+        level.update(kept)
+        level.update(zip(new, zip(weights, map(fresh.__getitem__, new))))
+        keys = base + new if base else sorted(level)
+        if base and new and new[0] < base[-1]:
+            keys.sort()  # two sorted runs: one merge
+        memo.keys, memo.pairs = keys, level
+        return FormalCharacter(gs, tuple(map(level.__getitem__, keys)))
 
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.terms)
@@ -367,6 +386,19 @@ class FormalCharacter(FrozenRecord):
 
     def __len__(self) -> int:
         return len(self.terms)
+
+
+class TermMemo:
+    """What ``FormalCharacter.from_int_keys`` keeps of the last character it
+    built through this memo: ``keys``, its sorted ``IntKey``s, which the next
+    delta applies to, and ``pairs``, each key's ``(Weight, multiplicity)``
+    term.  Mutable, and private to one graded build."""
+
+    __slots__ = ("keys", "pairs")
+
+    def __init__(self) -> None:
+        self.keys: list[IntKey] = []
+        self.pairs: dict[IntKey, tuple[Weight, int]] = {}
 
 
 def weight_dimension(gs: GroupSpec, w: Weight) -> int:

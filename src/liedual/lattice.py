@@ -10,20 +10,21 @@ the API and doubled ``int`` tuples inside (``doubled``, ``halved``); the
 Weyl moves only sort, negate, subtract and compare, so they are exact on
 both and commute with doubling.  The weight lattice has one rule, on
 doubled coordinates (``_on_lattice``): all even for A and C, all even or
-all odd for B and D.  ``check_int_key`` applies it to a flat doubled key
-(an ``IntKey``), with the canonical A form; ``make_weight`` doubles its
+all odd for B and D.  ``key_weights`` applies it to flat doubled keys
+(``IntKey``s), with the canonical A form; ``make_weight`` doubles its
 input and reads the same rule.  A coordinate from outside (command line,
 fixture row or API) is read here alone, by ``qv`` and ``make_weight``.
 
 A ``Weight`` crosses to and from its ``IntKey`` here and nowhere else:
-``weight_key`` is the one way in, ``key_weight`` the one way out, and
-``format_weight`` the one speller, as the command line writes a weight
-(``spell`` writes one vector, ``spell_key`` an unvalidated key, so that
-building a message never raises, ``format_terms`` a character's terms;
-no other module spells them).  Both crossings validate through
-``check_int_key``, which returns the shared halves of the factor parts and
-judges each distinct (type, factor part) once: ``_part`` caches its lattice
-and canonical-A verdicts with its ``Fraction`` halves, filled on first use.
+``weight_key`` is the one way in, ``key_weights`` the one way out, a batch
+at a time (``key_weight`` is its one-key form), and ``format_weight`` the
+one speller, as the command line writes a weight (``spell`` writes one
+vector, ``spell_key`` an unvalidated key, so that building a message never
+raises, ``format_terms`` a character's terms; no other module spells
+them).  ``key_weights`` is the one validator of a key, and ``weight_key``
+validates through it.  It checks a batch column by column and judges each
+distinct (type, factor part) once: ``_part`` caches its lattice and
+canonical-A verdicts with its ``Fraction`` halves, filled on first use.
 The verdicts are read again on every call, so a rejected part raises each
 time, and equal parts of the ``Weight``s built are one shared tuple.
 Everything here is immutable, and pure but for those caches.
@@ -42,6 +43,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction as Q
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[Q, ...]
@@ -109,11 +111,14 @@ _RATIONAL_CHARS = frozenset("0123456789+-/.")
 
 
 def _rational(x: int | str | Q) -> Q:
-    """An ``int`` or ``Fraction`` as it is; text that is an integer, ``p/q``
-    or a finite decimal, in ASCII digits.  ``Fraction`` also reads exponents,
-    at a cost growing with their value, ``_`` between digits and non-ASCII
-    digits, so text with any other character than ``_RATIONAL_CHARS`` (an
-    ``e``, a ``_``, an Arabic-Indic digit), like anything else, is refused."""
+    """A ``Fraction`` as it is (no copy); an ``int`` as a ``Fraction``; text
+    that is an integer, ``p/q`` or a finite decimal, in ASCII digits.
+    ``Fraction`` also reads exponents, at a cost growing with their value,
+    ``_`` between digits and non-ASCII digits, so text with any other
+    character than ``_RATIONAL_CHARS`` (an ``e``, a ``_``, an Arabic-Indic
+    digit), like anything else, is refused."""
+    if type(x) is Q:
+        return x
     try:
         if isinstance(x, (int, Q)) or isinstance(x, str) and set(x.strip()) <= _RATIONAL_CHARS:
             return Q(x)
@@ -588,34 +593,74 @@ def _part(label: str, part: Doubled) -> tuple[bool, bool, Vector]:
     )
 
 
-def check_int_key(gs: GroupSpec, key: IntKey) -> tuple[Vector, ...]:
-    """Validate a flat doubled key of ``gs`` on integers alone and return the
-    shared ``_part`` halves of its factor parts.  Checked in order: its length
-    (width plus circles), ``_on_lattice`` per factor part, in factor order,
-    then the canonical A form (minimum 0), which ``make_weight`` would
-    otherwise normalize to.  The verdicts are cached, but raise again on every
-    call.  The charges need no check: half of any integer is a half-integer,
-    all that ``make_weight`` asks of a charge."""
+#: ``Weight(parts, charges)`` from the pair ``(parts, charges)``, as the
+#: ``NamedTuple`` constructor builds it, without its Python-level ``__new__``.
+_new_weight = functools.partial(tuple.__new__, Weight)
+
+
+def key_weights(gs: GroupSpec, keys: Sequence[IntKey]) -> list[Weight]:
+    """The one way from ``IntKey``s of ``gs`` back to their ``Weight``s, and
+    the one validator of a flat doubled key, on integers alone.
+
+    A key is checked for its length (width plus circles), then ``_on_lattice``
+    per factor part, in factor order, then the canonical A form (minimum 0),
+    which ``make_weight`` would otherwise normalize to.  The batch is checked
+    column by column: each distinct (type, factor part) is judged once, by
+    ``_part``, whose verdicts are cached but raise again on every call.  A bad
+    batch raises the error of its first bad key in sorted order.  The
+    charges need no check: half of any integer is a half-integer, all that
+    ``make_weight`` asks of a charge.  The ``Weight``s are built in one pass
+    from the shared halves: equal factor parts are one tuple, equal charge
+    tails one ``_charges`` tuple, equal coordinates one ``Fraction``."""
+    length = gs.width + gs.circles
+    halves = []
+    if all(map(length.__eq__, map(len, keys))):
+        for rs, s in zip(gs.factors, gs.slices):
+            column = list(map(itemgetter(s), keys))
+            verdicts = {part: _part(rs.label, part) for part in set(column)}
+            if not all(on and canonical for on, canonical, _ in verdicts.values()):
+                break
+            half = {part: verdict[2] for part, verdict in verdicts.items()}
+            halves.append(map(half.__getitem__, column))
+        else:
+            parts = zip(*halves) if halves else itertools.repeat((), len(keys))
+            tails = (
+                map(_charges, map(itemgetter(slice(gs.width, None)), keys))
+                if gs.circles
+                else itertools.repeat(())
+            )
+            return list(map(_new_weight, zip(parts, tails)))
+    for key in sorted(keys):
+        _raise_fault(gs, key)
+    raise InvariantError(f"a batch of {gs} keys failed but none of its keys does")
+
+
+def _raise_fault(gs: GroupSpec, key: IntKey) -> None:
+    """Raise the ``InvalidWeightError`` of the first fault of ``key``, in the
+    order ``key_weights`` names them; return if it has none."""
     if len(key) != gs.width + gs.circles:
         raise InvalidWeightError(f"{key} is not a flat key of {gs}")
-    parts = []
     canonical = True
     for rs, s in zip(gs.factors, gs.slices):
         on_lattice, is_canonical, half = _part(rs.label, key[s])
         if not on_lattice:
             raise InvalidWeightError(f"{spell(half)} is not a {rs.label} weight")
         canonical = canonical and is_canonical
-        parts.append(half)
     if not canonical:
         raise InvalidWeightError(f"{key} is not the canonical key of {spell_key(gs, key)}")
-    return tuple(parts)
+
+
+def key_weight(gs: GroupSpec, key: IntKey) -> Weight:
+    """``key_weights`` of one key."""
+    (w,) = key_weights(gs, (key,))
+    return w
 
 
 def weight_key(gs: GroupSpec, w: Weight) -> IntKey:
     """The one way from a ``Weight`` of ``gs`` to its ``IntKey``: one part
     per factor, of that factor's length, one charge per circle, and every
     coordinate an integer or half-integer; then ``doubled`` and
-    ``check_int_key``.  Errors spell ``w`` as the command line does."""
+    ``key_weight``.  Errors spell ``w`` as the command line does."""
     flat = w.sort_key()
     if (
         [len(part) for part in w.parts] != [rs.ambient_dim for rs in gs.factors]
@@ -624,16 +669,8 @@ def weight_key(gs: GroupSpec, w: Weight) -> IntKey:
     ):
         raise InvalidWeightError(f"{format_weight(w)} is not a weight of {gs}")
     key = doubled(flat)
-    check_int_key(gs, key)
+    key_weight(gs, key)
     return key
-
-
-def key_weight(gs: GroupSpec, key: IntKey) -> Weight:
-    """The one way from an ``IntKey`` of ``gs`` back to its ``Weight``, built
-    from the shared halves ``check_int_key`` returns: equal factor parts are
-    one tuple, equal charge tails one ``_charges`` tuple, equal coordinates
-    one ``Fraction``."""
-    return Weight(check_int_key(gs, key), _charges(key[gs.width :]))
 
 
 def format_weight(w: Weight) -> str:

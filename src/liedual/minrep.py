@@ -13,13 +13,16 @@ first-appearance sign, (-1)^(x/2), is not the level sign.
 
 ``TYPE_GROUPS`` holds the series cases' type groups, for ``cli`` and
 ``theta`` too.  ``_type_key``, the one K-type reader, runs once per public
-call.  ``sign_first_appearance`` reads first appearance through
+call.  A splitJ-splitE series accumulates one block per level, and
+``_key_multiplicity`` reads the same accumulation.
+``sign_first_appearance`` reads first appearance through
 ``_key_multiplicity``; ``verify_series`` serves criteria 5 and 7 alike.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -30,7 +33,7 @@ from .rules import (
     _su6_omega3_to_sp2su2u1_core,
     su2su2_coefficient,
 )
-from .charalg import FormalCharacter, IntKey, su2_tensor, weight_dimension
+from .charalg import FormalCharacter, IntKey, TermMemo, su2_tensor, weight_dimension
 from .lattice import GroupSpec, InvariantError, Weight, format_weight, group, weight_key
 
 MINREP_CASES = ("split-E6", "hermitian-E6", "e62-compact")
@@ -171,10 +174,10 @@ def _e62_spin8(data: dict[IntKey, int], n: int) -> None:
         data[(n, n, n, b, 2 * n + 8, -(b + n) - 4, b - n - 4)] = 1
 
 
-# case: (group, the function adding level n's IntKey terms to a dict in
-# place, whether a level is a running sum that keeps level n-1's terms,
-# the factors whose part is zero in a term that carries the order-two sign
-# (-1)^n or None if none does, how a series case stabilizes or None)
+# case: (group, the function adding level n's block of IntKey terms to a
+# dict in place, whether a level is a running sum whose block updates level
+# n-1, the factors whose part is zero in a term that carries the order-two
+# sign (-1)^n or None if none does, how a series case stabilizes or None)
 _LEVELS: dict[str, tuple[GroupSpec, Callable[[dict[IntKey, int], int], None], bool,
                          tuple[int, ...] | None, str | None]] = {
     "split-E6": (group("C4"), _split_E6, False, (), None),
@@ -195,20 +198,22 @@ def _level_sign(case: str, n: int, w: Weight) -> int | None:
 
 
 def _graded(case: str, truncation: int) -> GradedCharacter:
-    """Levels 0..truncation of a ``_LEVELS`` case; one ``Weight`` per distinct
-    term, and a term whose multiplicity is unchanged from level n-1 is that
-    level's very ``(Weight, multiplicity)`` pair."""
+    """Levels 0..truncation of a ``_LEVELS`` case, each built by
+    ``FormalCharacter.from_int_keys`` from its own block: a running case's
+    block updates level n-1, any other case's stands alone.  One ``Weight``
+    per distinct term, and a term whose multiplicity is unchanged from level
+    n-1 is that level's very ``(Weight, multiplicity)`` pair."""
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
     gs, add_level, running = _LEVELS[case][:3]
     levels: dict[int, FormalCharacter] = {}
-    pairs: dict[IntKey, tuple[Weight, int]] = {}
-    data: dict[IntKey, int] = {}
+    memo = TermMemo()
     for n in range(truncation + 1):
+        block: dict[IntKey, int] = {}
+        add_level(block, n)
         if not running:
-            data = {}
-        add_level(data, n)
-        levels[n] = FormalCharacter.from_int_keys(gs, data, pairs)
+            memo.keys = []
+        levels[n] = FormalCharacter.from_int_keys(gs, block, memo)
     return GradedCharacter(case, gs, levels)
 
 
@@ -223,10 +228,13 @@ def dualpair_graded(case: str, truncation: int) -> GradedCharacter:
     characters chi(n+4, -(b+n)/2-2, (b-n)/2-2).
 
     Levels are assembled from the certified closed forms on integer keys:
-    every sum runs over ``IntKey``s (doubled flat sort keys), each level is
-    sorted on them, and ``FormalCharacter.from_int_keys`` builds one
-    validated ``Weight`` per distinct term, shared by every level it is in;
-    a term whose multiplicity is unchanged from level n-1 is level n-1's very
+    every sum runs over ``IntKey``s (doubled flat sort keys), and each level
+    is built by ``FormalCharacter.from_int_keys`` from its own block, which
+    in the two running sums updates level n-1 (only the block's keys are
+    summed and sorted, and merged into level n-1's order) and otherwise
+    stands alone.  One validated ``Weight`` per distinct term, shared by
+    every level it is in, comes from one bulk key crossing per level; a term
+    whose multiplicity is unchanged from level n-1 is level n-1's very
     ``(Weight, multiplicity)`` pair, so a running sum, whose multiplicities
     never fall, holds one pair per distinct term value.  The build fills
     neither ``_hermJ_level`` nor ``sp1so2_coefficients``.
@@ -281,14 +289,7 @@ def _key_multiplicity(case: str, key: IntKey, n: int, m: int | None) -> int:
         _e62_spin8(data, n)  # level n's int keys, read at the type's key
         return data.get(key, 0)
     if case == "splitJ-splitE":
-        a, b, c, d = _ints(key)
-        if (a + b + c + d) % 2:
-            return 0  # not a type of the mu2 quotient, never occurs
-        return sum(
-            su2su2_coefficient(x, y, a, b) * su2su2_coefficient(x, y, c, d)
-            for x in range(n + 1)
-            for y in range(x + 1)
-        )
+        return _split_values(key, n)[-1]
     x, y, z = _ints(key)
     if (x + y + z) % 2:
         return 0
@@ -310,6 +311,21 @@ def _key_multiplicity(case: str, key: IntKey, n: int, m: int | None) -> int:
         for xx, yy, inner in _su6_omega3_to_sp2su2u1_core(n, mm)
         if xx == x and yy == y and abs(n + 2 - inner) <= z <= n + 2 + inner
     )
+
+
+def _split_values(key: IntKey, top: int) -> tuple[int, ...]:
+    """The splitJ-splitE multiplicities of the type read as ``key`` at levels
+    0..top: level n is level n-1 plus the block of V_(n,y), y <= n, whose
+    count is the sum over y of the products of the SU2 x SU2 coefficients of
+    V_(n,y) at (a, b) and at (c, d)."""
+    a, b, c, d = _ints(key)
+    if (a + b + c + d) % 2:
+        return (0,) * (top + 1)  # not a type of the mu2 quotient, never occurs
+    blocks = (
+        sum(su2su2_coefficient(n, y, a, b) * su2su2_coefficient(n, y, c, d) for y in range(n + 1))
+        for n in range(top + 1)
+    )
+    return tuple(itertools.accumulate(blocks))
 
 
 def so3_invariants(a: int, b: int, c: int, d: int) -> int:
@@ -362,7 +378,10 @@ def multiplicity_series(
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
     key = _type_key(case, ktype)
-    values = tuple(_key_multiplicity(case, key, n, m) for n in range(truncation + 1))
+    if case == "splitJ-splitE" and m is None:
+        values = _split_values(key, truncation)  # one accumulation, not one per level
+    else:
+        values = tuple(_key_multiplicity(case, key, n, m) for n in range(truncation + 1))
     kind = _LEVELS[case][4]
     if kind is None:
         return MultiplicitySeries(case, ktype, m, values)

@@ -56,11 +56,12 @@ def _sp2_to_su2su2_core(x: int, y: int) -> tuple[tuple[int, int], ...]:
     """The sorted (a, b) of ``branch_sp2_to_su2su2(x, y)``, each of multiplicity one."""
     if not x >= y >= 0:
         raise ValueError("need x >= y >= 0")
+    # For each a, the b of su2su2_coefficient's inequalities run from
+    # |a - d| to min(a + d, x + y - a), d = x - y; both ends already have
+    # the parity of x + y - a.
+    d = x - y
     return tuple(
-        (a, b)
-        for a in range(x + y + 1)
-        for b in range(x + y + 1)
-        if su2su2_coefficient(x, y, a, b)
+        (a, b) for a in range(x + y + 1) for b in range(abs(a - d), min(a + d, x + y - a) + 1, 2)
     )
 
 

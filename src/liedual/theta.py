@@ -4,10 +4,11 @@ Infinitesimal-character transfer to the Spin(8) side, degenerate
 principal-series type counts, their comparison with the stabilized graded
 multiplicities, and dimension verification of the lowest-type tables.
 All infinitesimal-character comparisons are exact orbit equalities of
-dominant representatives; there is no numeric tolerance anywhere.  The two
-transfers of a torus triple scale it to integers (``_scaled_triple``),
-compute and conjugate their raw vectors on ``int`` tuples, and build the
-``InfChar`` coordinates as ``Fraction``s once.
+dominant representatives; there is no numeric tolerance anywhere.  A
+``TorusCharacterData`` reads its triple through ``lattice.qv`` and scales
+it to even integers once, in its ``scaled`` slot; the two transfers read
+that slot, compute and conjugate their raw vectors on ``int`` tuples
+independently, and divide once, equal coordinates being one ``Fraction``.
 Type groups come from ``minrep.TYPE_GROUPS``; criterion 5 accepts a series
 through ``minrep.verify_series``, the criterion-7 verifier.  ``lattice.qv``
 reads torus triples and ``lattice.read_flat_weight`` a table row's text; the
@@ -17,6 +18,7 @@ row is a ``FixtureError`` naming ``path:line``.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction as Q
 from pathlib import Path
@@ -26,7 +28,6 @@ from .lattice import (
     FrozenRecord,
     GroupSpec,
     InvariantError,
-    RootSystem,
     Weight,
     build_root_system,
     dominant_representative,
@@ -61,41 +62,61 @@ class FixtureError(ValueError):
 
 
 class TorusCharacterData(FrozenRecord):
-    """Sum-zero parameter triple of a two-torus character, desk scale."""
+    """Sum-zero parameter triple of a two-torus character, desk scale.
 
-    _fields = __slots__ = ("nu", "case")
+    ``nu`` is read by ``lattice.qv``.  ``scaled`` is ``(s, s * nu)`` for
+    s = 2 lcm(denominators of nu), even integers, computed once; the
+    sum-zero and integrality checks and both transfers read it."""
+
+    _fields = ("nu", "case")
+    __slots__ = (*_fields, "scaled")
 
     nu: tuple[Q, Q, Q]
     case: str | None
+    scaled: tuple[int, tuple[int, int, int]]
 
     def __init__(self, nu: tuple[Q, Q, Q], case: str | None = None) -> None:
-        if sum(nu, Q(0)) != 0:
+        nu = qv(*nu)
+        if len(nu) != 3:
+            raise ValueError(f"a torus character has three parameters, not {len(nu)}")
+        s = 2 * math.lcm(*(x.denominator for x in nu))
+        scaled = tuple(x.numerator * (s // x.denominator) for x in nu)
+        if sum(scaled):
             raise ValueError("torus parameters must sum to zero")
         if case is not None:
             if case not in _TORUS_CASES:
                 raise ValueError(f"unknown torus case {case!r}")
             for form in _TORUS_CASES[case]:
-                if sum(f * v for f, v in zip(form, nu)).denominator != 1:
+                if sum(f * v for f, v in zip(form, scaled)) % s:
                     raise ValueError(f"{case} characters need {form} . (a, b, c) integral")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "case", case)
+        object.__setattr__(self, "scaled", (s, scaled))
 
 
 def torus_character(a, b, c, case: str | None = None) -> TorusCharacterData:
-    return TorusCharacterData(qv(a, b, c), case)
+    return TorusCharacterData((a, b, c), case)
 
 
-def _scaled_triple(nu: TorusCharacterData) -> tuple[int, tuple[int, ...]]:
-    """``(s, s * nu)`` for s = 2 lcm(denominators of nu): even integers."""
-    s = 2 * math.lcm(*(x.denominator for x in nu.nu))
-    return s, tuple(x.numerator * (s // x.denominator) for x in nu.nu)
+@functools.lru_cache(maxsize=None)
+def _ratio(x: int, s: int) -> Q:
+    """x/s as a ``Fraction``: one object per coordinate value and scale."""
+    return Q(x, s)
 
 
-def _infchar_of_scaled(rs: RootSystem, v: tuple[int, ...], s: int) -> InfChar:
-    """The ``InfChar`` of v/s: ``dominant_representative`` is exact on ints
+@functools.lru_cache(maxsize=None)
+def _outer_roots() -> tuple[tuple[int, ...], ...]:
+    """The D4 outer simple roots alpha_1, alpha_2, alpha_3 of
+    ``infchar_symmetric_form``, read from ``simple_roots`` as ``int`` tuples."""
+    simple = build_root_system("D4").simple_roots
+    return tuple(tuple(map(int, simple[i])) for i in (0, 2, 3))
+
+
+def _infchar_of_scaled(v: tuple[int, ...], s: int) -> InfChar:
+    """The D4 ``InfChar`` of v/s: ``dominant_representative`` is exact on ints
     and commutes with positive scaling, so conjugate v and divide once."""
-    d = dominant_representative(rs, v)
-    return InfChar(rs.label, tuple(Q(x, s) for x in d))
+    d = dominant_representative(build_root_system("D4"), v)
+    return InfChar("D4", tuple(_ratio(x, s) for x in d))
 
 
 def infchar_lift(nu: TorusCharacterData) -> InfChar:
@@ -106,9 +127,9 @@ def infchar_lift(nu: TorusCharacterData) -> InfChar:
     graded decomposition: the level-n charge triple must land on the
     infinitesimal character of the level-n Spin(8) type.
     """
-    s, (a, b, c) = _scaled_triple(nu)
+    s, (a, b, c) = nu.scaled
     raw = ((a + 2 * s) // 2, (-a + 2 * s) // 2, (b + c) // 2, (c - b) // 2)  # s * raw
-    return _infchar_of_scaled(build_root_system("D4"), raw, s)
+    return _infchar_of_scaled(raw, s)
 
 
 def infchar_symmetric_form(nu: TorusCharacterData) -> InfChar:
@@ -118,13 +139,11 @@ def infchar_symmetric_form(nu: TorusCharacterData) -> InfChar:
     alpha_3 = e3+e4 are the three outer simple roots permuted by the
     diagram symmetries.  Must agree with infchar_lift identically.
     """
-    rs = build_root_system("D4")
-    s, coeffs = _scaled_triple(nu)
-    outer = (rs.simple_roots[0], rs.simple_roots[2], rs.simple_roots[3])
+    s, coeffs = nu.scaled
     v = (s, s, 0, 0)  # s * beta
-    for coeff, alpha in zip(coeffs, outer, strict=True):
-        v = tuple(x + coeff // 2 * int(y) for x, y in zip(v, alpha))
-    return _infchar_of_scaled(rs, v, s)
+    for coeff, alpha in zip(coeffs, _outer_roots(), strict=True):
+        v = tuple(x + coeff // 2 * y for x, y in zip(v, alpha))
+    return _infchar_of_scaled(v, s)
 
 
 def lemma_infchar_consistency(max_level: int) -> Report:

@@ -29,8 +29,8 @@ from liedual.lattice import (
     InvalidWeightError,
     UnsupportedTypeError,
     Weight,
-    check_int_key,
     group,
+    key_weight,
     make_weight,
 )
 from liedual.minrep import (
@@ -609,7 +609,7 @@ _ERRORS = {
     ),
     "check-int-key-canonical": (
         InvalidWeightError,
-        lambda: check_int_key(group("A5"), (4, 4, 4, 2, 2, 2)),
+        lambda: key_weight(group("A5"), (4, 4, 4, 2, 2, 2)),
     ),
     "sign-of-unsigned-term": (
         NotCoveredError,

@@ -8,6 +8,7 @@ the earlier implementations, kept as references.  An ``int`` where a
 also checks coordinate types.
 """
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -19,12 +20,14 @@ import liedual.lattice as lattice
 import liedual.minrep as minrep
 from liedual.rules import (
     RULES,
+    _sp2_to_su2su2_core,
     branch_so5_to_so3so2,
     branch_sp2_to_su2su2,
     branch_sp4_to_sp2sp2,
     branch_spin10_halfspin_to_spin8u1,
     branch_su6_omega3_to_sp2su2u1,
     branch_su6_omega3_to_sp3,
+    su2su2_coefficient,
 )
 from liedual.charalg import (
     FormalCharacter,
@@ -38,13 +41,13 @@ from liedual.lattice import (
     InvalidWeightError,
     Weight,
     build_root_system,
-    check_int_key,
     dominant_conjugate,
     doubled,
     format_weight,
     group,
     halved,
     key_weight,
+    key_weights,
     make_weight,
     normalize_vector,
     vadd,
@@ -295,6 +298,16 @@ def test_sp2_to_su2su2_matches_fraction_reference():
         assert _su2su2_terms(x, y) == _fraction_su2su2_terms(x, y), (x, y)
 
 
+def test_sp2_core_enumerates_what_the_coefficient_accepts():
+    # The core generates each a's run of b from the inequalities; the
+    # reference filters every (a, b) of the square through the coefficient.
+    for x in range(20):
+        for y in range(x + 1):
+            square = itertools.product(range(x + y + 1), repeat=2)
+            want = tuple(ab for ab in square if su2su2_coefficient(x, y, *ab))
+            assert _sp2_to_su2su2_core(x, y) == want, (x, y)
+
+
 def test_spin10_halfspin_matches_fraction_reference():
     for (n,) in RULES["spin10_halfspin"].grid(8):
         want = _fraction_spin10_halfspin_to_spin8u1(n)
@@ -410,16 +423,16 @@ def test_from_int_keys_rejects_bad_keys():
 
 
 def test_graded_levels_validate_each_distinct_term_once(monkeypatch):
-    calls = []
+    keys = []
 
-    def counting(gs, key):
-        calls.append(1)
-        return lattice.key_weight(gs, key)
+    def counting(gs, batch):
+        keys.extend(batch)
+        return lattice.key_weights(gs, batch)
 
-    monkeypatch.setattr(charalg, "key_weight", counting)
+    monkeypatch.setattr(charalg, "key_weights", counting)
     graded = dualpair_graded("splitJ-mixedE", 5)
     distinct = {w for char in graded.levels.values() for w, _ in char.terms}
-    assert len(calls) == len(distinct)
+    assert len(keys) == len(set(keys)) == len(distinct)
     # a term of level 4 is the very Weight of level 5
     level5 = {w: w for w, _ in graded.levels[5].terms}
     assert all(level5[w] is w for w, _ in graded.levels[4].terms)
@@ -429,15 +442,22 @@ def test_graded_levels_validate_each_distinct_term_once(monkeypatch):
 _BENCH_TRUNCATIONS = {"splitJ-splitE": 12, "splitJ-mixedE": 14, "hermJ-mixedE": 14, "e62-spin8": 24}
 
 
-@pytest.mark.parametrize("case", sorted(_BENCH_TRUNCATIONS))
+# Every graded case: the benchmark's four at its truncations, and the three
+# minimal representations.
+_TRUNCATIONS = {**_BENCH_TRUNCATIONS, **dict.fromkeys(MINREP_CASES, 12)}
+
+
+@pytest.mark.parametrize("case", sorted(_TRUNCATIONS))
 def test_graded_levels_share_pairs_and_keep_values(case):
-    # Each level equals a build of the same keys with no shared memo; a term
-    # whose multiplicity is unchanged from level n-1 is that level's very
-    # (Weight, multiplicity) pair, and a changed one a new pair around the
-    # same Weight.  At these truncations every case then holds one pair
-    # object per distinct term value, and one charge tuple per distinct tail.
-    top = _BENCH_TRUNCATIONS[case]
-    graded = dualpair_graded(case, top)
+    # Each level, built from its own block against level n-1 (a running
+    # case) or against nothing, equals a from-scratch build of all its keys
+    # with no shared memo; a term whose multiplicity is unchanged from level
+    # n-1 is that level's very (Weight, multiplicity) pair, and a changed
+    # one a new pair around the same Weight.  At these truncations every
+    # case then holds one pair object per distinct term value, and one
+    # charge tuple per distinct tail.
+    top = _TRUNCATIONS[case]
+    graded = (dualpair_graded if case in DUALPAIR_CASES else minrep_levels)(case, top)
     gs, add_level, running = minrep._LEVELS[case][:3]
     data = {}
     previous = {}
@@ -465,8 +485,54 @@ def test_graded_levels_share_pairs_and_keep_values(case):
         assert shared == len(pairs) - len(set(pairs)) > 0
 
 
+_C2A1U1_KEYS = [(2 * x, 2 * y, 2 * z, m) for x in range(3) for y in range(x + 1) for z in range(2) for m in (-1, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.dictionaries(st.sampled_from(_C2A1U1_KEYS), st.integers(-2, 3), max_size=8),
+        ),
+        max_size=6,
+    )
+)
+def test_deltas_through_a_memo_equal_from_scratch_builds(steps):
+    # Each step applies a delta to the last character built through one memo,
+    # or, with ``restart``, to nothing; a delta never takes a total below 0,
+    # so some steps drop terms.  The result must equal a from-scratch build
+    # of the summed multiplicities and keep each unchanged pair of the last
+    # character; a delta that would take a term below 0 is refused and
+    # leaves the memo as it was.
+    gs = _C2A1U1
+    memo = charalg.TermMemo()
+    total: dict = {}
+    last: dict = {}
+    for restart, delta in steps:
+        if restart:
+            memo.keys = []
+            total = {}
+        delta = {k: max(d, -total.get(k, 0)) for k, d in delta.items()}
+        got = FormalCharacter.from_int_keys(gs, delta, memo)
+        for k, d in delta.items():
+            total[k] = total.get(k, 0) + d
+        total = {k: m for k, m in total.items() if m}
+        assert got == FormalCharacter.from_int_keys(gs, total)
+        assert memo.keys == sorted(total)
+        for pair in got.terms:
+            old = last.get(pair[0])
+            if old is not None and old[1] == pair[1]:
+                assert old is pair
+        last = {pair[0]: pair for pair in got.terms}
+        if total:
+            k = min(total)
+            with pytest.raises(ValueError, match="non-negative"):
+                FormalCharacter.from_int_keys(gs, {k: -total[k] - 1}, memo)
+
+
 # --------------------------------------------------------------------------
-# lattice.check_int_key against make_weight.
+# lattice.key_weights against make_weight.
 
 
 _DEFECTS = ("none", "parity", "short", "long", "shift")
@@ -529,19 +595,23 @@ def test_check_int_key_agrees_with_make_weight(label, data):
     gs, key = data.draw(_flat_keys(label))
     want = _make_weight_of_key(gs, key)
     for _ in range(2):
-        checked = _verdict(check_int_key, gs, key)
+        checked = _verdict(_one_key_batch, gs, key)
         built = _verdict(key_weight, gs, key)
         if want is None:
             assert isinstance(checked, str) and built == checked, (gs, key)
         else:
-            # A valid key returns the halves of make_weight's parts, the very
-            # tuples key_weight builds its Weight from.
-            assert checked == want.parts, (gs, key)
-            assert all(a is b for a, b in zip(built.parts, checked, strict=True)), (gs, key)
+            # The batch and the one-key crossing build make_weight's Weight
+            # from the very same shared halves.
+            assert checked == [want], (gs, key)
+            assert all(a is b for a, b in zip(built.parts, checked[0].parts, strict=True)), (gs, key)
             assert built == want, (gs, key)
             assert all(type(x) is Q for x in built.sort_key()), (gs, key)
             (got, _), = FormalCharacter.from_int_keys(gs, {key: 1}).terms
             assert got == want, (gs, key)
+
+
+def _one_key_batch(gs, key):
+    return key_weights(gs, [key])
 
 
 @pytest.mark.parametrize(
@@ -562,10 +632,50 @@ def test_check_int_key_agrees_with_make_weight(label, data):
 def test_check_int_key_messages(labels, circles, key, message):
     # Twice each: a factor part the cache has seen and rejected raises again.
     gs = group(*labels, circles=circles)
-    for crossing in (check_int_key, key_weight) * 2:
+    for crossing in (_one_key_batch, key_weight) * 2:
         with pytest.raises(InvalidWeightError) as info:
             crossing(gs, key)
         assert str(info.value) == message, crossing
+
+
+_A5C2U1 = group("A5", "C2", circles=1)
+
+
+@pytest.mark.parametrize(
+    "batch, message",
+    [
+        (
+            [(4, 4, 4, 2, 2, 2, 1, 0, 1), (0,) * 9, (2, 2, 2, 0, 0, 0, 2, 0)],
+            "(2, 2, 2, 0, 0, 0, 2, 0) is not a flat key of GroupSpec(A5xC2+U1)",
+        ),
+        (
+            [(4, 4, 4, 2, 2, 2, 2, 0, 1), (2, 2, 2, 0, 0, 0, 1, 0, 1), (0,) * 9],
+            "(1/2,0) is not a C2 weight",
+        ),
+        (
+            [(6, 6, 6, 6, 6, 6, 1, 0, 0, 0), (4, 4, 4, 2, 2, 2, 2, 0, 1), (0,) * 9],
+            "(4, 4, 4, 2, 2, 2, 2, 0, 1) is not the canonical key of (2,2,2,1,1,1)x(1,0)@1/2",
+        ),
+    ],
+    ids=["length", "second-factor-off-lattice", "non-canonical-A"],
+)
+def test_bad_batch_raises_the_error_of_its_first_bad_key(batch, message):
+    # Each batch, given out of order, holds a valid key and bad keys of
+    # several faults; the error is that of the first bad key in sorted
+    # order, as the one-key crossing of each key in turn raises it.
+    first = None
+    for key in sorted(batch):
+        verdict = _verdict(key_weight, _A5C2U1, key)
+        if isinstance(verdict, str):
+            first = first or verdict
+    assert first == message
+    for _ in range(2):
+        with pytest.raises(InvalidWeightError) as info:
+            key_weights(_A5C2U1, batch)
+        assert str(info.value) == message
+        with pytest.raises(InvalidWeightError) as info:
+            FormalCharacter.from_int_keys(_A5C2U1, dict.fromkeys(batch, 1))
+        assert str(info.value) == message
 
 
 def test_key_weights_share_their_halves():

@@ -507,6 +507,20 @@ def test_e62_series_agrees_with_graded_levels():
     assert multiplicity_series("e62-spin8", stranger, top).values == (0,) * (top + 1)
 
 
+def test_split_series_equals_levels_and_per_level_multiplicities():
+    # Every type with entries <= 6, to level 12: the series accumulates one
+    # block per level, and must read what ktype_multiplicity reads level by
+    # level and what the graded levels, built from the closed forms, hold.
+    top = 12
+    graded = dualpair_graded("splitJ-splitE", top)
+    levels = [graded.levels[n].as_dict() for n in range(top + 1)]
+    for a, b, c, d in itertools.product(range(7), repeat=4):
+        w = w4(a, b, c, d)
+        values = multiplicity_series("splitJ-splitE", w, top).values
+        assert values == tuple(ktype_multiplicity("splitJ-splitE", w, n) for n in range(top + 1))
+        assert values == tuple(level.get(w, 0) for level in levels), (a, b, c, d)
+
+
 def test_sign_first_appearance_e62_is_not_covered():
     # e62-spin8 is a case with no sign grading, not an unknown case.
     w = dualpair_graded("e62-spin8", 2).levels[2].terms[0][0]

@@ -18,7 +18,9 @@ from liedual.branching import embedding, restrict_generic
 from liedual.charalg import infinitesimal_character
 from liedual.cli import main
 from liedual.lattice import (
+    InvalidWeightError,
     build_root_system,
+    dominant_representative,
     dominant_conjugate_by_reflections,
     make_weight,
     qv,
@@ -73,6 +75,18 @@ def test_rc_c_torus_character_needs_integral_difference():
     TorusCharacterData((Q(1), Q(1, 2), Q(-3, 2)), case="RC-C")
 
 
+def test_torus_character_data_reads_three_entries_through_qv():
+    # An exported constructor: a pair, or a float, used to pass here and
+    # fail later inside infchar_lift.
+    with pytest.raises(ValueError, match="three parameters, not 2"):
+        TorusCharacterData((Q(1), Q(-1)))
+    with pytest.raises(InvalidWeightError, match="bad rational 0.5"):
+        TorusCharacterData((0.5, -0.5, 0))
+    nu = TorusCharacterData((1, "-1/2", Q(-1, 2)))
+    assert nu == torus_character(1, Q(-1, 2), Q(-1, 2))
+    assert all(type(x) is Q for x in nu.nu)
+
+
 def test_infchar_lift_examples():
     assert infchar_lift(torus_character(0, 0, 0)).rep == qv(1, 1, 0, 0)
     assert infchar_lift(torus_character(2, -1, -1)).rep == qv(2, 1, 0, 0)
@@ -123,6 +137,27 @@ def test_scaled_int_infchars_match_reflection_walk(a, b):
         want, _ = dominant_conjugate_by_reflections(D4, raw)
         assert got.label == "D4" and got.rep == want, (a, b)
         assert all(type(x) is Q for x in got.rep)
+
+
+def test_transfers_equal_a_fraction_reference_on_a_grid():
+    # Denominators 1-5, so s = 2 lcm(denominators) runs through 2..120; the
+    # references compute the raw vectors in Fractions and conjugate them
+    # with the closed form, which is exact on Fractions.
+    entries = sorted({Q(p, q) for q in range(1, 6) for p in range(-2 * q, 2 * q + 1)})
+    outer = (D4.simple_roots[0], D4.simple_roots[2], D4.simple_roots[3])
+    for a, b in itertools.product(entries, repeat=2):
+        c = -a - b
+        nu = torus_character(a, b, c)
+        symmetric_raw = qv(1, 1, 0, 0)
+        for coeff, alpha in zip((a, b, c), outer):
+            symmetric_raw = vadd(symmetric_raw, vscale(coeff / 2, alpha))
+        lift_raw = ((a + 2) / 2, (-a + 2) / 2, (b + c) / 2, (c - b) / 2)
+        lift, symmetric = infchar_lift(nu), infchar_symmetric_form(nu)
+        assert lift.rep == dominant_representative(D4, lift_raw), (a, b)
+        assert symmetric.rep == dominant_representative(D4, symmetric_raw), (a, b)
+        assert all(type(x) is Q for x in lift.rep + symmetric.rep)
+        # equal coordinates are one Fraction
+        assert all(x is y for x, y in zip(lift.rep, symmetric.rep)), (a, b)
 
 
 def test_lift_distinguishes_fourth_coordinate_sign():
