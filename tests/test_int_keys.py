@@ -505,7 +505,7 @@ def test_deltas_through_a_memo_equal_from_scratch_builds(steps):
     # of the summed multiplicities and keep each unchanged pair of the last
     # character; a delta that would take a term below 0 is refused and
     # leaves the memo as it was.
-    gs = _C2A1U1
+    gs = _KEY_GROUPS["C2xA1xU1"]
     memo = charalg.TermMemo()
     total: dict = {}
     last: dict = {}
