@@ -1,8 +1,9 @@
 """Correspondence bookkeeping across the dual pair.
 
 Infinitesimal-character transfer to the Spin(8) side, degenerate
-principal-series type counts, their comparison with the stabilized graded
-multiplicities, and dimension verification of the lowest-type tables.
+principal-series type counts (the quasi-split one checked against the ladder
+count through ``rules.su2su2_coefficient`` and against the graded series),
+and dimension verification of the lowest-type tables.
 All infinitesimal-character comparisons are exact orbit equalities of
 dominant representatives; there is no numeric tolerance anywhere.  A
 ``TorusCharacterData`` reads its triple through ``lattice.qv`` and scales
@@ -45,7 +46,7 @@ from .minrep import (
     so3_invariants,
     verify_series,
 )
-from .rules import Check, Report
+from .rules import Check, Report, su2su2_coefficient
 
 _TORUS_CASES = {
     # (E, K) labels: split/hermitian Jordan algebra x split/complex torus
@@ -181,13 +182,6 @@ def ps_multiplicity_split(a: int, b: int, c: int, d: int) -> int:
     return so3_invariants(a, b, c, d)
 
 
-def _quasisplit_gates(x: int, y: int, z: int, m: int) -> bool:
-    return (
-        z % 2 == (x - y) % 2 == m % 2
-        and z > x - y >= m
-    )
-
-
 def ps_multiplicity_quasisplit(x: int, y: int, z: int, m: int) -> int:
     """Series multiplicity of V_(x,y) (x) V_z at circle character m.
 
@@ -198,7 +192,7 @@ def ps_multiplicity_quasisplit(x: int, y: int, z: int, m: int) -> int:
     if not (x >= y >= 0 and z >= 0):
         raise ValueError("invalid type")
     mm = abs(m)
-    if not _quasisplit_gates(x, y, z, mm):
+    if not (z % 2 == (x - y) % 2 == mm % 2 and z > x - y >= mm):
         return 0
     low = (x - y - mm) // 2
     high = min(x + y - mm, z - mm - 2) // 2
@@ -206,28 +200,21 @@ def ps_multiplicity_quasisplit(x: int, y: int, z: int, m: int) -> int:
 
 
 def quasisplit_stabilized_count(x: int, y: int, z: int, m: int) -> int:
-    """Stabilized graded multiplicity: integers t with
-    x+y-m >= 2t >= x-y-m >= 0 and z >= m+2t+2."""
+    """Stabilized graded multiplicity, the lowest-type ladder count: the sum
+    of ``su2su2_coefficient(x, y, t, t+|m|)``, the certified Sp(2) ->
+    SU2 x SU2 rule, over 2t+2+|m| <= z; zero unless z = m (mod 2)."""
     if not (x >= y >= 0 and z >= 0):
         raise ValueError("invalid type")
     mm = abs(m)
-    if z % 2 != mm % 2 or (x - y) % 2 != mm % 2:
+    if (z - mm) % 2:
         return 0
-    if x - y - mm < 0:
-        return 0
-    count = 0
-    t = (x - y - mm) // 2
-    while 2 * t <= x + y - mm:
-        if z >= mm + 2 * t + 2:
-            count += 1
-        t += 1
-    return count
+    return sum(su2su2_coefficient(x, y, t, t + mm) for t in range((z - mm) // 2))
 
 
 def quasisplit_stabilization_onset(x: int, y: int, z: int, m: int) -> int:
     """Level from which the graded multiplicity equals its stabilized value."""
     mm = abs(m)
-    if quasisplit_stabilized_count(x, y, z, m) == 0:
+    if ps_multiplicity_quasisplit(x, y, z, m) == 0:
         return 0
     t_top = min(x + y - mm, z - mm - 2)  # = 2 * t_max
     onset2 = t_top + mm + max(x + y, z - 2)
@@ -247,10 +234,10 @@ def minrep_multiplicity_quasisplit(
 def compare_ps_vs_stabilized(
     max_type_sum: int = 12, max_charge: int = 4
 ) -> Report:
-    """Exact equality sweep of the two quasi-split counting formulas.
+    """Exact equality sweep of the three quasi-split counts.
 
     For every type x >= y >= 0, z >= 0 with x+y+z <= max_type_sum and
-    0 <= m <= max_charge: the series count must equal the stabilized graded
+    0 <= m <= max_charge: the closed series count must equal the ladder
     count, and ``verify_series`` must find the graded series, up to two
     levels past the predicted onset, eventually constant at that count from
     exactly that onset.

@@ -17,6 +17,7 @@ from liedual import branching, rules
 from liedual.charalg import FormalCharacter, NonDominantError
 from liedual.cli import (
     MAX_MINREP_LEVEL,
+    MAX_RULE_PARAM,
     MAX_VERIFY_LEVEL,
     MAX_VERIFY_N,
     build_parser,
@@ -441,6 +442,31 @@ def test_sweep_sizes_are_bounded_while_arguments_are_read(capsys, argv, option, 
     assert getattr(build_parser().parse_args([*argv, option, str(cap)]), dest) == cap
     code, err = exit_code(capsys, *argv, option, str(cap + 1))
     assert code == 2 and err.endswith(f"error: argument {option}: {cap + 1} is not in 0..{cap}\n")
+
+
+@pytest.mark.parametrize(
+    "rule_id, at_bound, over",
+    [
+        ("sp4_to_sp2sp2", ("40",), ("41",)),
+        ("so5_to_so3so2", ("40", "0"), ("41", "0")),
+        ("so5_to_so3so2", ("40", "40"), ("40", "81/2")),
+    ],
+)
+def test_rule_parameters_are_bounded_before_the_closed_form(
+    capsys, monkeypatch, rule_id, at_bound, over
+):
+    # The bound parses and runs; one step past it, a whole or a half, exits 2
+    # naming the parameter and the bound before any closed form is built.
+    assert MAX_RULE_PARAM == 40
+    code, out, err = run(capsys, "branch", rule_id, *at_bound, "--format", "json")
+    assert code == 0 and err == "" and json.loads(out)["result"]
+    rule = rules.RULES[rule_id]
+    monkeypatch.setitem(
+        rules.RULES, rule_id, rule._replace(closed=lambda *a: pytest.fail("closed form built"))
+    )
+    name, text = next((n, t) for n, t, b in zip(rule.params, over, at_bound) if t != b)
+    code, out, err = run(capsys, "branch", rule_id, *over)
+    assert (code, out, err) == (2, "", f"error: {name}={text} is above 40\n")
 
 
 @pytest.mark.parametrize(
