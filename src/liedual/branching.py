@@ -13,10 +13,12 @@ fold is certified by subtracting each term's dominant multiplicities.
 Every closed-form rule in ``rules`` can be replayed against it term by
 term via ``rules.verify_rule``.
 
-Weights enter and leave as ``Fraction`` ``Weight``s.  Inside, the oracle
-keys every weight as an ``IntKey`` (``lattice.weight_key``), from the
-walk through the fold and the certificate to
-``FormalCharacter.from_int_keys``; the closed forms build the same keys.
+Weights enter as ``Fraction`` ``Weight``s.  Inside, the oracle keys every
+weight as an ``IntKey`` (``lattice.weight_key``), from the walk through
+the fold to ``FormalCharacter.from_int_keys``, and the dimension check and
+the certificate read the decomposition's keys; the closed forms build the
+same keys.  A ``Weight`` leaves only when the decomposition's ``terms`` is
+read.
 Messages spell weights as the command line does (``lattice.format_weight``,
 ``lattice.spell_key``).  Its two errors, ``NegativeMultiplicityError`` and
 ``BudgetExceededError``, are defined in ``lattice``, so that the command
@@ -514,9 +516,9 @@ def restrict_generic(
     certificate, every term's dominant multiplicities are then subtracted
     from the slice, which must stay non-negative and end empty: a wrong map
     can fold to a non-negative, dimension-conserving answer.  Every failure
-    is a ``NegativeMultiplicityError``.  The walk, fold and certificate run
-    on integer keys (see the module docstring), and the result counts
-    their work.
+    is a ``NegativeMultiplicityError``.  The walk, fold, dimension check
+    and certificate run on integer keys (see the module docstring), and the
+    result counts their work.
     """
     limit = DEFAULT_BUDGET if budget is None else budget
     hw_key = weight_key(e.big, hw)
@@ -545,14 +547,14 @@ def restrict_generic(
         )
     width = e.small.width
     subtractions = 0
-    for top, (w, coeff) in zip(sorted(folded), decomposition.terms, strict=True):
+    for top, coeff in zip(decomposition.keys, decomposition.mults):
         for parts, mult in _dominant_parts(e.small, top):
             subtractions += 1
             key = sum(parts, ()) + top[width:]
             value = remaining.get(key, 0) - coeff * mult
             if value < 0:
                 raise NegativeMultiplicityError(
-                    f"{e.name}: subtracting {format_weight(w)} drove "
+                    f"{e.name}: subtracting {spell_key(e.small, top)} drove "
                     f"{spell_key(e.small, key)} negative"
                 )
             if value == 0:

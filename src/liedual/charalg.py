@@ -11,15 +11,14 @@ exact because every weight coordinate has denominator 1 or 2): the
 ``lru_cache`` internals ``_dominant_multiplicities`` and
 ``_full_multiplicities`` take and return doubled vectors, and
 ``weight_multiplicities`` and ``freudenthal_total`` convert where a vector
-enters or leaves, with ``lattice.doubled`` and ``lattice.halved``; every
-``FormalCharacter`` is built from ``IntKey``s, and each distinct key becomes
-its ``Weight`` once, in a batch through ``lattice.key_weights``, the one way
-out of an ``IntKey``.  So a term's ``Fraction`` coordinates are made only where the
-term leaves the package.  The Weyl dimension formula,
-the independent second path, takes integer products over the positive
-roots in doubled coordinates and divides once; it shares only the list of
-positive roots (``_integral_roots``, built once per type) with the
-recursion.
+enters or leaves, with ``lattice.doubled`` and ``lattice.halved``.  A
+``FormalCharacter`` holds sorted ``IntKey``s and their multiplicities; they
+cross to ``Weight``s, in one batch through ``lattice.key_weights``, only
+when its ``terms`` is read, where the terms leave the package.  The Weyl
+dimension formula (``_dimension``, per doubled part), the independent
+second path, takes integer products over the positive roots and divides
+once; it shares only the list of positive roots (``_integral_roots``,
+built once per type) with the recursion.
 
 The recursion is Freudenthal's in the stabilizer-orbit form of Moody and
 Patera: at each dominant weight mu it walks one root string per orbit,
@@ -33,8 +32,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction as Q
-from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -48,6 +47,7 @@ from .lattice import (
     RootSystem,
     Vector,
     Weight,
+    check_keys,
     dominant_conjugate,
     dominant_representative,
     doubled,
@@ -60,6 +60,7 @@ from .lattice import (
     twice_root_coordinates,
     vadd,
     vsub,
+    weight_key,
     weyl_orbit,
     weyl_orbit_size,
 )
@@ -88,14 +89,22 @@ def _idot(u: Doubled, v: Doubled) -> int:
 
 @functools.lru_cache(maxsize=None)
 def dimension(rs: RootSystem, hw: Vector) -> int:
-    """Weyl dimension formula, exact: the product of (2hw + 2rho, alpha)
-    over the product of (2rho, alpha), alpha positive, as integers.  The one
-    dominance check of an incoming weight (``dim``, ``restrict_generic``)."""
+    """Weyl dimension formula, exact (``_dimension``).  The one dominance
+    check of an incoming weight (``dim``, ``restrict_generic``)."""
     if not in_weight_lattice(rs, hw):
         raise InvalidWeightError(f"{spell(hw)} is not a {rs.label} weight")
-    _require_dominant(rs, hw)
+    return _dimension(rs, doubled(hw))
+
+
+@functools.lru_cache(maxsize=None)
+def _dimension(rs: RootSystem, hw: Doubled) -> int:
+    """Weyl dimension of the doubled lattice weight ``hw``: the product of
+    (2hw + 2rho, alpha) over the product of (2rho, alpha), alpha positive,
+    as integers, after a dominance check."""
+    if not is_dominant_vector(rs, hw):  # scale-free: halved only to be named
+        _require_dominant(rs, halved(hw))
     rho = doubled(rs.weyl_vector)
-    shifted = vadd(doubled(hw), rho)
+    shifted = vadd(hw, rho)
     numerator = denominator = 1
     for alpha in _integral_roots(rs):
         numerator *= _idot(shifted, alpha)
@@ -103,7 +112,7 @@ def dimension(rs: RootSystem, hw: Vector) -> int:
     value, rest = divmod(numerator, denominator)
     if rest or value <= 0:
         raise InvariantError(
-            f"Weyl dimension {Q(numerator, denominator)} of {spell(hw)} is not a positive integer"
+            f"Weyl dimension {Q(numerator, denominator)} of {spell(halved(hw))} is not a positive integer"
         )
     return value
 
@@ -304,101 +313,74 @@ def _tensor_raw(rs: RootSystem, hw1: Vector, hw2: Vector) -> Mapping[IntKey, int
 
 
 class FormalCharacter(FrozenRecord):
-    """Non-negative integer combination of dominant weights of a group."""
+    """Non-negative integer combination of dominant weights of a group: its
+    sorted ``IntKey``s and their multiplicities.  ``terms``, the ``(Weight,
+    multiplicity)`` pairs, is the boundary reader: its first read crosses
+    every key in one ``lattice.key_weights`` batch and keeps the result.
+    Inside the package a character is read by its keys."""
 
-    _fields = __slots__ = ("group", "terms")
+    _fields = ("group", "keys", "mults")
+    __slots__ = (*_fields, "_terms")
 
     group: GroupSpec
-    terms: tuple[tuple[Weight, int], ...]
+    keys: tuple[IntKey, ...]
+    mults: tuple[int, ...]
 
-    def __init__(self, group: GroupSpec, terms: tuple[tuple[Weight, int], ...]) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, group: GroupSpec, keys: tuple[IntKey, ...], mults: tuple[int, ...]) -> None:
+        set_slot = object.__setattr__
+        set_slot(self, "group", group)
+        set_slot(self, "keys", keys)
+        set_slot(self, "mults", mults)
+        set_slot(self, "_terms", None)
 
     @staticmethod
     def from_dict(gs: GroupSpec, data: Mapping[Weight, int]) -> "FormalCharacter":
-        """The public ``Weight``-keyed constructor, weights taken as given; inside
-        the package every character comes from ``from_int_keys``."""
-        items = [(w, m) for w, m in data.items() if m != 0]
-        if any(m < 0 for _, m in items):
-            raise ValueError("formal characters carry non-negative multiplicities")
-        items.sort(key=lambda pair: pair[0].sort_key())
-        return FormalCharacter(gs, tuple(items))
+        """The public ``Weight``-keyed constructor: each weight with a nonzero
+        multiplicity keyed by ``lattice.weight_key``, then ``from_int_keys``."""
+        return FormalCharacter.from_int_keys(gs, {weight_key(gs, w): m for w, m in data.items() if m})
 
     @staticmethod
-    def from_int_keys(
-        gs: GroupSpec, delta: Mapping[IntKey, int], memo: "TermMemo | None" = None
-    ) -> "FormalCharacter":
-        """A character from ``IntKey``s: the last character built through
-        ``memo`` (none without one) updated by ``delta``, a multiplicity change
-        per key.  Only the keys of ``delta`` are summed, checked for negatives
-        and sorted; a zero drops its term.  The term order merges the last
-        character's sorted keys with the new ones, a plain append when those
-        all sort last.  The new keys cross to their ``Weight``s in one batch
-        through ``lattice.key_weights``, which validates them on integers from
-        verdicts cached per (type, factor part) and shares each distinct
-        part's ``Fraction`` halves as one tuple.  A key of the last character
-        keeps its ``Weight``, and its very ``(Weight, multiplicity)`` pair while
-        its multiplicity is unchanged.  Pass one ``memo`` (for one group) to
-        the levels of a graded character; emptying ``memo.keys`` applies the
-        next delta to nothing while still reusing the last character's pairs.
-        """
-        if memo is None:
-            memo = TermMemo()
-        last, base = memo.pairs, memo.keys
-        kept: dict[IntKey, tuple[Weight, int]] = {}  # keys with a pair in last
-        fresh: dict[IntKey, int] = {}  # keys without one, and their multiplicities
-        for k, d in delta.items():
-            if not d:
-                continue
-            pair = last.get(k)
-            if pair is None:
-                fresh[k] = d
-                continue
-            m = pair[1] + d if base else d
-            kept[k] = pair if m == pair[1] else (pair[0], m)
-        low = min(itertools.chain(fresh.values(), map(itemgetter(1), kept.values())), default=1)
-        if low < 0:
+    def from_int_keys(gs: GroupSpec, data: Mapping[IntKey, int]) -> "FormalCharacter":
+        """A character from a multiplicity per ``IntKey``: zeros are dropped,
+        negatives refused, and the keys validated on integers by
+        ``lattice.check_keys``, then sorted.  No ``Weight`` is built."""
+        keys = sorted(k for k, m in data.items() if m)
+        mults = tuple(map(data.__getitem__, keys))
+        if min(mults, default=0) < 0:
             raise ValueError("formal characters carry non-negative multiplicities")
-        new = sorted(fresh)
-        weights = key_weights(gs, new)
-        level = last if base else {}
-        if not low:  # only an update can drop a term
-            for k in [k for k, (_, m) in kept.items() if not m]:
-                del kept[k], level[k]
-            base = [k for k in base if k in level]
-        level.update(kept)
-        level.update(zip(new, zip(weights, map(fresh.__getitem__, new))))
-        keys = base + new if base else sorted(level)
-        if base and new and new[0] < base[-1]:
-            keys.sort()  # two sorted runs: one merge
-        memo.keys, memo.pairs = keys, level
-        return FormalCharacter(gs, tuple(map(level.__getitem__, keys)))
+        check_keys(gs, keys)
+        return FormalCharacter(gs, tuple(keys), mults)
+
+    @property
+    def terms(self) -> tuple[tuple[Weight, int], ...]:
+        """The ``(Weight, multiplicity)`` pairs in key order, crossed on first read."""
+        if self._terms is None:
+            weights = key_weights(self.group, self.keys)
+            object.__setattr__(self, "_terms", tuple(zip(weights, self.mults)))
+        return self._terms
+
+    def __repr__(self) -> str:
+        return f"FormalCharacter(group={self.group!r}, terms={self.terms!r})"
 
     def as_dict(self) -> dict[Weight, int]:
         return dict(self.terms)
 
     def multiplicity(self, w: Weight) -> int:
-        return self.as_dict().get(w, 0)
+        """The multiplicity of ``w``: 0 for any weight not among the terms."""
+        try:
+            return dict(zip(self.keys, self.mults)).get(weight_key(self.group, w), 0)
+        except InvalidWeightError:
+            return 0
 
     def total_dimension(self) -> int:
-        return sum(m * weight_dimension(self.group, w) for w, m in self.terms)
+        slices = list(zip(self.group.factors, self.group.slices))
+        return sum(
+            m * math.prod(_dimension(rs, key[s]) for rs, s in slices)
+            for key, m in zip(self.keys, self.mults)
+        )
 
     def __len__(self) -> int:
-        return len(self.terms)
-
-
-class TermMemo:
-    """What ``FormalCharacter.from_int_keys`` keeps of the last character it
-    built through this memo: ``keys``, its sorted ``IntKey``s, which the next
-    delta applies to, and ``pairs``, each key's ``(Weight, multiplicity)``
-    term.  Mutable, and private to one graded build."""
-
-    __slots__ = ("keys", "pairs")
-
-    def __init__(self) -> None:
-        self.keys: list[IntKey] = []
-        self.pairs: dict[IntKey, tuple[Weight, int]] = {}
+        return len(self.keys)
 
 
 def weight_dimension(gs: GroupSpec, w: Weight) -> int:

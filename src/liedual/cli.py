@@ -173,7 +173,7 @@ def _rule_params(rule: Rule, texts: list[str], charge: int | None) -> list:
         raise InvalidWeightError(
             f"{rule.rule_id} takes parameters {' '.join(rule.params)}, got {len(texts)}"
         )
-    if charge is not None and not rule.charged:
+    if charge is not None and rule.block is None:
         raise InvalidWeightError(f"{rule.rule_id} takes no --charge")
     kind = "half-integer" if rule.half_integral else "integer"
     values = []
@@ -188,9 +188,11 @@ def _rule_params(rule: Rule, texts: list[str], charge: int | None) -> list:
 
 
 def _charge_block(char: FormalCharacter, charge: int) -> FormalCharacter:
-    """The terms of ``char`` at ``charge``, in their sorted order."""
-    return FormalCharacter(
-        char.group, tuple((w, m) for w, m in char.terms if w.charges[0] == charge)
+    """The terms of ``char`` at ``charge``: the keys whose first doubled
+    charge is ``2 * charge``."""
+    at = char.group.width
+    return FormalCharacter.from_int_keys(
+        char.group, {k: m for k, m in zip(char.keys, char.mults) if k[at] == 2 * charge}
     )
 
 
@@ -205,6 +207,8 @@ def cmd_branch(args: argparse.Namespace) -> int:
             raise InvalidWeightError("embeddings take one weight argument")
         if args.charge is not None:
             raise InvalidWeightError("embeddings take no --charge")
+        if args.generic:
+            raise InvalidWeightError("embeddings take no --generic: the oracle already runs")
         hw = parse_weight(e.big, args.params[0])
         char = branching.restrict_generic(e, hw, args.budget).decomposition
     else:
@@ -213,11 +217,11 @@ def cmd_branch(args: argparse.Namespace) -> int:
         rule = RULES.get(args.target)
         if rule is None:
             raise InvalidWeightError(f"unknown rule or embedding {args.target!r}")
+        if args.budget is not None and not args.generic:
+            raise InvalidWeightError("a rule reads --budget only with --generic")
         params = _rule_params(rule, args.params, args.charge)
         charge = args.charge or 0
-        char = rule.closed(*params)
-        if rule.charged:
-            char = _charge_block(char, charge)
+        char = rule.closed(*params) if rule.block is None else rule.block(*params, charge)
         if charge < 0:  # only a charged rule takes --charge
             checks.append(
                 Check(
@@ -232,9 +236,9 @@ def cmd_branch(args: argparse.Namespace) -> int:
             generic = branching.restrict_generic(
                 e, rule.source(*params), args.budget
             ).decomposition
-            if rule.charged:
+            if rule.block is not None:
                 generic = _charge_block(generic, charge)
-            status = "MATCH" if generic.terms == char.terms else "MISMATCH"
+            status = "MATCH" if generic == char else "MISMATCH"
             expected, actual = format_terms(char.terms), format_terms(generic.terms)
             checks.append(Check("closed form vs generic", status, expected, actual))
     payload = {

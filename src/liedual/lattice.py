@@ -10,7 +10,7 @@ the API and doubled ``int`` tuples inside (``doubled``, ``halved``); the
 Weyl moves only sort, negate, subtract and compare, so they are exact on
 both and commute with doubling.  The weight lattice has one rule, on
 doubled coordinates (``_on_lattice``): all even for A and C, all even or
-all odd for B and D.  ``key_weights`` applies it to flat doubled keys
+all odd for B and D.  ``check_keys`` applies it to flat doubled keys
 (``IntKey``s), with the canonical A form; ``make_weight`` doubles its
 input and reads the same rule.  A coordinate from outside (command line,
 fixture row or API) is read here alone, by ``qv`` and ``make_weight``.
@@ -21,8 +21,9 @@ at a time (``key_weight`` is its one-key form), and ``format_weight`` the
 one speller, as the command line writes a weight (``spell`` writes one
 vector, ``spell_key`` an unvalidated key, so that building a message never
 raises, ``format_terms`` a character's terms; no other module spells
-them).  ``key_weights`` is the one validator of a key, and ``weight_key``
-validates through it.  It checks a batch column by column and judges each
+them).  ``check_keys`` is the one validator of a key, and
+``weight_key``, ``key_weights`` and ``FormalCharacter.from_int_keys``
+validate through it.  It checks a batch column by column and judges each
 distinct (type, factor part) once: ``_part`` caches its lattice and
 canonical-A verdicts with its ``Fraction`` halves, filled on first use.
 The verdicts are read again on every call, so a rejected part raises each
@@ -44,7 +45,7 @@ import math
 from collections import Counter
 from fractions import Fraction as Q
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 Vector = tuple[Q, ...]
 
@@ -598,9 +599,8 @@ def _part(label: str, part: Doubled) -> tuple[bool, bool, Vector]:
 _new_weight = functools.partial(tuple.__new__, Weight)
 
 
-def key_weights(gs: GroupSpec, keys: Sequence[IntKey]) -> list[Weight]:
-    """The one way from ``IntKey``s of ``gs`` back to their ``Weight``s, and
-    the one validator of a flat doubled key, on integers alone.
+def check_keys(gs: GroupSpec, keys: Collection[IntKey]) -> None:
+    """The one validator of flat doubled keys of ``gs``, on integers alone.
 
     A key is checked for its length (width plus circles), then ``_on_lattice``
     per factor part, in factor order, then the canonical A form (minimum 0),
@@ -609,35 +609,43 @@ def key_weights(gs: GroupSpec, keys: Sequence[IntKey]) -> list[Weight]:
     ``_part``, whose verdicts are cached but raise again on every call.  A bad
     batch raises the error of its first bad key in sorted order.  The
     charges need no check: half of any integer is a half-integer, all that
-    ``make_weight`` asks of a charge.  The ``Weight``s are built in one pass
-    from the shared halves: equal factor parts are one tuple, equal charge
-    tails one ``_charges`` tuple, equal coordinates one ``Fraction``."""
+    ``make_weight`` asks of a charge."""
     length = gs.width + gs.circles
-    halves = []
-    if all(map(length.__eq__, map(len, keys))):
-        for rs, s in zip(gs.factors, gs.slices):
-            column = list(map(itemgetter(s), keys))
-            verdicts = {part: _part(rs.label, part) for part in set(column)}
-            if not all(on and canonical for on, canonical, _ in verdicts.values()):
-                break
-            half = {part: verdict[2] for part, verdict in verdicts.items()}
-            halves.append(map(half.__getitem__, column))
-        else:
-            parts = zip(*halves) if halves else itertools.repeat((), len(keys))
-            tails = (
-                map(_charges, map(itemgetter(slice(gs.width, None)), keys))
-                if gs.circles
-                else itertools.repeat(())
-            )
-            return list(map(_new_weight, zip(parts, tails)))
+    if all(map(length.__eq__, map(len, keys))) and all(
+        on and canonical
+        for rs, s in zip(gs.factors, gs.slices)
+        for on, canonical, _ in map(functools.partial(_part, rs.label), set(map(itemgetter(s), keys)))
+    ):
+        return
     for key in sorted(keys):
         _raise_fault(gs, key)
     raise InvariantError(f"a batch of {gs} keys failed but none of its keys does")
 
 
+def key_weights(gs: GroupSpec, keys: Sequence[IntKey]) -> list[Weight]:
+    """The one way from ``IntKey``s of ``gs`` back to their ``Weight``s: the
+    batch is validated by ``check_keys``, then the ``Weight``s are built in
+    one pass from the shared halves of ``_part``: equal factor parts are one
+    tuple, equal charge tails one ``_charges`` tuple, equal coordinates one
+    ``Fraction``."""
+    check_keys(gs, keys)
+    halves = []
+    for rs, s in zip(gs.factors, gs.slices):
+        column = list(map(itemgetter(s), keys))
+        half = {part: _part(rs.label, part)[2] for part in set(column)}
+        halves.append(map(half.__getitem__, column))
+    parts = zip(*halves) if halves else itertools.repeat((), len(keys))
+    tails = (
+        map(_charges, map(itemgetter(slice(gs.width, None)), keys))
+        if gs.circles
+        else itertools.repeat(())
+    )
+    return list(map(_new_weight, zip(parts, tails)))
+
+
 def _raise_fault(gs: GroupSpec, key: IntKey) -> None:
     """Raise the ``InvalidWeightError`` of the first fault of ``key``, in the
-    order ``key_weights`` names them; return if it has none."""
+    order ``check_keys`` names them; return if it has none."""
     if len(key) != gs.width + gs.circles:
         raise InvalidWeightError(f"{key} is not a flat key of {gs}")
     canonical = True
@@ -660,7 +668,7 @@ def weight_key(gs: GroupSpec, w: Weight) -> IntKey:
     """The one way from a ``Weight`` of ``gs`` to its ``IntKey``: one part
     per factor, of that factor's length, one charge per circle, and every
     coordinate an integer or half-integer; then ``doubled`` and
-    ``key_weight``.  Errors spell ``w`` as the command line does."""
+    ``check_keys``.  Errors spell ``w`` as the command line does."""
     flat = w.sort_key()
     if (
         [len(part) for part in w.parts] != [rs.ambient_dim for rs in gs.factors]
@@ -669,7 +677,7 @@ def weight_key(gs: GroupSpec, w: Weight) -> IntKey:
     ):
         raise InvalidWeightError(f"{format_weight(w)} is not a weight of {gs}")
     key = doubled(flat)
-    key_weight(gs, key)
+    check_keys(gs, (key,))
     return key
 
 

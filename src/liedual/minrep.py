@@ -33,7 +33,7 @@ from .rules import (
     _su6_omega3_to_sp2su2u1_core,
     su2su2_coefficient,
 )
-from .charalg import FormalCharacter, IntKey, TermMemo, su2_tensor, weight_dimension
+from .charalg import FormalCharacter, IntKey, su2_tensor, weight_dimension
 from .lattice import GroupSpec, InvariantError, Weight, format_weight, group, weight_key
 
 MINREP_CASES = ("split-E6", "hermitian-E6", "e62-compact")
@@ -175,8 +175,8 @@ def _e62_spin8(data: dict[IntKey, int], n: int) -> None:
 
 
 # case: (group, the function adding level n's block of IntKey terms to a
-# dict in place, whether a level is a running sum whose block updates level
-# n-1, the factors whose part is zero in a term that carries the order-two
+# dict in place, whether a level is a running sum, level n-1's dict plus
+# block n, the factors whose part is zero in a term that carries the order-two
 # sign (-1)^n or None if none does, how a series case stabilizes or None)
 _LEVELS: dict[str, tuple[GroupSpec, Callable[[dict[IntKey, int], int], None], bool,
                          tuple[int, ...] | None, str | None]] = {
@@ -198,22 +198,19 @@ def _level_sign(case: str, n: int, w: Weight) -> int | None:
 
 
 def _graded(case: str, truncation: int) -> GradedCharacter:
-    """Levels 0..truncation of a ``_LEVELS`` case, each built by
-    ``FormalCharacter.from_int_keys`` from its own block: a running case's
-    block updates level n-1, any other case's stands alone.  One ``Weight``
-    per distinct term, and a term whose multiplicity is unchanged from level
-    n-1 is that level's very ``(Weight, multiplicity)`` pair."""
+    """Levels 0..truncation of a ``_LEVELS`` case, each level's dict passed
+    whole to ``FormalCharacter.from_int_keys``: a running case adds each
+    block to one dict, any other case's block stands alone."""
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
     gs, add_level, running = _LEVELS[case][:3]
     levels: dict[int, FormalCharacter] = {}
-    memo = TermMemo()
+    data: dict[IntKey, int] = {}
     for n in range(truncation + 1):
-        block: dict[IntKey, int] = {}
-        add_level(block, n)
         if not running:
-            memo.keys = []
-        levels[n] = FormalCharacter.from_int_keys(gs, block, memo)
+            data = {}
+        add_level(data, n)
+        levels[n] = FormalCharacter.from_int_keys(gs, data)
     return GradedCharacter(case, gs, levels)
 
 
@@ -228,16 +225,12 @@ def dualpair_graded(case: str, truncation: int) -> GradedCharacter:
     characters chi(n+4, -(b+n)/2-2, (b-n)/2-2).
 
     Levels are assembled from the certified closed forms on integer keys:
-    every sum runs over ``IntKey``s (doubled flat sort keys), and each level
-    is built by ``FormalCharacter.from_int_keys`` from its own block, which
-    in the two running sums updates level n-1 (only the block's keys are
-    summed and sorted, and merged into level n-1's order) and otherwise
-    stands alone.  One validated ``Weight`` per distinct term, shared by
-    every level it is in, comes from one bulk key crossing per level; a term
-    whose multiplicity is unchanged from level n-1 is level n-1's very
-    ``(Weight, multiplicity)`` pair, so a running sum, whose multiplicities
-    never fall, holds one pair per distinct term value.  The build fills
-    neither ``_hermJ_level`` nor ``sp1so2_coefficients``.
+    every sum runs over ``IntKey``s (doubled flat sort keys), in the two
+    running sums into one dict for all levels, and each level is built by
+    ``FormalCharacter.from_int_keys`` from its whole dict.  No ``Weight`` is
+    built: a level's keys cross to ``Weight``s when its ``terms`` is first
+    read.  The build fills neither ``_hermJ_level`` nor
+    ``sp1so2_coefficients``.
     """
     if case not in DUALPAIR_CASES:
         raise KeyError(f"unknown case {case!r}")

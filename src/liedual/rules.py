@@ -5,12 +5,12 @@ The closed forms build their terms as ``IntKey``s, the keys the oracle in
 three of them.  ``RULES`` holds one ``Rule`` per closed form: its
 embedding, source weight, parameter grid and default level.
 ``verify_rule`` replays a rule against ``branching.restrict_generic`` term
-by term, and imports the oracle when it runs, so that ``minrep`` and
-``theta`` never load it.  ``Check`` and ``Report`` are the one
-check/report type of every sweep.  Check strings spell weights and
-characters as the command line does (``lattice.format_weight``,
-``lattice.format_terms``); a FAIL names the first term where closed form
-and oracle differ.
+by term, comparing the two characters' keys and multiplicities, and
+imports the oracle when it runs, so that ``minrep`` and ``theta`` never
+load it.  ``Check`` and ``Report`` are the one check/report type of every
+sweep.  Check strings spell weights and characters as the command line
+does (``lattice.spell_key``, ``lattice.format_terms``); a FAIL names the
+first key where closed form and oracle differ.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from .lattice import (
     Weight,
     doubled,
     format_terms,
-    format_weight,
     group,
     make_weight,
     qv,
+    spell_key,
 )
 
 
@@ -166,20 +166,23 @@ class SignedCharacter(NamedTuple):
         return self.signs[w]
 
 
+def _su6_omega3_to_sp3_character(n: int) -> FormalCharacter:
+    """The character of ``branch_su6_omega3_to_sp3(n)``."""
+    if n < 0:
+        raise ValueError("level must be non-negative")
+    terms = {(2 * n, 2 * m, 2 * m): 1 for m in range(n + 1)}
+    return FormalCharacter.from_int_keys(group("C3"), terms)
+
+
 def branch_su6_omega3_to_sp3(n: int) -> SignedCharacter:
     """Restriction of the n-th third-fundamental power from SU(6) to Sp(3).
 
     Multiplicity-free sum of V_(n,m,m) over 0 <= m <= n; the order-2
     symmetry fixing Sp(3) acts on V_(n,m,m) by (-1)^(n-m).
     """
-    if n < 0:
-        raise ValueError("level must be non-negative")
-    char = FormalCharacter.from_int_keys(
-        group("C3"), {(2 * n, 2 * m, 2 * m): 1 for m in range(n + 1)}
-    )
+    char = _su6_omega3_to_sp3_character(n)
     # The terms are sorted, so the m-th one is V_(n,m,m).
-    signs = {w: (-1) ** (n - m) for m, (w, _) in enumerate(char.terms)}
-    return SignedCharacter(char, signs)
+    return SignedCharacter(char, {w: (-1) ** (n - m) for m, (w, _) in enumerate(char.terms)})
 
 
 def su6_omega3_weight(n: int) -> Weight:
@@ -242,9 +245,10 @@ class Rule(NamedTuple):
     ``source(*params)`` is the highest weight restricted along the embedding
     and ``closed(*params)`` its predicted decomposition; ``grid(level)``
     lists the parameter tuples checked up to ``level``.  Parameters are
-    non-negative integers, or half-integers if ``half_integral``.  A
-    ``charged`` rule's closed form spans every circle charge, and
-    ``liedual branch --charge m`` keeps the charge-m block.
+    non-negative integers, or half-integers if ``half_integral``.  A rule
+    whose closed form spans every circle charge has a ``block``:
+    ``block(*params, m)`` is the charge-m block alone, which ``liedual
+    branch`` prints (charge 0 without ``--charge``).
     """
 
     rule_id: str
@@ -254,7 +258,7 @@ class Rule(NamedTuple):
     closed: Callable[..., FormalCharacter]
     grid: Callable[[int], list[tuple]]
     default_level: int
-    charged: bool = False
+    block: Callable[..., FormalCharacter] | None = None
     half_integral: bool = False
 
 
@@ -329,17 +333,17 @@ RULES: dict[str, Rule] = {
             embedding="sp2su2u1_in_su6",
             params=("n",),
             source=lambda n: su6_omega3_weight(n),
-            closed=_su6_omega3_all_charges,
+            closed=lambda n: _su6_omega3_all_charges(n),
             grid=_levels,
             default_level=4,
-            charged=True,
+            block=lambda n, m: branch_su6_omega3_to_sp2su2u1(n, m),
         ),
         Rule(
             "su6_omega3_to_sp3",
             embedding="sp3_in_su6",
             params=("n",),
             source=lambda n: su6_omega3_weight(n),
-            closed=lambda n: branch_su6_omega3_to_sp3(n).character,
+            closed=lambda n: _su6_omega3_to_sp3_character(n),
             grid=_levels,
             default_level=4,
         ),
@@ -355,8 +359,9 @@ def verify_rule(
     """Replay one closed-form rule against restrict_generic over its grid.
 
     Checks are named "<rule_id> <params>" and ordered by parameters.  A case
-    whose source is over budget is a BUDGET check; the sweep goes on.  A
-    FAIL's ``actual`` starts with the first term that differs.
+    whose source is over budget is a BUDGET check; the sweep goes on.  The
+    two characters are compared on keys; a FAIL's ``actual`` starts with the
+    first key whose multiplicities differ.
     """
     from .branching import BudgetExceededError, embedding, restrict_generic
 
@@ -376,12 +381,13 @@ def verify_rule(
             continue
         closed = rule.closed(*params)
         actual = format_terms(generic.terms)
-        status = "PASS" if closed.terms == generic.terms else "FAIL"
+        want, got = (dict(zip(c.keys, c.mults)) for c in (closed, generic))
+        status = "PASS" if want == got else "FAIL"
         if status == "FAIL":
-            w = min((w for w, _ in set(closed.terms) ^ set(generic.terms)), key=Weight.sort_key)
+            key = min(want.items() ^ got.items())[0]
             actual = (
-                f"first difference at {format_weight(w)}: expected {closed.multiplicity(w)}, "
-                f"actual {generic.multiplicity(w)}; {actual}"
+                f"first difference at {spell_key(closed.group, key)}: expected "
+                f"{want.get(key, 0)}, actual {got.get(key, 0)}; {actual}"
             )
         checks.append(Check(name, status, format_terms(closed.terms), actual))
     return Report(rule_id, tuple(checks))

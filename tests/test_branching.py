@@ -789,6 +789,29 @@ def test_only_lattice_reads_a_rational():
     assert found == []
 
 
+def test_only_lattice_and_terms_cross_keys_to_weights():
+    # A character holds IntKeys; outside ``lattice``, only its ``terms``
+    # reader crosses them to ``Weight``s of ``Fraction``s.
+    package = Path(liedual.__file__).resolve().parent
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(package.glob("*.py"))}
+    reads = [
+        (name, node.lineno)
+        for name, tree in trees.items()
+        if name != "lattice.py"
+        for node in ast.walk(tree)
+        if getattr(node, "id", getattr(node, "attr", None)) in ("key_weights", "key_weight")
+        and isinstance(node.ctx, ast.Load)
+    ]
+    terms = next(
+        node
+        for node in ast.walk(trees["charalg.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "terms"
+    )
+    assert reads and all(
+        name == "charalg.py" and terms.lineno <= line <= terms.end_lineno for name, line in reads
+    ), reads
+
+
 def test_package_has_no_unread_private_helpers():
     # A private module-level function or class that nothing in the package
     # reads is left over from a deleted caller.

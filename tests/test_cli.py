@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedual import branching, rules
-from liedual.charalg import FormalCharacter, NonDominantError
+from liedual.charalg import FormalCharacter, NonDominantError, weight_dimension
 from liedual.cli import (
     MAX_MINREP_LEVEL,
     MAX_RULE_PARAM,
@@ -102,6 +102,40 @@ def test_branch_charge_block(capsys):
     code, out, _ = run(capsys, "branch", "su6_omega3", "1", "--charge", "1")
     assert code == 0
     assert "(1,0)x(0)@1" in out
+
+
+def test_branch_charge_block_equals_the_filtered_all_charge_form(capsys):
+    for n in range(6):
+        every = rules._su6_omega3_all_charges(n)
+        for m in range(-n - 1, n + 2):
+            code, out, _ = run(capsys, "branch", "su6_omega3", str(n), "--charge", str(m), "--format", "json")
+            block = [
+                [format_weight(w), k, weight_dimension(every.group, w)]
+                for w, k in every.terms
+                if w.charges[0] == m
+            ]
+            assert code == 0 and json.loads(out)["result"] == block, (n, m)
+
+
+def test_branch_charge_builds_only_its_block(capsys, monkeypatch):
+    def every_charge(n):
+        raise AssertionError("all charges built")
+
+    monkeypatch.setattr(rules, "_su6_omega3_all_charges", every_charge)
+    code, out, _ = run(capsys, "branch", "su6_omega3", "3", "--charge", "2")
+    assert code == 0 and "(2,0)x(1)@2" in out
+
+
+def test_branch_refuses_generic_on_an_embedding(capsys):
+    code, out, err = run(capsys, "branch", "sp2xsp2_in_sp4", "1,1,1,1", "--generic")
+    assert (code, out) == (2, "")
+    assert err == "error: embeddings take no --generic: the oracle already runs\n"
+
+
+def test_branch_refuses_budget_on_a_rule_without_generic(capsys):
+    code, out, err = run(capsys, "branch", "sp4_to_sp2sp2", "1", "--budget", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: a rule reads --budget only with --generic\n"
 
 
 def test_branch_trivial_so5(capsys):

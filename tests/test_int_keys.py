@@ -8,6 +8,7 @@ the earlier implementations, kept as references.  An ``int`` where a
 also checks coordinate types.
 """
 
+import hashlib
 import itertools
 from fractions import Fraction as Q
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liedual.branching as branching
 import liedual.charalg as charalg
 import liedual.lattice as lattice
 import liedual.minrep as minrep
@@ -422,20 +424,51 @@ def test_from_int_keys_rejects_bad_keys():
         FormalCharacter.from_int_keys(group("A1"), {(2,): -1})
 
 
-def test_graded_levels_validate_each_distinct_term_once(monkeypatch):
-    keys = []
+def test_graded_levels_cross_keys_only_when_terms_are_read(monkeypatch):
+    # A graded build crosses no key to a Weight; the first ``terms`` read of
+    # a level crosses that level's keys in one batch, and keeps the result.
+    batches = []
 
     def counting(gs, batch):
-        keys.extend(batch)
+        batches.append(list(batch))
         return lattice.key_weights(gs, batch)
 
     monkeypatch.setattr(charalg, "key_weights", counting)
     graded = dualpair_graded("splitJ-mixedE", 5)
-    distinct = {w for char in graded.levels.values() for w, _ in char.terms}
-    assert len(keys) == len(set(keys)) == len(distinct)
-    # a term of level 4 is the very Weight of level 5
-    level5 = {w: w for w, _ in graded.levels[5].terms}
-    assert all(level5[w] is w for w, _ in graded.levels[4].terms)
+    assert batches == []
+    for n, level in graded.levels.items():
+        terms = level.terms
+        assert batches == [list(level.keys)] and level.terms is terms, n
+        assert terms == tuple(zip(lattice.key_weights(graded.group, level.keys), level.mults))
+        batches.clear()
+
+
+def test_builds_make_no_weight(monkeypatch):
+    # The graded levels, the closed forms and the oracle run on keys: with
+    # every way of making a Weight set to fail, they all still build, and
+    # only a ``terms`` read fails.  The sources and certificates are made
+    # first, as the Weights and maps that come in.
+    sources = [
+        (branching.embedding(rule.embedding), rule.source(*params))
+        for rule in RULES.values()
+        for params in rule.grid(2)
+    ]
+    for e, _ in sources:
+        e._certified()
+
+    def made(*args):
+        raise AssertionError("a Weight was made")
+
+    monkeypatch.setattr(lattice, "_new_weight", made)
+    monkeypatch.setattr(Weight, "__new__", made)
+    built = [dualpair_graded(case, 8).levels[8] for case in DUALPAIR_CASES]
+    built += [minrep_levels(case, 8).levels[8] for case in MINREP_CASES]
+    built += [rule.closed(*params) for rule in RULES.values() for params in rule.grid(3)]
+    built += [branching.restrict_generic(e, hw).decomposition for e, hw in sources]
+    built.append(tensor_decompose(build_root_system("C2"), (Q(1), Q(1)), (Q(2), Q(1))))
+    assert all(char.total_dimension() > 0 for char in built)
+    with pytest.raises(AssertionError, match="a Weight was made"):
+        built[0].terms
 
 
 # The truncations of the graded-series benchmark.
@@ -449,40 +482,45 @@ _TRUNCATIONS = {**_BENCH_TRUNCATIONS, **dict.fromkeys(MINREP_CASES, 12)}
 
 @pytest.mark.parametrize("case", sorted(_TRUNCATIONS))
 def test_graded_levels_share_pairs_and_keep_values(case):
-    # Each level, built from its own block against level n-1 (a running
-    # case) or against nothing, equals a from-scratch build of all its keys
-    # with no shared memo; a term whose multiplicity is unchanged from level
-    # n-1 is that level's very (Weight, multiplicity) pair, and a changed
-    # one a new pair around the same Weight.  At these truncations every
-    # case then holds one pair object per distinct term value, and one
-    # charge tuple per distinct tail.
+    # Each level equals a from-scratch build of its summed multiplicities:
+    # level n-1 plus block n in a running case, block n alone otherwise.
+    # Levels hold keys, not (Weight, multiplicity) pairs; what their terms
+    # share once read is one charge tuple per distinct tail.
     top = _TRUNCATIONS[case]
     graded = (dualpair_graded if case in DUALPAIR_CASES else minrep_levels)(case, top)
     gs, add_level, running = minrep._LEVELS[case][:3]
-    data = {}
-    previous = {}
-    shared = 0
+    total = {}
     for n in range(top + 1):
+        block = {}
+        add_level(block, n)
         if not running:
-            data = {}
-        add_level(data, n)
-        level = graded.levels[n]
-        assert level == FormalCharacter.from_int_keys(gs, data), (case, n)
-        for pair in level.terms:
-            old = previous.get(pair[0])
-            if old is None:
-                continue
-            assert old[0] is pair[0]
-            if old[1] == pair[1]:
-                assert old is pair, (case, n, format_weight(pair[0]))
-                shared += 1
-        previous = {pair[0]: pair for pair in level.terms}
-    pairs = [pair for level in graded.levels.values() for pair in level.terms]
-    assert len({id(pair) for pair in pairs}) == len(set(pairs))
-    charges = [w.charges for w, _ in pairs]
+            total = {}
+        for k, m in block.items():
+            total[k] = total.get(k, 0) + m
+        assert graded.levels[n] == FormalCharacter.from_int_keys(gs, total), (case, n)
+    charges = [w.charges for level in graded.levels.values() for w, _ in level.terms]
     assert len({id(c) for c in charges}) == len(set(charges))
-    if case == "splitJ-mixedE":  # a type keeps its multiplicity once it appears
-        assert shared == len(pairs) - len(set(pairs)) > 0
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("splitJ-splitE", "786d8c9d65e53414"),
+        ("splitJ-mixedE", "bb27dc047e3c6c07"),
+        ("hermJ-mixedE", "ba454df14741859c"),
+        ("e62-spin8", "ef327a7d94dba6a6"),
+        ("split-E6", "a9c7f4d116324911"),
+        ("hermitian-E6", "fe3ff6dda2501b33"),
+        ("e62-compact", "cd2e3c3d364842f3"),
+    ],
+)
+def test_graded_terms_keep_their_recorded_hashes(case, digest):
+    # The term tuples of every graded case, as ``terms`` reads them: sha256
+    # of their repr over levels 0..top, first 16 hex digits.
+    top = _TRUNCATIONS[case]
+    graded = (dualpair_graded if case in DUALPAIR_CASES else minrep_levels)(case, top)
+    text = repr([graded.levels[n].terms for n in range(top + 1)])
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 _C2A1U1_KEYS = [(2 * x, 2 * y, 2 * z, m) for x in range(3) for y in range(x + 1) for z in range(2) for m in (-1, 2)]
@@ -498,37 +536,26 @@ _C2A1U1_KEYS = [(2 * x, 2 * y, 2 * z, m) for x in range(3) for y in range(x + 1)
         max_size=6,
     )
 )
-def test_deltas_through_a_memo_equal_from_scratch_builds(steps):
-    # Each step applies a delta to the last character built through one memo,
-    # or, with ``restart``, to nothing; a delta never takes a total below 0,
-    # so some steps drop terms.  The result must equal a from-scratch build
-    # of the summed multiplicities and keep each unchanged pair of the last
-    # character; a delta that would take a term below 0 is refused and
-    # leaves the memo as it was.
+def test_running_dicts_equal_from_scratch_builds(steps):
+    # Each step applies a delta in place to one running dict, or, with
+    # ``restart``, to a new one; a delta never takes a total below 0, so some
+    # entries fall to 0.  The character of the whole dict must equal a
+    # from-scratch build of its nonzero multiplicities, and a dict with a
+    # negative entry is refused.
     gs = _KEY_GROUPS["C2xA1xU1"]
-    memo = charalg.TermMemo()
-    total: dict = {}
-    last: dict = {}
+    data: dict = {}
     for restart, delta in steps:
         if restart:
-            memo.keys = []
-            total = {}
-        delta = {k: max(d, -total.get(k, 0)) for k, d in delta.items()}
-        got = FormalCharacter.from_int_keys(gs, delta, memo)
+            data = {}
         for k, d in delta.items():
-            total[k] = total.get(k, 0) + d
-        total = {k: m for k, m in total.items() if m}
+            data[k] = data.get(k, 0) + max(d, -data.get(k, 0))
+        got = FormalCharacter.from_int_keys(gs, data)
+        total = {k: m for k, m in data.items() if m}
         assert got == FormalCharacter.from_int_keys(gs, total)
-        assert memo.keys == sorted(total)
-        for pair in got.terms:
-            old = last.get(pair[0])
-            if old is not None and old[1] == pair[1]:
-                assert old is pair
-        last = {pair[0]: pair for pair in got.terms}
+        assert got.keys == tuple(sorted(total)) and got.mults == tuple(map(total.get, got.keys))
         if total:
-            k = min(total)
             with pytest.raises(ValueError, match="non-negative"):
-                FormalCharacter.from_int_keys(gs, {k: -total[k] - 1}, memo)
+                FormalCharacter.from_int_keys(gs, {**data, min(total): -1})
 
 
 # --------------------------------------------------------------------------

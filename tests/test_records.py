@@ -71,7 +71,7 @@ SIGNATURES = {
     GroupSpec: [("factors", _REQUIRED), ("circles", 0)],
     Weight: [("parts", _REQUIRED), ("charges", ())],
     charalg.WeightFunction: [("rs", _REQUIRED), ("support", _REQUIRED)],
-    charalg.FormalCharacter: [("group", _REQUIRED), ("terms", _REQUIRED)],
+    charalg.FormalCharacter: [("group", _REQUIRED), ("keys", _REQUIRED), ("mults", _REQUIRED)],
     charalg.InfChar: [("label", _REQUIRED), ("rep", _REQUIRED)],
     branching.EmbeddingMap: [
         ("name", _REQUIRED), ("big", _REQUIRED), ("small", _REQUIRED),
@@ -90,7 +90,7 @@ SIGNATURES = {
     rules.Rule: [
         ("rule_id", _REQUIRED), ("embedding", _REQUIRED), ("params", _REQUIRED),
         ("source", _REQUIRED), ("closed", _REQUIRED), ("grid", _REQUIRED),
-        ("default_level", _REQUIRED), ("charged", False), ("half_integral", False),
+        ("default_level", _REQUIRED), ("block", None), ("half_integral", False),
     ],
     minrep.GradedCharacter: [("case", _REQUIRED), ("group", _REQUIRED), ("levels", _REQUIRED)],
     minrep.MultiplicitySeries: [
